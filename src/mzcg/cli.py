@@ -45,8 +45,16 @@ def _run(ctx, experiment, config_path, set_pairs, out_path, seed, threads, desk_
         code = runner(cfg, out, threads=max(1, threads))
     except NumericalBlowupError as err:
         # Unexpected blowup of a primary run: keep a metadata-only file.
-        write_csv(out, experiments.config_comments(cfg) + [("blowup_step", err.step)], [], [])
-        click.echo(f"numerical blowup at step {err.step}; partial output in {out}", err=True)
+        where = [("blowup_step", err.step)]
+        if err.stream_id is not None:
+            where.append(("blowup_stream", err.stream_id))
+        if err.beta is not None:
+            where.append(("blowup_beta", err.beta))
+        write_csv(out, experiments.config_comments(cfg) + where, [], [])
+        click.echo(
+            f"numerical blowup at step {err.step}{err.where}; partial output in {out}",
+            err=True,
+        )
         ctx.exit(3)
     except OSError as err:
         click.echo(f"io error: {err}", err=True)

@@ -207,34 +207,37 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
 def run_ensemble(cfg, out_path, threads=1) -> int:
     """Thermostatted relaxation at several temperatures: the full dynamics and
     the two thermostattable reduced models share per-stream Brownian
-    increments (common random numbers).  One file per beta."""
+    increments (common random numbers), and every beta shares them too, so
+    each stream block is integrated once for all betas.  One file per beta."""
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
+    betas = cfg["beta_list"]
+    p = BenchmarkParams(
+        mu=cfg["mu"], lam=cfg["lambda"], tau=cfg["tau"], omega=cfg["omega"], beta=betas[0]
+    )
+    y0 = p.tau * math.sin(p.omega * x0)
+    scalar_models = [EffectiveModel(MEMORY_CORRECTED, p), EffectiveModel(MEMORY_FREE, p)]
 
-    for beta in cfg["beta_list"]:
-        p = BenchmarkParams(
-            mu=cfg["mu"], lam=cfg["lambda"], tau=cfg["tau"], omega=cfg["omega"], beta=beta
+    def worker(a, b):
+        streams = [NoiseStream(seed, i) for i in range(a, b)]
+        _, full_x, model_recs = integrate_crn_batch(
+            p, scalar_models, (x0, y0), x0, icfg, streams, betas
         )
-        y0 = p.tau * math.sin(p.omega * x0)
-        scalar_models = [EffectiveModel(MEMORY_CORRECTED, p), EffectiveModel(MEMORY_FREE, p)]
+        return full_x, model_recs[0], model_recs[1]
 
-        def worker(a, b):
-            streams = [NoiseStream(seed, i) for i in range(a, b)]
-            _, full_x, model_recs = integrate_crn_batch(
-                p, scalar_models, (x0, y0), x0, icfg, streams
-            )
-            return full_x, model_recs[0], model_recs[1]
+    # Each block gives (beta, stream, time) arrays; streams join along axis 1.
+    blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
+    full, approx, nomem = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        for parts in zip(*blocks)
+    )
+    times = icfg.record_steps() * icfg.dt
+    n = full.shape[1]
 
-        blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
-        full = np.concatenate([b[0] for b in blocks], axis=0)
-        approx = np.concatenate([b[1] for b in blocks], axis=0)
-        nomem = np.concatenate([b[2] for b in blocks], axis=0)
-        times = icfg.record_steps() * icfg.dt
-        n = full.shape[0]
-
+    for k, beta in enumerate(betas):
         cols = {}
-        for name, data in (("full", full), ("approx", approx), ("nomem", nomem)):
+        for name, data in (("full", full[k]), ("approx", approx[k]), ("nomem", nomem[k])):
             cols[f"{name}_mean"] = data.mean(axis=0)
             cols[f"{name}_stderr"] = data.std(axis=0, ddof=1) / np.sqrt(n)
 

@@ -91,10 +91,13 @@ def diffusion(model: EffectiveModel, h):
     return np.sqrt(1.0 / (1.0 + p.tau * p.tau * p.omega * p.omega * c2))
 
 
-def thermostatted_coefficients(model: EffectiveModel, h):
+def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
     """Ito coefficients (b, sigma) of the thermostatted model at ``h``:
     b = drift(h) + (1/beta) d(sigma^2)/dh and sigma = diffusion(h), with
     drift(h) and sigma equal bit for bit to what those functions return.
+
+    ``beta`` defaults to ``model.params.beta``; an array of inverse
+    temperatures broadcasts against ``h`` (one per row of a batch).
 
     For ``memory-corrected``, sigma^2 = 1 / (1 + tau^2 omega^2 cos^2(omega h))
     and the noise-induced term is (1/beta) tau^2 omega^3 sin(2 omega h)
@@ -109,7 +112,11 @@ def thermostatted_coefficients(model: EffectiveModel, h):
         raise UnsupportedModelError(
             "naive-memory has no noise closure and cannot be thermostatted"
         )
+    if beta is None:
+        beta = p.beta
     t2w2 = p.tau * p.tau * p.omega * p.omega
     denom = 1.0 + t2w2 * np.square(np.cos(p.omega * h))
-    noise_drift = (1.0 / p.beta) * t2w2 * p.omega * np.sin(2.0 * p.omega * h) / np.square(denom)
+    # ((1/beta) t2w2) omega is formed before it meets sin(2 omega h), so an
+    # array of betas gives each row the bits of a scalar-beta call.
+    noise_drift = (1.0 / beta) * t2w2 * p.omega * np.sin(2.0 * p.omega * h) / np.square(denom)
     return -p.mu * h / denom + noise_drift, np.sqrt(1.0 / denom)

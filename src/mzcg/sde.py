@@ -3,6 +3,17 @@ models, driven by counter-addressed Gaussian streams so that runs are exactly
 reproducible, ensembles are independent of thread scheduling, and reduced
 models can share the resolved-component Brownian increments of the full system
 (common random numbers).
+
+One chunked loop, ``_march``, steps every batch; ``integrate_full_batch``,
+``integrate_scalar_batch`` and ``integrate_crn_batch`` only choose its
+planes, betas and output layout.  The state is laid out (plane, beta,
+stream): one contiguous plane per coordinate (x and y of the full system, h of
+each reduced model) and rows indexed by (beta, stream), so several inverse
+temperatures run as one wide batch.  Each stream's noise is drawn once per
+chunk and broadcast over the betas without a copy; the amplitude
+sqrt(2 dt / beta) and 1/beta are per row.  Every operation is elementwise in a
+fixed order, so a row's bits do not depend on the batch around it, and a
+multi-beta run equals one-beta runs bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +26,6 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from . import models
-from .benchmark import BenchmarkParams
 
 # Any coordinate beyond this magnitude (or non-finite) counts as a blowup.
 BLOWUP_LIMIT = 1e12
@@ -36,19 +46,30 @@ class GridMismatchError(ValueError):
 class NumericalBlowupError(RuntimeError):
     """State left the representable range during integration.
 
-    Carries the failing ``step`` index and optionally the ``stream_id`` of the
-    offending trajectory.  Batch integrators stash the prefix recorded before
-    the failure in ``recorded`` as (times, states); the single-trajectory
-    wrappers re-raise with that prefix as a ``trajectory``.
+    Carries the failing ``step`` index and, when known, the ``stream_id`` and
+    inverse temperature ``beta`` of the offending trajectory.  Batch
+    integrators stash the prefix recorded before the failure in ``recorded``,
+    shaped like their return value; the single-trajectory wrappers re-raise
+    with that prefix as a ``trajectory``.
     """
 
-    def __init__(self, step, stream_id=None, trajectory=None, recorded=None):
+    def __init__(self, step, stream_id=None, trajectory=None, recorded=None, beta=None):
         self.step = step
         self.stream_id = stream_id
         self.trajectory = trajectory
         self.recorded = recorded
-        where = f" (stream {stream_id})" if stream_id is not None else ""
-        super().__init__(f"state exceeded {BLOWUP_LIMIT:g} at step {step}{where}")
+        self.beta = beta
+        super().__init__(f"state exceeded {BLOWUP_LIMIT:g} at step {step}{self.where}")
+
+    @property
+    def where(self) -> str:
+        """The known stream and beta as " (stream i, beta b)", or ""."""
+        parts = []
+        if self.stream_id is not None:
+            parts.append(f"stream {self.stream_id}")
+        if self.beta is not None:
+            parts.append(f"beta {self.beta:g}")
+        return f" ({', '.join(parts)})" if parts else ""
 
 
 @dataclass
@@ -159,8 +180,121 @@ class Trajectory:
         return self.states if self.states.ndim == 1 else self.states[:, 0]
 
 
-def _noise_amplitude(p: BenchmarkParams, dt: float) -> float:
-    return np.sqrt(2.0 * dt / p.beta)
+def _draw_noise(streams, span):
+    """The next ``span`` increment pairs of every stream, shape
+    (span, 2, n_streams), so that each step's components are contiguous rows."""
+    noise = np.empty((span, 2, len(streams)))
+    for i, s in enumerate(streams):
+        noise[:, :, i] = s.pairs(span)
+    return noise
+
+
+def _blowup_error(step, state, beta, streams, recorded):
+    """The error for the first (beta, stream) row of ``state`` that left the
+    representable range."""
+    bad = ~(np.abs(state) < BLOWUP_LIMIT).all(axis=0)
+    k, i = np.unravel_index(np.argmax(bad), bad.shape)
+    return NumericalBlowupError(
+        step,
+        stream_id=streams[i].stream_id if streams is not None else None,
+        recorded=recorded,
+        beta=float(beta[k, 0]) if beta is not None else None,
+    )
+
+
+def _march(p, cfg, state, full, scalar_models, beta, streams, out, package):
+    """The one chunked Euler-Maruyama loop behind the batch integrators.
+
+    ``state`` has shape (planes, n_beta, n_streams) and is stepped in place.
+    With ``full`` set, its first and last planes are the full system's x and
+    y, and each of ``scalar_models`` steps one plane in between; otherwise
+    the models step all planes.  ``beta`` is None for an unthermostatted run,
+    which steps the drift alone and draws no noise, or a column of shape
+    (n_beta, 1): row block k then runs at inverse temperature beta[k], and
+    all row blocks share the noise drawn once per stream and chunk.  The full
+    system consumes each stream's increment pair, every model its first
+    component.
+
+    After each recorded step ``out[..., pos]`` receives the first
+    ``len(out)`` planes.  ``package(times, k)`` turns the first k records
+    into the caller's return value; a blowup carries it as ``recorded``.
+    """
+    n_steps = cfg.n_steps
+    rec_idx = cfg.record_steps()
+    times = rec_idx * cfg.dt
+    rec_steps = rec_idx.tolist() + [-1]
+    rec = state[: len(out)]
+    out[..., 0] = rec
+    rec_pos = 1
+
+    dt = cfg.dt
+    thermostat = beta is not None
+    if thermostat:
+        # A single row block steps with a plain float beta: the bits are those
+        # of the broadcast column, and a scalar operand costs less.
+        row_beta = float(beta[0, 0]) if len(beta) == 1 else beta
+        amp = np.sqrt(2.0 * dt / row_beta)
+        az = np.empty(state.shape[1:])  # amp * resolved noise component
+    stepped = list(zip(scalar_models, state[1:-1] if full else state))
+    if full:
+        x, y = state[0], state[-1]
+        mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
+        lto = lam * tau * omega
+        wx, c, gap, g = (np.empty_like(x) for _ in range(4))
+    mag = np.empty_like(state)
+
+    # In-place ufuncs take their output positionally: the out= keyword adds a
+    # per-call cost that shows on narrow batches, such as one-row models.
+    add, sub, mul = np.add, np.subtract, np.multiply
+    step = 0
+    while step < n_steps:
+        span = min(NOISE_CHUNK, n_steps - step)
+        if thermostat:
+            noise = _draw_noise(streams, span)
+        for j in range(span):
+            if thermostat:
+                mul(amp, noise[j, 0], az)
+            if full:
+                # x - (mu x + lam tau omega gap cos(omega x)) dt and
+                # y - (-lam gap) dt, with gap = tau sin(omega x) - y.
+                mul(omega, x, wx)
+                np.cos(wx, c)
+                np.sin(wx, gap)
+                mul(gap, tau, gap)
+                sub(gap, y, gap)
+                mul(lto, gap, g)
+                mul(g, c, g)
+                mul(mu, x, c)
+                add(g, c, g)
+                mul(g, dt, g)
+                sub(x, g, x)
+                mul(gap, -lam, gap)
+                mul(gap, dt, gap)
+                sub(y, gap, y)
+                if thermostat:
+                    add(x, az, x)
+                    mul(amp, noise[j, 1], gap)
+                    add(y, gap, y)
+            for model, h in stepped:
+                if thermostat:
+                    b, sigma = models.thermostatted_coefficients(model, h, row_beta)
+                    mul(sigma, az, sigma)
+                else:
+                    b = models.drift(model, h)
+                mul(b, dt, b)
+                add(h, b, h)
+                if thermostat:
+                    add(h, sigma, h)
+            step += 1
+            if not np.abs(state, mag).max() < BLOWUP_LIMIT:
+                raise _blowup_error(
+                    step, state, beta, streams, package(times[:rec_pos], rec_pos)
+                )
+            if step == rec_steps[rec_pos]:
+                out[..., rec_pos] = rec
+                rec_pos += 1
+
+    return package(times, rec_pos)
 
 
 def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
@@ -170,178 +304,83 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
     may be omitted when ``thermostat`` is off (no noise is consumed then).
     Returns (times, recorded) with recorded of shape (n, n_rec, 2).
     """
-    state = np.array(x0s, dtype=float)
-    n = state.shape[0]
+    x0s = np.asarray(x0s, dtype=float)
+    n = x0s.shape[0]
     if thermostat and (streams is None or len(streams) != n):
         raise ValueError("thermostatted runs need one stream per trajectory")
-    n_steps = cfg.n_steps
-    rec_idx = cfg.record_steps()
-    recorded = np.empty((n, len(rec_idx), 2))
-    rec_pos = 0
-    if rec_idx[0] == 0:
-        recorded[:, 0] = state
-        rec_pos = 1
-
-    dt = cfg.dt
-    mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
-    amp = _noise_amplitude(p, dt)
-    lto = lam * tau * omega
-
-    step = 0
-    while step < n_steps:
-        span = min(NOISE_CHUNK, n_steps - step)
-        if thermostat:
-            noise = np.stack([s.pairs(span) for s in streams], axis=1)
-        for j in range(span):
-            x = state[:, 0]
-            y = state[:, 1]
-            c = np.cos(omega * x)
-            gap = tau * np.sin(omega * x) - y
-            gx = mu * x + lto * gap * c
-            gy = -lam * gap
-            if thermostat:
-                zj = noise[j]
-                state = np.stack(
-                    (x - gx * dt + amp * zj[:, 0], y - gy * dt + amp * zj[:, 1]),
-                    axis=-1,
-                )
-            else:
-                state = np.stack((x - gx * dt, y - gy * dt), axis=-1)
-            step += 1
-            peak = np.abs(state).max()
-            if not peak < BLOWUP_LIMIT:
-                bad = int(np.argmax(~(np.abs(state).max(axis=1) < BLOWUP_LIMIT)))
-                sid = streams[bad].stream_id if streams is not None else None
-                raise NumericalBlowupError(
-                    step,
-                    stream_id=sid,
-                    recorded=(rec_idx[:rec_pos] * dt, recorded[:, :rec_pos]),
-                )
-            if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
-                recorded[:, rec_pos] = state
-                rec_pos += 1
-
-    return rec_idx * dt, recorded
+    state = np.empty((2, 1, n))
+    state[:, 0] = x0s.T
+    recorded = np.empty((n, len(cfg.record_steps()), 2))
+    return _march(
+        p, cfg, state, True, (), np.array([[p.beta]]) if thermostat else None,
+        streams, recorded.transpose(2, 0, 1)[:, None],
+        lambda times, k: (times, recorded[:, :k]),
+    )
 
 
 def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     """Euler-Maruyama on a reduced scalar model for a batch of trajectories.
 
     Thermostatted runs step the Ito SDE of
-    :func:`models.thermostatted_coefficients`: drift plus noise-induced drift,
-    and noise term ``diffusion(model, h) * sqrt(2 dt / beta) * xi`` with
-    ``xi`` the scalar view of each stream, so runs share the resolved-component
-    increments of :func:`integrate_full_batch` at equal stream addresses.
+    :func:`models.thermostatted_coefficients` at ``p.beta``: drift plus
+    noise-induced drift, and noise term
+    ``diffusion(model, h) * sqrt(2 dt / beta) * xi`` with ``xi`` the scalar
+    view of each stream, so runs share the resolved-component increments of
+    :func:`integrate_full_batch` at equal stream addresses.
     Unthermostatted runs step ``drift`` alone.
     Returns (times, recorded) with recorded of shape (n, n_rec).
     """
     if thermostat:
         models.diffusion(model, 0.0)  # rejects models with no noise closure
-    h = np.array(h0s, dtype=float)
-    if thermostat and (streams is None or len(streams) != h.shape[0]):
+    h0s = np.asarray(h0s, dtype=float)
+    n = h0s.shape[0]
+    if thermostat and (streams is None or len(streams) != n):
         raise ValueError("thermostatted runs need one stream per trajectory")
-    n_steps = cfg.n_steps
-    rec_idx = cfg.record_steps()
-    recorded = np.empty((h.shape[0], len(rec_idx)))
-    rec_pos = 0
-    if rec_idx[0] == 0:
-        recorded[:, 0] = h
-        rec_pos = 1
-
-    dt = cfg.dt
-    amp = _noise_amplitude(p, dt)
-
-    step = 0
-    while step < n_steps:
-        span = min(NOISE_CHUNK, n_steps - step)
-        if thermostat:
-            noise = np.stack([s.scalars(span) for s in streams], axis=1)
-        for j in range(span):
-            if thermostat:
-                b, sigma = models.thermostatted_coefficients(model, h)
-                h = h + b * dt + sigma * (amp * noise[j])
-            else:
-                h = h + models.drift(model, h) * dt
-            step += 1
-            peak = np.abs(h).max()
-            if not peak < BLOWUP_LIMIT:
-                bad = int(np.argmax(~(np.abs(h) < BLOWUP_LIMIT)))
-                sid = streams[bad].stream_id if streams is not None else None
-                raise NumericalBlowupError(
-                    step,
-                    stream_id=sid,
-                    recorded=(rec_idx[:rec_pos] * dt, recorded[:, :rec_pos]),
-                )
-            if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
-                recorded[:, rec_pos] = h
-                rec_pos += 1
-
-    return rec_idx * dt, recorded
+    state = np.empty((1, 1, n))
+    state[0, 0] = h0s
+    recorded = np.empty((n, len(cfg.record_steps())))
+    return _march(
+        p, cfg, state, False, (model,), np.array([[p.beta]]) if thermostat else None,
+        streams, recorded[None, None],
+        lambda times, k: (times, recorded[:, :k]),
+    )
 
 
-def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams):
+def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     """Integrate the full 2D dynamics and several reduced scalar models side by
     side under common random numbers: per stream and step, the full system
     consumes the increment pair while every scalar model consumes its first
     component, exactly as in the separate batch integrators.
 
+    ``beta`` is one inverse temperature or a 1-D sequence of them (default
+    ``p.beta``); it overrides the models' own ``params.beta``.  Each beta is
+    a block of rows over the same streams and consumes the same increments,
+    and every block matches a one-beta call bit for bit.
+
     All trajectories start from the same ``xy0`` (full) and ``h0`` (models).
-    Returns (times, full_x, model_recs) where full_x has shape (n, n_rec) and
-    model_recs is one same-shaped array per model.
+    Returns (times, full_x, model_recs) where full_x has shape (n, n_rec),
+    with a leading beta axis when ``beta`` is a sequence, and model_recs is
+    one same-shaped array per model.
     """
-    n = len(streams)
-    state = np.tile(np.asarray(xy0, dtype=float), (n, 1))
-    hs = [np.full(n, float(h0)) for _ in scalar_models]
+    beta = np.asarray(p.beta if beta is None else beta, dtype=float)
+    if beta.ndim > 1 or not np.all(beta > 0.0):
+        raise ValueError("beta must be one positive value or a 1-D sequence of them")
     for model in scalar_models:
         models.diffusion(model, 0.0)
+    column = beta.reshape(-1, 1)
+    x0, y0 = np.asarray(xy0, dtype=float)
+    state = np.empty((len(scalar_models) + 2, len(column), len(streams)))
+    state[0] = x0
+    state[1:-1] = float(h0)
+    state[-1] = y0
+    out = np.empty((len(scalar_models) + 1,) + state.shape[1:] + (len(cfg.record_steps()),))
+    rows = 0 if beta.ndim == 0 else slice(None)
 
-    n_steps = cfg.n_steps
-    rec_idx = cfg.record_steps()
-    full_x = np.empty((n, len(rec_idx)))
-    model_recs = [np.empty((n, len(rec_idx))) for _ in scalar_models]
-    rec_pos = 0
-    if rec_idx[0] == 0:
-        full_x[:, 0] = state[:, 0]
-        for rec, h in zip(model_recs, hs):
-            rec[:, 0] = h
-        rec_pos = 1
+    def package(times, k):
+        recs = out[:, rows, :, :k]
+        return times, recs[0], list(recs[1:])
 
-    dt = cfg.dt
-    mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
-    amp = _noise_amplitude(p, dt)
-    lto = lam * tau * omega
-
-    step = 0
-    while step < n_steps:
-        span = min(NOISE_CHUNK, n_steps - step)
-        noise = np.stack([s.pairs(span) for s in streams], axis=1)
-        for j in range(span):
-            zj = noise[j]
-            x = state[:, 0]
-            y = state[:, 1]
-            c = np.cos(omega * x)
-            gap = tau * np.sin(omega * x) - y
-            gx = mu * x + lto * gap * c
-            gy = -lam * gap
-            state = np.stack(
-                (x - gx * dt + amp * zj[:, 0], y - gy * dt + amp * zj[:, 1]),
-                axis=-1,
-            )
-            z0 = zj[:, 0]
-            for i, model in enumerate(scalar_models):
-                b, sigma = models.thermostatted_coefficients(model, hs[i])
-                hs[i] = hs[i] + b * dt + sigma * (amp * z0)
-            step += 1
-            peak = max(np.abs(state).max(), max(np.abs(h).max() for h in hs))
-            if not peak < BLOWUP_LIMIT:
-                raise NumericalBlowupError(step)
-            if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
-                full_x[:, rec_pos] = state[:, 0]
-                for rec, h in zip(model_recs, hs):
-                    rec[:, rec_pos] = h
-                rec_pos += 1
-
-    return rec_idx * dt, full_x, model_recs
+    return _march(p, cfg, state, True, scalar_models, column, streams, out, package)
 
 
 def simulate_full(p, x0, cfg, stream, thermostat=True) -> Trajectory:
@@ -360,7 +399,7 @@ def simulate_full(p, x0, cfg, stream, thermostat=True) -> Trajectory:
         t_part, rec_part = err.recorded
         raise NumericalBlowupError(
             err.step, stream_id=stream.stream_id,
-            trajectory=Trajectory(t_part, rec_part[0]),
+            trajectory=Trajectory(t_part, rec_part[0]), beta=err.beta,
         ) from None
     return Trajectory(times, rec[0])
 
@@ -376,7 +415,7 @@ def simulate_scalar(model, p, h0, cfg, stream, thermostat=True) -> Trajectory:
         t_part, rec_part = err.recorded
         raise NumericalBlowupError(
             err.step, stream_id=stream.stream_id,
-            trajectory=Trajectory(t_part, rec_part[0]),
+            trajectory=Trajectory(t_part, rec_part[0]), beta=err.beta,
         ) from None
     return Trajectory(times, rec[0])
 

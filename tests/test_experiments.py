@@ -245,3 +245,26 @@ class TestCLIContract:
         assert run_cli(args + ["--out", str(a), "--threads", "1"]).exit_code == 0
         assert run_cli(args + ["--out", str(b), "--threads", "4"]).exit_code == 0
         assert (tmp_path / "a_beta1.csv").read_bytes() == (tmp_path / "b_beta1.csv").read_bytes()
+
+    def test_thermostatted_threads_byte_identical_several_betas(self, tmp_path):
+        # Two stream blocks, each integrating both betas in one batch.
+        args = ["ensemble", "--set", "dt=0.001", "--set", "t_final=0.05",
+                "--set", "n_samples=300", "--set", "beta_list=1,10"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(args + ["--out", str(a), "--threads", "1"]).exit_code == 0
+        assert run_cli(args + ["--out", str(b), "--threads", "4"]).exit_code == 0
+        for beta in ("1", "10"):
+            assert (tmp_path / f"a_beta{beta}.csv").read_bytes() == (
+                tmp_path / f"b_beta{beta}.csv"
+            ).read_bytes()
+
+    def test_ensemble_blowup_names_stream_and_beta(self, tmp_path):
+        out = tmp_path / "ens.csv"
+        res = run_cli(["ensemble", "--out", str(out), "--set", "dt=0.2",
+                       "--set", "t_final=20", "--set", "n_samples=4"])
+        assert res.exit_code == 3
+        meta, _, _ = read_csv(out)
+        assert meta["blowup_step"] == "22"
+        assert meta["blowup_stream"] == "1"
+        assert meta["blowup_beta"] == "1"
+        assert "step 22 (stream 1, beta 1)" in res.output

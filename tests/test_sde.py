@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,54 @@ class TestSimulateScalar:
         scalar_alone = simulate_scalar(model, P, x0, cfg, NoiseStream(2, 5))
         assert np.array_equal(full_x[0], full_alone.x)
         assert np.array_equal(model_recs[0][0], scalar_alone.states)
+
+    def test_crn_several_betas_match_single_beta_calls_bitwise(self):
+        # One call over beta = 1, 10, 100 shares each stream's noise across
+        # the betas; every beta block must equal a one-beta call bit for bit.
+        betas = (1.0, 10.0, 100.0)
+        cfg = IntegratorConfig(dt=1e-4, t_final=0.05, record_stride=10)
+        x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3)
+        for a, b in ((0, 3), (3, 5)):  # two stream blocks
+            _, full_x, model_recs = integrate_crn_batch(
+                P, [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)],
+                (x0, y0), x0, cfg, [NoiseStream(2, i) for i in range(a, b)], betas,
+            )
+            assert full_x.shape[:2] == (3, b - a)
+            for k, beta in enumerate(betas):
+                pk = replace(P, beta=beta)
+                _, one_x, one_recs = integrate_crn_batch(
+                    pk, [EffectiveModel(MEMORY_CORRECTED, pk), EffectiveModel(MEMORY_FREE, pk)],
+                    (x0, y0), x0, cfg, [NoiseStream(2, i) for i in range(a, b)],
+                )
+                assert np.array_equal(full_x[k], one_x)
+                assert np.array_equal(model_recs[0][k], one_recs[0])
+                assert np.array_equal(model_recs[1][k], one_recs[1])
+
+    def test_crn_blowup_reports_stream_beta_and_prefix(self):
+        # dt = 0.2 is far beyond the explicit stability limit of the stiff
+        # mode, so the full system blows up; the CRN engine must name the
+        # same step and stream as the full engine and keep what it recorded.
+        cfg = IntegratorConfig(dt=0.2, t_final=20.0)
+        x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3)
+        with pytest.raises(NumericalBlowupError) as crn:
+            integrate_crn_batch(
+                P, [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)],
+                (x0, y0), x0, cfg, [NoiseStream(2, i) for i in range(4)],
+            )
+        with pytest.raises(NumericalBlowupError) as full:
+            integrate_full_batch(
+                P, np.tile([x0, y0], (4, 1)), cfg, [NoiseStream(2, i) for i in range(4)]
+            )
+        err = crn.value
+        assert err.step == full.value.step
+        assert full.value.stream_id is not None
+        assert err.stream_id == full.value.stream_id
+        assert err.beta == P.beta
+        times, full_x, model_recs = err.recorded
+        full_times, full_rec = full.value.recorded
+        assert np.array_equal(times, full_times)
+        assert np.array_equal(full_x, full_rec[:, :, 0])
+        assert [r.shape for r in model_recs] == [full_x.shape] * 2
 
 
 class TestThermostattedStationarity:
