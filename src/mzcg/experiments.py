@@ -213,6 +213,7 @@ def run_ensemble(cfg, out_path, threads=1) -> int:
     seed = cfg["master_seed"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
     betas = cfg["beta_list"]
+    # The beta of p is never read: integrate_crn_batch runs every beta in betas.
     p = BenchmarkParams(
         mu=cfg["mu"], lam=cfg["lambda"], tau=cfg["tau"], omega=cfg["omega"], beta=betas[0]
     )
@@ -226,18 +227,17 @@ def run_ensemble(cfg, out_path, threads=1) -> int:
         )
         return full_x, model_recs[0], model_recs[1]
 
-    # Each block gives (beta, stream, time) arrays; streams join along axis 1.
+    # Each block gives (beta, stream, time) arrays of full, approx and nomem.
+    # Streams are joined one beta and column at a time, so only one joined
+    # copy is held on top of the blocks.
     blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
-    full, approx, nomem = (
-        parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        for parts in zip(*blocks)
-    )
     times = icfg.record_steps() * icfg.dt
-    n = full.shape[1]
+    n = cfg["n_samples"]
 
     for k, beta in enumerate(betas):
         cols = {}
-        for name, data in (("full", full[k]), ("approx", approx[k]), ("nomem", nomem[k])):
+        for name, parts in zip(("full", "approx", "nomem"), zip(*blocks)):
+            data = parts[0][k] if len(parts) == 1 else np.concatenate([b[k] for b in parts])
             cols[f"{name}_mean"] = data.mean(axis=0)
             cols[f"{name}_stderr"] = data.std(axis=0, ddof=1) / np.sqrt(n)
 

@@ -230,10 +230,7 @@ def _march(p, cfg, state, full, scalar_models, beta, streams, out, package):
     dt = cfg.dt
     thermostat = beta is not None
     if thermostat:
-        # A single row block steps with a plain float beta: the bits are those
-        # of the broadcast column, and a scalar operand costs less.
-        row_beta = float(beta[0, 0]) if len(beta) == 1 else beta
-        amp = np.sqrt(2.0 * dt / row_beta)
+        amp = np.sqrt(2.0 * dt / beta)
         az = np.empty(state.shape[1:])  # amp * resolved noise component
     stepped = list(zip(scalar_models, state[1:-1] if full else state))
     if full:
@@ -277,7 +274,7 @@ def _march(p, cfg, state, full, scalar_models, beta, streams, out, package):
                     add(y, gap, y)
             for model, h in stepped:
                 if thermostat:
-                    b, sigma = models.thermostatted_coefficients(model, h, row_beta)
+                    b, sigma = models.thermostatted_coefficients(model, h, beta)
                     mul(sigma, az, sigma)
                 else:
                     b = models.drift(model, h)

@@ -268,3 +268,5 @@ class TestCLIContract:
         assert meta["blowup_stream"] == "1"
         assert meta["blowup_beta"] == "1"
         assert "step 22 (stream 1, beta 1)" in res.output
+        # Every beta steps in one batch, so a blowup leaves no per-beta file.
+        assert not list(tmp_path.glob("ens_beta*.csv"))
