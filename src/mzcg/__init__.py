@@ -21,7 +21,6 @@ from .geometry import (
 )
 from .kernel import (
     KernelEstimate,
-    KernelMatrixEstimate,
     approx_kernel,
     approx_kernel_div,
     default_lag_grid,

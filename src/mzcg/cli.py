@@ -22,8 +22,9 @@ def _common_options(fn):
     @click.option("--out", "out_path", type=click.Path(), default=None,
                   help="Output CSV path (default: <experiment>.csv).")
     @click.option("--seed", type=int, default=None, help="Master seed override.")
-    @click.option("--threads", type=int, default=1, show_default=True,
-                  help="Worker threads for ensembles; output is identical for any count.")
+    @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+                  help="Worker processes (at most one per stream block); "
+                       "output is identical for any count.")
     @click.option("--desk-scale", is_flag=True,
                   help="Cheaper documented defaults for the long experiments.")
     @functools.wraps(fn)
@@ -42,7 +43,7 @@ def _run(ctx, experiment, config_path, set_pairs, out_path, seed, threads, desk_
     out = out_path or f"{experiment}.csv"
     runner = experiments.RUNNERS[experiment]
     try:
-        code = runner(cfg, out, threads=max(1, threads))
+        code = runner(cfg, out, threads=threads)
     except NumericalBlowupError as err:
         # Unexpected blowup of a primary run: keep a metadata-only file.
         where = [("blowup_step", err.step)]

@@ -231,21 +231,37 @@ def _finalize(experiment, cfg):
 
 
 def _validate(experiment, cfg):
+    """Check the given keys; keys still None are computed by _finalize from
+    keys checked here."""
+    for key, value in cfg.items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must be finite")
     for key in ("mu", "lambda", "beta"):
         if key in cfg and not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be strictly positive")
     for key in ("tau", "omega"):
         if key in cfg and cfg[key] < 0.0:
             raise ConfigError(f"{key} must be nonnegative")
+    # Conditioning points default to pi/omega or pi/(2 omega), and the kernel
+    # fit needs a kernel that does not vanish identically (tau omega = 0).
+    if experiment == "kernel" and not cfg["tau"] > 0.0:
+        raise ConfigError("kernel needs tau > 0")
+    if (experiment in ("kernel", "kernel-matrix")
+            or (experiment == "ensemble" and cfg["x0"] is None)) and not cfg["omega"] > 0.0:
+        raise ConfigError(f"{experiment} needs omega > 0")
     for key in ("dt", "t_final", "dt_main", "t_main", "dt_resid", "t_resid"):
-        if key in cfg and not cfg[key] > 0.0:
+        if cfg.get(key) is not None and not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be strictly positive")
     for key in ("n_samples", "grid_points", "record_stride", "n_lags", "bins",
                 "stride_main", "stride_resid"):
-        if key in cfg and cfg[key] < 1:
+        if cfg.get(key) is not None and cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if experiment in ("kernel", "kernel-matrix") and cfg["n_samples"] < 2:
-        raise ConfigError("kernel estimation needs n_samples >= 2")
+    if experiment in ("kernel", "kernel-matrix"):
+        if cfg["n_samples"] < 2:
+            raise ConfigError("kernel estimation needs n_samples >= 2")
+        if cfg["n_lags"] < 2:
+            raise ConfigError("kernel estimation needs n_lags >= 2")
     if "models" in cfg:
         if not cfg["models"]:
             raise ConfigError("models must not be empty")
@@ -281,7 +297,7 @@ def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=Fa
         if "master_seed" not in schema:
             raise ConfigError(f"{experiment} takes no seed")
         cfg["master_seed"] = int(seed)
-    _finalize(experiment, cfg)
     _validate(experiment, cfg)
+    _finalize(experiment, cfg)
     cfg["experiment"] = experiment
     return cfg

@@ -51,7 +51,7 @@ def config_comments(cfg):
 
     The output path and worker count are deliberately not part of the echo:
     identical configurations must produce byte-identical files wherever they
-    are written and however many threads execute them.
+    are written and however many worker processes execute them.
     """
     return sorted(cfg.items())
 

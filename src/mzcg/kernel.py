@@ -24,33 +24,16 @@ from .sde import (
 )
 
 # Samples per work block in the Monte Carlo estimators; fixed so estimates do
-# not depend on the thread count.
+# not depend on the worker count.
 SAMPLE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Monte Carlo estimate of the scalar memory kernel at conditioning value
-    ``x0``: per-lag values with standard errors."""
-
-    x0: float
-    lags: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray
-    n_samples: int
-
-    def __post_init__(self):
-        _check_lags(self.lags)
-        if not (len(self.lags) == len(self.values) == len(self.stderr)):
-            raise ValueError("lags, values and stderr must have equal length")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-
-
-@dataclass(frozen=True)
-class KernelMatrixEstimate:
-    """Monte Carlo estimate of the block memory-kernel matrix: per-lag N-by-N
-    matrices in the (resolved, unresolved) projection basis of a CGMap."""
+    """Monte Carlo estimate of the memory kernel at conditioning value ``x0``:
+    per-lag values with standard errors, scalars for the scalar kernel and
+    N-by-N matrices in the (resolved, unresolved) projection basis of a
+    CGMap for the block kernel matrix."""
 
     x0: float
     lags: np.ndarray
@@ -241,7 +224,7 @@ def empirical_kernel(
 
 def empirical_kernel_matrix(
     p: BenchmarkParams, cg_map: CGMap, x0, lags, n_samples, stream, cfg, threads=1
-) -> KernelMatrixEstimate:
+) -> KernelEstimate:
     """Estimate the block kernel matrix: fluctuation drifts are projected onto
     (inv(sigma) @ phi, psi) and all pairwise lag-s x lag-0 products are
     averaged.  With the same stream and grid, entry (0, 0) reproduces
@@ -257,7 +240,7 @@ def empirical_kernel_matrix(
     for j in range(nfull):
         for k in range(nfull):
             values[:, j, k], stderr[:, j, k] = _mc_moments(g[:, :, j] * g[0, :, k], p.beta)
-    return KernelMatrixEstimate(
+    return KernelEstimate(
         x0=float(x0), lags=lags, values=values, stderr=stderr, n_samples=n_samples
     )
 

@@ -1,8 +1,8 @@
 """Euler-Maruyama integration of the full 2D dynamics and of scalar reduced
 models, driven by counter-addressed Gaussian streams so that runs are exactly
-reproducible, ensembles are independent of thread scheduling, and reduced
-models can share the resolved-component Brownian increments of the full system
-(common random numbers).
+reproducible, ensembles are independent of how their stream blocks are
+scheduled, and reduced models can share the resolved-component Brownian
+increments of the full system (common random numbers).
 
 One chunked loop, ``_march``, steps every batch; ``integrate_full_batch``,
 ``integrate_scalar_batch`` and ``integrate_crn_batch`` only choose its
@@ -14,11 +14,14 @@ chunk and broadcast over the betas without a copy; the amplitude
 sqrt(2 dt / beta) and 1/beta are per row.  Every operation is elementwise in a
 fixed order, so a row's bits do not depend on the batch around it, and a
 multi-beta run equals one-beta runs bit for bit.
+
+``map_stream_blocks`` splits an ensemble into fixed stream blocks and, given
+several workers, runs them in forked worker processes: the per-step loop holds
+the interpreter lock, so threads would not overlap.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +38,12 @@ NOISE_CHUNK = 4096
 
 # Ensembles are integrated in fixed-size stream blocks regardless of the
 # worker count, so the arithmetic performed per trajectory never depends on
-# how many threads execute it.
+# how many worker processes execute it.
 STREAM_BLOCK = 256
+
+# The worker of the running pooled map_stream_blocks call.  Workers are
+# closures, which cannot be pickled; forked children inherit this instead.
+_block_worker = None
 
 
 class GridMismatchError(ValueError):
@@ -60,6 +67,13 @@ class NumericalBlowupError(RuntimeError):
         self.recorded = recorded
         self.beta = beta
         super().__init__(f"state exceeded {BLOWUP_LIMIT:g} at step {step}{self.where}")
+
+    def __reduce__(self):
+        # Keep every field when a worker process sends the error back.
+        return (
+            type(self),
+            (self.step, self.stream_id, self.trajectory, self.recorded, self.beta),
+        )
 
     @property
     def where(self) -> str:
@@ -435,17 +449,40 @@ def ensemble_mean(trajectories) -> tuple[Trajectory, np.ndarray]:
     return Trajectory(times, mean), stderr
 
 
+def _run_block(a, b):
+    return _block_worker(a, b)
+
+
 def map_stream_blocks(worker, n_items, threads=1, block=STREAM_BLOCK):
     """Run ``worker(start, stop)`` over fixed-size index blocks and return the
     results in block order.
 
     The block partition never depends on ``threads``, so each trajectory is
     computed by identical array operations whatever the worker count; only
-    scheduling changes.  Workers must not mutate shared state.
+    scheduling changes.  With ``threads`` above 1 and more than one block,
+    the blocks run in up to ``threads`` forked worker processes (serially
+    where ``fork`` is unavailable), so ``worker`` may be a closure but its
+    side effects stay in the child.  Results are read in block order, so an
+    error is raised from the first failing block whatever the worker count.
+    A fork copies only the calling thread, so a pooled call must not race
+    other threads of the process that hold locks; the package starts none.
     """
+    global _block_worker
     spans = [(i, min(i + block, n_items)) for i in range(0, n_items, block)]
-    if threads <= 1 or len(spans) == 1:
-        return [worker(a, b) for a, b in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, a, b) for a, b in spans]
-        return [f.result() for f in futures]
+    if threads > 1 and len(spans) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            _block_worker = worker
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=min(threads, len(spans)),
+                    mp_context=multiprocessing.get_context("fork"),
+                ) as pool:
+                    futures = [pool.submit(_run_block, a, b) for a, b in spans]
+                    return [f.result() for f in futures]
+            finally:
+                _block_worker = None
+    return [worker(a, b) for a, b in spans]

@@ -270,3 +270,44 @@ class TestCLIContract:
         assert "step 22 (stream 1, beta 1)" in res.output
         # Every beta steps in one batch, so a blowup leaves no per-beta file.
         assert not list(tmp_path.glob("ens_beta*.csv"))
+
+    def test_blowup_reported_alike_at_any_worker_count(self, tmp_path):
+        # Two stream blocks that both blow up at step 22: the error must come
+        # from the first block, as in a serial run.
+        out = tmp_path / "ens.csv"
+        args = ["ensemble", "--out", str(out), "--set", "n_samples=300",
+                "--set", "dt=0.2", "--set", "t_final=10"]
+        seen = []
+        for threads in ("1", "2"):
+            res = run_cli(args + ["--threads", threads])
+            assert res.exit_code == 3
+            meta, _, _ = read_csv(out)
+            assert (meta["blowup_step"], meta["blowup_stream"], meta["blowup_beta"]) == (
+                "22", "1", "1"
+            )
+            seen.append(res.stderr)
+        assert seen[0] == seen[1]
+
+    def test_threads_below_one_is_usage_error(self, tmp_path):
+        res = run_cli(["landscape", "--out", str(tmp_path / "l.csv"), "--threads", "0"])
+        assert res.exit_code == 2
+        assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["kernel", "--set", "omega=0"],
+        ["kernel", "--set", "dt=inf"],
+        ["kernel", "--set", "n_lags=1"],
+        ["kernel", "--set", "x0=nan"],
+        ["kernel", "--set", "lambda=0"],
+        ["kernel", "--set", "tau=0"],
+        ["kernel-matrix", "--set", "omega=0"],
+        ["ensemble", "--set", "omega=0"],
+        ["ensemble", "--set", "beta_list=1,nan"],
+        ["mean-trajectory", "--set", "t_final=inf"],
+    ])
+    def test_invalid_inputs_are_config_errors(self, tmp_path, args):
+        res = run_cli(args + ["--out", str(tmp_path / "o.csv")])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")

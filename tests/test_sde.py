@@ -1,3 +1,5 @@
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +134,20 @@ class TestSimulateFull:
         assert info.value.step >= 1
         assert isinstance(info.value.trajectory, Trajectory)
         assert len(info.value.trajectory.times) >= 1
+
+    def test_blowup_error_keeps_its_fields_when_pickled(self):
+        # Worker processes send a blowup back to the parent pickled.
+        times = np.array([0.0, 0.5])
+        err = NumericalBlowupError(
+            7, stream_id=3, trajectory=Trajectory(times, np.array([1.0, 2.0])),
+            recorded=(times, np.ones((2, 2))), beta=10.0,
+        )
+        back = pickle.loads(pickle.dumps(err))
+        assert (back.step, back.stream_id, back.beta) == (7, 3, 10.0)
+        assert str(back) == str(err)
+        assert np.array_equal(back.trajectory.states, err.trajectory.states)
+        assert np.array_equal(back.recorded[0], times)
+        assert np.array_equal(back.recorded[1], np.ones((2, 2)))
 
 
 class TestSimulateScalar:
@@ -319,6 +335,11 @@ class TestDeterminism:
         lone = np.concatenate(map_stream_blocks(worker, 600, threads=1), axis=0)
         pooled = np.concatenate(map_stream_blocks(worker, 600, threads=8), axis=0)
         assert np.array_equal(lone, pooled)
+
+    def test_blocks_run_in_worker_processes(self):
+        pids = map_stream_blocks(lambda a, b: os.getpid(), 512, threads=2)
+        assert len(pids) == 2
+        assert os.getpid() not in pids
 
     def test_batch_partition_does_not_change_results(self):
         # Row-wise elementwise arithmetic: integrating a trajectory alone or
