@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .models import MODEL_KINDS
+from .sde import MAX_STEPS
 
 EXPERIMENTS = (
     "landscape",
@@ -225,9 +226,23 @@ def _finalize(experiment, cfg):
         cfg["dt"] = 1e-4 / cfg["lambda"]
     if experiment == "ensemble" and cfg["x0"] is None:
         cfg["x0"] = math.pi / (2.0 * cfg["omega"])
+    _check_step_counts(experiment, cfg)
     if cfg.get("record_stride", 1) is None:
         n_steps = max(1, int(round(cfg["t_final"] / cfg["dt"])))
         cfg["record_stride"] = max(1, n_steps // 2000)
+
+
+def _check_step_counts(experiment, cfg):
+    """Reject horizons of more than MAX_STEPS steps (or an overflowing count),
+    which would never finish and which round() no longer counts exactly."""
+    for t, dt in (("t_final", "dt"), ("t_main", "dt_main"), ("t_resid", "dt_resid")):
+        if t in cfg and not cfg[t] / cfg[dt] <= MAX_STEPS:
+            raise ConfigError(f"{t} / {dt} must be at most 2**53 steps")
+    if experiment in ("kernel", "kernel-matrix"):
+        # The largest lag is lag_efolds over the kernel's decay rate, which is
+        # lambda at its least (kernel-matrix conditions on that case).
+        if not cfg["lag_efolds"] / cfg["lambda"] / cfg["dt"] <= MAX_STEPS:
+            raise ConfigError("lag_efolds / lambda / dt must be at most 2**53 steps")
 
 
 def _validate(experiment, cfg):

@@ -26,20 +26,39 @@ def write_csv(path, comments, header, columns):
 
     ``comments`` is an iterable of (key, value) pairs; ``columns`` is one
     sequence per header field, padded with None entries where a column ends
-    early (written as empty fields).
+    early (written as empty fields).  When every column is a 1-D float64
+    array the body is formatted a row at a time, with the bytes the per-cell
+    path would write.
     """
-    lengths = {len(c) for c in columns}
-    n_rows = max(lengths) if lengths else 0
-    cols = [list(c) + [None] * (n_rows - len(c)) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in comments:
             fh.write(f"# {key}={format_value(value)}\r\n")
         writer = csv.writer(fh)
         writer.writerow(header)
+        if all(type(c) is np.ndarray and c.ndim == 1 and c.dtype == np.float64
+               for c in columns):
+            _write_float_rows(fh, columns)
+            return
+        n_rows = max((len(c) for c in columns), default=0)
+        cols = [list(c) + [None] * (n_rows - len(c)) for c in columns]
         for i in range(n_rows):
             writer.writerow(
                 ["" if col[i] is None else format_value(col[i]) for col in cols]
             )
+
+
+def _write_float_rows(fh, columns):
+    # "%.17g" formats a float as format_value does, and float text never
+    # needs quoting.  Ragged columns split the body at each distinct length;
+    # in each segment the columns that have ended are empty fields.
+    start = 0
+    for stop in sorted({len(c) for c in columns}):
+        if stop == start:
+            continue
+        live = [c[start:stop].tolist() for c in columns if len(c) >= stop]
+        row = ",".join("%.17g" if len(c) >= stop else "" for c in columns) + "\r\n"
+        fh.writelines(row % values for values in zip(*live))
+        start = stop
 
 
 def read_csv(path):

@@ -284,24 +284,29 @@ def run_stationary(cfg, out_path, threads=1) -> int:
     main_cfg = IntegratorConfig(cfg["dt_main"], cfg["t_main"], cfg["stride_main"])
     resid_cfg = IntegratorConfig(cfg["dt_resid"], cfg["t_resid"], cfg["stride_resid"])
 
-    def main_worker(a, b):
-        streams = [NoiseStream(seed, i) for i in range(a, b)]
-        x0s = equilibrium_start(streams)
-        _, rec = integrate_full_batch(p, x0s, main_cfg, streams, thermostat=True)
-        return rec[:, :, 0]
+    def integrate(icfg, ids):
+        streams = [NoiseStream(seed, i) for i in ids]
+        _, rec = integrate_full_batch(p, equilibrium_start(streams), icfg, streams,
+                                      thermostat=True)
+        return rec
 
-    def resid_worker(a, b):
-        streams = [NoiseStream(seed, n + i) for i in range(a, b)]
-        x0s = equilibrium_start(streams)
-        _, rec = integrate_full_batch(p, x0s, resid_cfg, streams, thermostat=True)
-        return rec[:, :, 1] - p.tau * np.sin(p.omega * rec[:, :, 0])
+    def worker(a, b):
+        # Both phases of a block in one worker, so a run forks one pool.
+        x = integrate(main_cfg, range(a, b))[:, :, 0]
+        try:
+            rec = integrate(resid_cfg, range(n + a, n + b))
+        except NumericalBlowupError as err:
+            # Raised below once every main phase is back, so a main-phase
+            # blowup in any block is reported first.
+            return x, err
+        return x, rec[:, :, 1] - p.tau * np.sin(p.omega * rec[:, :, 0])
 
-    x_samples = np.concatenate(
-        map_stream_blocks(main_worker, n, threads=threads), axis=0
-    ).ravel()
-    residuals = np.concatenate(
-        map_stream_blocks(resid_worker, n, threads=threads), axis=0
-    ).ravel()
+    blocks = map_stream_blocks(worker, n, threads=threads)
+    for _, resid in blocks:
+        if isinstance(resid, NumericalBlowupError):
+            raise resid
+    x_samples = np.concatenate([x for x, _ in blocks], axis=0).ravel()
+    residuals = np.concatenate([r for _, r in blocks], axis=0).ravel()
 
     half = cfg["hist_halfwidth"] * sd_x
     edges = np.linspace(-half, half, cfg["bins"] + 1)

@@ -33,6 +33,10 @@ from . import models
 # Any coordinate beyond this magnitude (or non-finite) counts as a blowup.
 BLOWUP_LIMIT = 1e12
 
+# Most steps one integration may take: beyond 2**53, round(t_final / dt) no
+# longer counts steps exactly (and no such run would finish).
+MAX_STEPS = 2**53
+
 # Steps of noise generated per block inside the integration loops.
 NOISE_CHUNK = 4096
 
@@ -159,6 +163,8 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.t_final < self.dt:
             raise ValueError("t_final must be at least dt")
+        if not self.t_final / self.dt <= MAX_STEPS:
+            raise ValueError("t_final / dt must be at most 2**53 steps")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 

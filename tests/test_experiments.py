@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mzcg
 from mzcg.cli import main
 from mzcg.config import ConfigError, resolve
 from mzcg.csvio import format_value, read_csv, write_csv
@@ -212,6 +217,30 @@ class TestStationaryExperiment:
         assert (data[:, 1] * width).sum() == pytest.approx(1.0, abs=0.02)
         assert float(meta["x_variance_target"]) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("t_main, expected", [
+        # Two blocks of 256 streams.  The residual phase (streams 512..1023)
+        # blows up at step 12 in both blocks; the main phase blows up at step
+        # 115 in the second block only, and a main-phase blowup is reported
+        # before any residual-phase one.
+        ("12.76", ("115", "478", "1")),
+        # Main phase clean: the first block's residual blowup is reported.
+        ("0.11", ("12", "513", "1")),
+    ])
+    def test_blowup_reported_alike_at_any_worker_count(self, tmp_path, t_main, expected):
+        out = tmp_path / "st.csv"
+        args = ["stationary", "--out", str(out), "--set", "n_samples=512",
+                "--set", "dt_main=0.11", "--set", f"t_main={t_main}",
+                "--set", "stride_main=1", "--set", "dt_resid=0.5",
+                "--set", "t_resid=20", "--set", "stride_resid=1"]
+        seen = []
+        for threads in ("1", "2"):
+            res = run_cli(args + ["--threads", threads])
+            assert res.exit_code == 3
+            meta, _, _ = read_csv(out)
+            assert (meta["blowup_step"], meta["blowup_stream"], meta["blowup_beta"]) == expected
+            seen.append(res.stderr)
+        assert seen[0] == seen[1]
+
 
 class TestCLIContract:
     def test_kernel_rerun_byte_identical(self, tmp_path):
@@ -311,3 +340,23 @@ class TestCLIContract:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @pytest.mark.parametrize("args", [
+        ["mean-trajectory", "--set", "t_final=1e300"],
+        ["kernel", "--set", "lag_efolds=1e300"],
+        ["mean-trajectory", "--set", "t_final=1e300", "--set", "dt=1e-10"],
+        ["stationary", "--set", "t_main=1e300"],
+    ])
+    def test_step_counts_that_cannot_run_are_config_errors(self, tmp_path, args):
+        # In a child process with a timeout: these runs used to hang.
+        src = str(Path(mzcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run(
+            [sys.executable, "-m", "mzcg.cli", *args, "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert res.returncode == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "2**53 steps" in lines[0]

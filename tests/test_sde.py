@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 from dataclasses import replace
@@ -75,6 +76,12 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=0.1, t_final=0.05)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, t_final=1.0, record_stride=0)
+
+    def test_step_count_bounded(self):
+        assert IntegratorConfig(dt=1.0, t_final=2.0**53).n_steps == 2**53
+        for t_final, dt in [(2.0**54, 1.0), (1e300, 1e-10), (math.inf, 1.0), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                IntegratorConfig(dt=dt, t_final=t_final)
 
     def test_record_steps_cover_endpoints(self):
         cfg = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=3)
