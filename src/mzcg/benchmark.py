@@ -71,6 +71,17 @@ def effective_potential_grad(p: BenchmarkParams, h):
     return p.mu * np.asarray(h, dtype=float)
 
 
+def valley_coupling(p: BenchmarkParams, h):
+    """The valley coupling tau^2 omega^2 cos^2(omega h) seen by the resolved
+    coordinate at ``h``, as (tau^2 omega^2, cos^2(omega h), 1 + tau^2 omega^2
+    cos^2(omega h)): its two factors, which callers group as their formulas
+    need, and the factor by which it slows the resolved mode.  The reduced
+    models and the approximate kernel all take the coupling from here."""
+    t2w2 = p.tau * p.tau * p.omega * p.omega
+    c2 = np.square(np.cos(p.omega * h))
+    return t2w2, c2, 1.0 + t2w2 * c2
+
+
 def conditional_y_sample(p: BenchmarkParams, x, stream, deterministic: bool = False):
     """Draw the unresolved coordinate from its conditional equilibrium law
     N(tau sin(omega x), 1/(beta lam)) given the resolved value ``x``.

@@ -4,14 +4,30 @@ fully concrete mapping that is echoed verbatim into every CSV header.
 
 Precedence, lowest to highest: built-in defaults, desk-scale overlay,
 config file, --set pairs, dedicated flags (--seed).
+
+``KEYS`` is the one config table: per experiment, each key it takes appears
+once as a :class:`Key` holding the parser applied to file and --set text, the
+default (None when ``_finalize`` derives the value from other keys) and the
+domain every value must lie in (None for any finite value).  The benchmark
+parameters shared by all experiments are declared once, in ``_PARAMS``.
+Rules that involve several keys, or one experiment's use of a key, are
+explicit code in ``_check_rules``.  Once derived values are filled in, the
+per-key checks run again, the scales the runners divide by must be finite and
+positive, and every integration window must pass ``IntegratorConfig``'s rule.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from typing import Callable, NamedTuple
 
+import numpy as np
+
+from .benchmark import BenchmarkParams
+from .kernel import conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
-from .sde import MAX_STEPS
+from .sde import IntegratorConfig
 
 EXPERIMENTS = (
     "landscape",
@@ -27,6 +43,21 @@ class ConfigError(Exception):
     """Invalid experiment configuration (unknown key, bad value, bad file)."""
 
 
+# Domains: a test every value of a key must pass, and its wording.
+POSITIVE = (lambda v: v > 0.0, "strictly positive")
+NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+AT_LEAST_2 = (lambda v: v >= 2, ">= 2")
+
+
+class Key(NamedTuple):
+    """One config key: its parser, its default and its domain."""
+
+    parse: Callable
+    default: object
+    domain: tuple | None = None
+
+
 def _float_list(text):
     return tuple(float(v) for v in str(text).split(","))
 
@@ -35,150 +66,75 @@ def _str_list(text):
     return tuple(v.strip() for v in str(text).split(",") if v.strip())
 
 
-def _bool(text):
-    if isinstance(text, bool):
-        return text
-    t = str(text).strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-_PARAM_KEYS = {"mu": float, "lambda": float, "tau": float, "omega": float}
-
-# Per-experiment key schemas (types used to coerce file/CLI string values).
-SCHEMAS = {
-    "landscape": {
-        **_PARAM_KEYS,
-        "x_min": float,
-        "x_max": float,
-        "y_min": float,
-        "y_max": float,
-        "grid_points": int,
-    },
-    "kernel": {
-        **_PARAM_KEYS,
-        "beta": float,
-        "master_seed": int,
-        "x0": float,
-        "n_samples": int,
-        "n_lags": int,
-        "lag_efolds": float,
-        "dt": float,
-    },
-    "kernel-matrix": {
-        **_PARAM_KEYS,
-        "beta": float,
-        "master_seed": int,
-        "n_samples": int,
-        "n_lags": int,
-        "lag_efolds": float,
-        "dt": float,
-    },
-    "mean-trajectory": {
-        **_PARAM_KEYS,
-        "beta": float,
-        "master_seed": int,
-        "x0": float,
-        "n_samples": int,
-        "dt": float,
-        "t_final": float,
-        "record_stride": int,
-        "models": _str_list,
-    },
-    "ensemble": {
-        **_PARAM_KEYS,
-        "beta_list": _float_list,
-        "master_seed": int,
-        "x0": float,
-        "n_samples": int,
-        "dt": float,
-        "t_final": float,
-        "record_stride": int,
-    },
-    "stationary": {
-        **_PARAM_KEYS,
-        "beta": float,
-        "master_seed": int,
-        "n_samples": int,
-        "t_main": float,
-        "dt_main": float,
-        "stride_main": int,
-        "t_resid": float,
-        "dt_resid": float,
-        "stride_resid": int,
-        "bins": int,
-        "hist_halfwidth": float,
-    },
+_PARAMS = {
+    "mu": Key(float, 2.0, POSITIVE),
+    "lambda": Key(float, 20.0, POSITIVE),
+    "tau": Key(float, 2.0, NONNEGATIVE),
+    "omega": Key(float, 10.0, NONNEGATIVE),
 }
 
-_COMMON_DEFAULTS = {"mu": 2.0, "lambda": 20.0, "tau": 2.0, "omega": 10.0}
-
-# None marks a value computed from other resolved keys in _finalize.
-DEFAULTS = {
+KEYS = {
     "landscape": {
-        **_COMMON_DEFAULTS,
-        "x_min": -3.0,
-        "x_max": 3.0,
-        "y_min": -3.0,
-        "y_max": 3.0,
-        "grid_points": 301,
+        **_PARAMS,
+        "x_min": Key(float, -3.0),
+        "x_max": Key(float, 3.0),
+        "y_min": Key(float, -3.0),
+        "y_max": Key(float, 3.0),
+        "grid_points": Key(int, 301, AT_LEAST_1),
     },
     "kernel": {
-        **_COMMON_DEFAULTS,
-        "beta": 1.0,
-        "master_seed": 1,
-        "x0": None,
-        "n_samples": 2000,
-        "n_lags": 60,
-        "lag_efolds": 5.0,
-        "dt": None,
+        **_PARAMS,
+        "beta": Key(float, 1.0, POSITIVE),
+        "master_seed": Key(int, 1),
+        "x0": Key(float, None),
+        "n_samples": Key(int, 2000, AT_LEAST_1),
+        "n_lags": Key(int, 60, AT_LEAST_2),
+        "lag_efolds": Key(float, 5.0, POSITIVE),
+        "dt": Key(float, None, POSITIVE),
     },
     "kernel-matrix": {
-        **_COMMON_DEFAULTS,
-        "beta": 1.0,
-        "master_seed": 1,
-        "n_samples": 2000,
-        "n_lags": 60,
-        "lag_efolds": 10.0,
-        "dt": None,
+        **_PARAMS,
+        "beta": Key(float, 1.0, POSITIVE),
+        "master_seed": Key(int, 1),
+        "n_samples": Key(int, 2000, AT_LEAST_1),
+        "n_lags": Key(int, 60, AT_LEAST_2),
+        "lag_efolds": Key(float, 10.0, POSITIVE),
+        "dt": Key(float, None, POSITIVE),
     },
     "mean-trajectory": {
-        **_COMMON_DEFAULTS,
-        "beta": 1.0,
-        "master_seed": 1,
-        "x0": 2.0,
-        "n_samples": 500,
-        "dt": 1e-5,
-        "t_final": 80.0,
-        "record_stride": None,
-        "models": MODEL_KINDS,
+        **_PARAMS,
+        "beta": Key(float, 1.0, POSITIVE),
+        "master_seed": Key(int, 1),
+        "x0": Key(float, 2.0),
+        "n_samples": Key(int, 500, AT_LEAST_1),
+        "dt": Key(float, 1e-5, POSITIVE),
+        "t_final": Key(float, 80.0, POSITIVE),
+        "record_stride": Key(int, None, AT_LEAST_1),
+        "models": Key(_str_list, MODEL_KINDS),
     },
     "ensemble": {
-        **_COMMON_DEFAULTS,
-        "beta_list": (1.0, 10.0, 100.0),
-        "master_seed": 1,
-        "x0": None,
-        "n_samples": 500,
-        "dt": 1e-5,
-        "t_final": 320.0,
-        "record_stride": None,
+        **_PARAMS,
+        "beta_list": Key(_float_list, (1.0, 10.0, 100.0)),
+        "master_seed": Key(int, 1),
+        "x0": Key(float, None),
+        "n_samples": Key(int, 500, AT_LEAST_1),
+        "dt": Key(float, 1e-5, POSITIVE),
+        "t_final": Key(float, 320.0, POSITIVE),
+        "record_stride": Key(int, None, AT_LEAST_1),
     },
     "stationary": {
-        **_COMMON_DEFAULTS,
-        "beta": 1.0,
-        "master_seed": 1,
-        "n_samples": 512,
-        "t_main": 60.0,
-        "dt_main": 1.5e-4,
-        "stride_main": 50,
-        "t_resid": 1.0,
-        "dt_resid": 1e-5,
-        "stride_resid": 20,
-        "bins": 101,
-        "hist_halfwidth": 5.0,
+        **_PARAMS,
+        "beta": Key(float, 1.0, POSITIVE),
+        "master_seed": Key(int, 1),
+        "n_samples": Key(int, 512, AT_LEAST_1),
+        "t_main": Key(float, 60.0, POSITIVE),
+        "dt_main": Key(float, 1.5e-4, POSITIVE),
+        "stride_main": Key(int, 50, AT_LEAST_1),
+        "t_resid": Key(float, 1.0, POSITIVE),
+        "dt_resid": Key(float, 1e-5, POSITIVE),
+        "stride_resid": Key(int, 20, AT_LEAST_1),
+        "bins": Key(int, 101, AT_LEAST_1),
+        "hist_halfwidth": Key(float, 5.0, POSITIVE),
     },
 }
 
@@ -207,57 +163,44 @@ def parse_config_file(path):
     return pairs
 
 
-def _apply(cfg, schema, pairs, origin):
+def params_from_config(cfg) -> BenchmarkParams:
+    return BenchmarkParams(
+        mu=cfg["mu"],
+        lam=cfg["lambda"],
+        tau=cfg["tau"],
+        omega=cfg["omega"],
+        beta=cfg.get("beta", 1.0),
+    )
+
+
+def _apply(cfg, keys, pairs, origin):
     for key, value in pairs:
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(
-                f"{origin}: unknown key {key!r}; allowed: {', '.join(sorted(schema))}"
+                f"{origin}: unknown key {key!r}; allowed: {', '.join(sorted(keys))}"
             )
         try:
-            cfg[key] = schema[key](value)
+            cfg[key] = keys[key].parse(value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{origin}: bad value for {key!r}: {err}") from err
 
 
-def _finalize(experiment, cfg):
-    if experiment == "kernel" and cfg["x0"] is None:
-        cfg["x0"] = math.pi / cfg["omega"]
-    if experiment in ("kernel", "kernel-matrix") and cfg["dt"] is None:
-        cfg["dt"] = 1e-4 / cfg["lambda"]
-    if experiment == "ensemble" and cfg["x0"] is None:
-        cfg["x0"] = math.pi / (2.0 * cfg["omega"])
-    _check_step_counts(experiment, cfg)
-    if cfg.get("record_stride", 1) is None:
-        n_steps = max(1, int(round(cfg["t_final"] / cfg["dt"])))
-        cfg["record_stride"] = max(1, n_steps // 2000)
-
-
-def _check_step_counts(experiment, cfg):
-    """Reject horizons of more than MAX_STEPS steps (or an overflowing count),
-    which would never finish and which round() no longer counts exactly."""
-    for t, dt in (("t_final", "dt"), ("t_main", "dt_main"), ("t_resid", "dt_resid")):
-        if t in cfg and not cfg[t] / cfg[dt] <= MAX_STEPS:
-            raise ConfigError(f"{t} / {dt} must be at most 2**53 steps")
-    if experiment in ("kernel", "kernel-matrix"):
-        # The largest lag is lag_efolds over the kernel's decay rate, which is
-        # lambda at its least (kernel-matrix conditions on that case).
-        if not cfg["lag_efolds"] / cfg["lambda"] / cfg["dt"] <= MAX_STEPS:
-            raise ConfigError("lag_efolds / lambda / dt must be at most 2**53 steps")
-
-
-def _validate(experiment, cfg):
-    """Check the given keys; keys still None are computed by _finalize from
-    keys checked here."""
+def _check_keys(keys, cfg):
+    """Every value finite and in its key's domain; None values are skipped
+    (_finalize derives them)."""
     for key, value in cfg.items():
         values = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must be finite")
-    for key in ("mu", "lambda", "beta"):
-        if key in cfg and not cfg[key] > 0.0:
-            raise ConfigError(f"{key} must be strictly positive")
-    for key in ("tau", "omega"):
-        if key in cfg and cfg[key] < 0.0:
-            raise ConfigError(f"{key} must be nonnegative")
+    for key, spec in keys.items():
+        if spec.domain is not None and cfg[key] is not None:
+            holds, text = spec.domain
+            if not holds(cfg[key]):
+                raise ConfigError(f"{key} must be {text}")
+
+
+def _check_rules(experiment, cfg):
+    """The rules that involve several keys, or one experiment's use of a key."""
     # Conditioning points default to pi/omega or pi/(2 omega), and the kernel
     # fit needs a kernel that does not vanish identically (tau omega = 0).
     if experiment == "kernel" and not cfg["tau"] > 0.0:
@@ -265,18 +208,8 @@ def _validate(experiment, cfg):
     if (experiment in ("kernel", "kernel-matrix")
             or (experiment == "ensemble" and cfg["x0"] is None)) and not cfg["omega"] > 0.0:
         raise ConfigError(f"{experiment} needs omega > 0")
-    for key in ("dt", "t_final", "dt_main", "t_main", "dt_resid", "t_resid"):
-        if cfg.get(key) is not None and not cfg[key] > 0.0:
-            raise ConfigError(f"{key} must be strictly positive")
-    for key in ("n_samples", "grid_points", "record_stride", "n_lags", "bins",
-                "stride_main", "stride_resid"):
-        if cfg.get(key) is not None and cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if experiment in ("kernel", "kernel-matrix"):
-        if cfg["n_samples"] < 2:
-            raise ConfigError("kernel estimation needs n_samples >= 2")
-        if cfg["n_lags"] < 2:
-            raise ConfigError("kernel estimation needs n_lags >= 2")
+    if experiment in ("kernel", "kernel-matrix") and cfg["n_samples"] < 2:
+        raise ConfigError("kernel estimation needs n_samples >= 2")
     if "models" in cfg:
         if not cfg["models"]:
             raise ConfigError("models must not be empty")
@@ -290,29 +223,93 @@ def _validate(experiment, cfg):
             raise ConfigError("beta_list entries must be strictly positive")
 
 
+def _reciprocal(v):
+    return 1.0 / v if v else math.inf
+
+
+def _check_derived(experiment, cfg):
+    """Check what the runner derives from ``cfg``: each scale it divides by
+    must be finite and positive, and each integration window must pass
+    IntegratorConfig's rule (at least one step, at most 2**53 steps)."""
+    scales, windows = {}, []
+    if experiment == "ensemble":
+        scales.update((f"1/beta at beta={b:g}", 1.0 / b) for b in cfg["beta_list"])
+    elif "beta" in cfg:
+        # The Gibbs variance of the valley residual y - tau sin(omega x).
+        scales["1/(beta lambda)"] = _reciprocal(cfg["beta"] * cfg["lambda"])
+    if experiment == "stationary":
+        var_x = _reciprocal(cfg["beta"] * cfg["mu"])
+        scales["1/(beta mu)"] = var_x
+        try:
+            width = 2.0 * cfg["hist_halfwidth"] * math.sqrt(var_x) / cfg["bins"]
+        except OverflowError:  # bins beyond the floats: the width rounds to 0
+            width = 0.0
+        scales["histogram bin width"] = width
+    if experiment in ("kernel", "kernel-matrix"):
+        points = ([cfg["x0"]] if experiment == "kernel"
+                  else conditioning_points(cfg["omega"]).values())
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # the runner gives any warning once
+            p = params_from_config(cfg)
+            for x0 in points:
+                rate = float(kernel_decay_rate(p, x0))
+                scales[f"kernel decay rate at x0={x0:g}"] = rate
+                # default_lag_grid's largest lag: lag_efolds decay times.
+                windows.append((f"lag horizon at x0={x0:g}", cfg["lag_efolds"] / rate, "dt"))
+    else:
+        windows = [(t, cfg[t], dt) for t, dt in
+                   (("t_final", "dt"), ("t_main", "dt_main"), ("t_resid", "dt_resid"))
+                   if t in cfg]
+    for name, value in scales.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} is {value:g}; it must be finite and positive")
+    for name, horizon, dt in windows:
+        try:
+            IntegratorConfig(cfg[dt], horizon)
+        except ValueError as err:
+            raise ConfigError(f"{name} = {horizon:g} with {dt} = {cfg[dt]:g}: {err}") from err
+
+
+def _finalize(experiment, keys, cfg):
+    """Derive the keys still None, then check the derived values and every
+    integration window."""
+    if experiment == "kernel" and cfg["x0"] is None:
+        cfg["x0"] = conditioning_points(cfg["omega"])["cos1"]
+    if experiment in ("kernel", "kernel-matrix") and cfg["dt"] is None:
+        cfg["dt"] = 1e-4 / cfg["lambda"]
+    if experiment == "ensemble" and cfg["x0"] is None:
+        cfg["x0"] = conditioning_points(cfg["omega"])["cos0"]
+    _check_keys(keys, cfg)
+    _check_derived(experiment, cfg)
+    if cfg.get("record_stride", 1) is None:
+        n_steps = IntegratorConfig(cfg["dt"], cfg["t_final"]).n_steps
+        cfg["record_stride"] = max(1, n_steps // 2000)
+
+
 def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=False):
     """Resolve the full configuration for ``experiment``; every key concrete."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    schema = SCHEMAS[experiment]
-    cfg = dict(DEFAULTS[experiment])
+    keys = KEYS[experiment]
+    cfg = {key: spec.default for key, spec in keys.items()}
     if desk_scale:
         cfg.update(DESK_OVERRIDES.get(experiment, {}))
     cfg["desk_scale"] = bool(desk_scale)
     if config_path is not None:
-        _apply(cfg, schema, parse_config_file(config_path), str(config_path))
+        _apply(cfg, keys, parse_config_file(config_path), str(config_path))
     pairs = []
     for item in set_pairs:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         pairs.append((key.strip(), value.strip()))
-    _apply(cfg, schema, pairs, "--set")
+    _apply(cfg, keys, pairs, "--set")
     if seed is not None:
-        if "master_seed" not in schema:
+        if "master_seed" not in keys:
             raise ConfigError(f"{experiment} takes no seed")
         cfg["master_seed"] = int(seed)
-    _validate(experiment, cfg)
-    _finalize(experiment, cfg)
+    _check_keys(keys, cfg)
+    _check_rules(experiment, cfg)
+    _finalize(experiment, keys, cfg)
     cfg["experiment"] = experiment
     return cfg

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import BenchmarkParams, conditional_y_sample, potential
+from .benchmark import conditional_y_sample, potential
+from .config import params_from_config
 from .csvio import write_csv
 from .geometry import build_cg_map
 from .kernel import (
     approx_kernel,
+    conditioning_points,
     default_lag_grid,
     empirical_kernel,
     empirical_kernel_matrix,
@@ -34,16 +36,6 @@ from .sde import (
 
 EXIT_OK = 0
 EXIT_BLOWUP = 3
-
-
-def params_from_config(cfg) -> BenchmarkParams:
-    return BenchmarkParams(
-        mu=cfg["mu"],
-        lam=cfg["lambda"],
-        tau=cfg["tau"],
-        omega=cfg["omega"],
-        beta=cfg.get("beta", 1.0),
-    )
 
 
 def config_comments(cfg):
@@ -132,8 +124,7 @@ def run_kernel_matrix(cfg, out_path, threads=1) -> int:
     and cos(omega x0) = 0; one file per case."""
     p = params_from_config(cfg)
     cg_map = build_cg_map([[1.0, 0.0]])
-    cases = [("cos1", math.pi / p.omega), ("cos0", math.pi / (2.0 * p.omega))]
-    for label, x0 in cases:
+    for label, x0 in conditioning_points(p.omega).items():
         lags = default_lag_grid(p, x0, n_lags=cfg["n_lags"], efolds=cfg["lag_efolds"])
         icfg = IntegratorConfig(dt=cfg["dt"], t_final=lags[-1])
         stream = NoiseStream(cfg["master_seed"], 0)
@@ -214,9 +205,7 @@ def run_ensemble(cfg, out_path, threads=1) -> int:
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
     betas = cfg["beta_list"]
     # The beta of p is never read: integrate_crn_batch runs every beta in betas.
-    p = BenchmarkParams(
-        mu=cfg["mu"], lam=cfg["lambda"], tau=cfg["tau"], omega=cfg["omega"], beta=betas[0]
-    )
+    p = params_from_config(cfg)
     y0 = p.tau * math.sin(p.omega * x0)
     scalar_models = [EffectiveModel(MEMORY_CORRECTED, p), EffectiveModel(MEMORY_FREE, p)]
 

@@ -7,12 +7,12 @@ memory integrals used by the reduced models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, pi
 
 import numpy as np
 
 from . import benchmark
-from .benchmark import BenchmarkParams
+from .benchmark import BenchmarkParams, valley_coupling
 from .geometry import CGMap
 from .sde import (
     BLOWUP_LIMIT,
@@ -59,32 +59,29 @@ def _check_lags(lags):
 def kernel_decay_rate(p: BenchmarkParams, h) -> float:
     """Decay rate lam * (1 + tau^2 omega^2 cos^2(omega h)) of the approximate
     kernel at conditioning value ``h``."""
-    c2 = np.square(np.cos(p.omega * np.asarray(h, dtype=float)))
-    return p.lam * (1.0 + p.tau * p.tau * p.omega * p.omega * c2)
+    return p.lam * valley_coupling(p, h)[2]
 
 
 def approx_kernel(p: BenchmarkParams, s, h):
     """Closed-form kernel approximation
     lam tau^2 omega^2 cos^2(omega h) * exp(-lam (1 + tau^2 omega^2 cos^2(omega h)) s),
     valid when initial fluctuations of the unresolved mode are small."""
-    c2 = np.square(np.cos(p.omega * np.asarray(h, dtype=float)))
-    t2w2 = p.tau * p.tau * p.omega * p.omega
-    return p.lam * t2w2 * c2 * np.exp(-p.lam * (1.0 + t2w2 * c2) * np.asarray(s, dtype=float))
+    t2w2, c2, factor = valley_coupling(p, h)
+    return p.lam * t2w2 * c2 * np.exp(-p.lam * factor * np.asarray(s, dtype=float))
 
 
 def approx_kernel_div(p: BenchmarkParams, s, h):
     """d/dh of :func:`approx_kernel` (exact derivative of the closed form)."""
     s = np.asarray(s, dtype=float)
     h = np.asarray(h, dtype=float)
-    c2 = np.square(np.cos(p.omega * h))
-    t2w2 = p.tau * p.tau * p.omega * p.omega
+    t2w2, c2, factor = valley_coupling(p, h)
     return (
         -p.lam
         * t2w2
         * p.omega
         * np.sin(2.0 * p.omega * h)
         * (1.0 - p.lam * t2w2 * c2 * s)
-        * np.exp(-p.lam * (1.0 + t2w2 * c2) * s)
+        * np.exp(-p.lam * factor * s)
     )
 
 
@@ -96,9 +93,7 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
         div_term   = (1/beta) tau^2 omega^3 sin(2 omega h) / (1 + tau^2 omega^2 cos^2(omega h))^2
     """
     h = np.asarray(h, dtype=float)
-    c2 = np.square(np.cos(p.omega * h))
-    t2w2 = p.tau * p.tau * p.omega * p.omega
-    denom = 1.0 + t2w2 * c2
+    t2w2, c2, denom = valley_coupling(p, h)
     drift_term = t2w2 * c2 / denom * (p.mu * h)
     div_term = (1.0 / p.beta) * t2w2 * p.omega * np.sin(2.0 * p.omega * h) / np.square(denom)
     return drift_term, div_term
@@ -243,6 +238,12 @@ def empirical_kernel_matrix(
     return KernelEstimate(
         x0=float(x0), lags=lags, values=values, stderr=stderr, n_samples=n_samples
     )
+
+
+def conditioning_points(omega):
+    """The two conditioning values of the kernel experiments, by label:
+    |cos(omega x0)| = 1 at pi/omega and cos(omega x0) = 0 at pi/(2 omega)."""
+    return {"cos1": pi / omega, "cos0": pi / (2.0 * omega)}
 
 
 def default_lag_grid(p: BenchmarkParams, x0, n_lags=60, efolds=5.0) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import BenchmarkParams
+from .benchmark import BenchmarkParams, valley_coupling
 
 MEMORY_CORRECTED = "memory-corrected"
 MEMORY_FREE = "memory-free"
@@ -64,10 +64,9 @@ def drift(model: EffectiveModel, h):
     h = np.asarray(h, dtype=float)
     if model.kind == MEMORY_FREE:
         return -p.mu * h
-    c2 = np.square(np.cos(p.omega * h))
-    t2w2 = p.tau * p.tau * p.omega * p.omega
+    t2w2, c2, factor = valley_coupling(p, h)
     if model.kind == MEMORY_CORRECTED:
-        return -p.mu * h / (1.0 + t2w2 * c2)
+        return -p.mu * h / factor
     return (p.lam * t2w2 * c2 - 1.0) * (p.mu * h) + (
         p.lam / p.beta
     ) * t2w2 * p.omega * np.sin(2.0 * p.omega * h)
@@ -87,8 +86,7 @@ def diffusion(model: EffectiveModel, h):
         raise UnsupportedModelError(
             "naive-memory has no noise closure and cannot be thermostatted"
         )
-    c2 = np.square(np.cos(p.omega * np.asarray(h, dtype=float)))
-    return np.sqrt(1.0 / (1.0 + p.tau * p.tau * p.omega * p.omega * c2))
+    return np.sqrt(1.0 / valley_coupling(p, h)[2])
 
 
 def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
@@ -114,8 +112,7 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
         )
     if beta is None:
         beta = p.beta
-    t2w2 = p.tau * p.tau * p.omega * p.omega
-    denom = 1.0 + t2w2 * np.square(np.cos(p.omega * h))
+    t2w2, _, denom = valley_coupling(p, h)
     # ((1/beta) t2w2) omega is formed before it meets sin(2 omega h), so an
     # array of betas gives each row the bits of a scalar-beta call.
     noise_drift = (1.0 / beta) * t2w2 * p.omega * np.sin(2.0 * p.omega * h) / np.square(denom)

@@ -400,6 +400,21 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     return _march(p, cfg, state, True, scalar_models, column, streams, out, package)
 
 
+def _one_trajectory(stream, integrate, *args):
+    """Row 0 of the one-row batch ``integrate(*args)`` as a Trajectory; a
+    blowup is raised again with ``stream``'s id and the recorded prefix as
+    its trajectory."""
+    try:
+        times, rec = integrate(*args)
+    except NumericalBlowupError as err:
+        t_part, rec_part = err.recorded
+        raise NumericalBlowupError(
+            err.step, stream_id=stream.stream_id,
+            trajectory=Trajectory(t_part, rec_part[0]), beta=err.beta,
+        ) from None
+    return Trajectory(times, rec[0])
+
+
 def simulate_full(p, x0, cfg, stream, thermostat=True) -> Trajectory:
     """Integrate one realisation of the full 2D dynamics from ``x0``.
 
@@ -407,34 +422,18 @@ def simulate_full(p, x0, cfg, stream, thermostat=True) -> Trajectory:
     is a deterministic gradient flow.  On blowup the raised error carries the
     trajectory recorded so far.
     """
-    try:
-        times, rec = integrate_full_batch(
-            p, np.asarray(x0, dtype=float)[None, :], cfg,
-            None if not thermostat else [stream], thermostat,
-        )
-    except NumericalBlowupError as err:
-        t_part, rec_part = err.recorded
-        raise NumericalBlowupError(
-            err.step, stream_id=stream.stream_id,
-            trajectory=Trajectory(t_part, rec_part[0]), beta=err.beta,
-        ) from None
-    return Trajectory(times, rec[0])
+    return _one_trajectory(
+        stream, integrate_full_batch, p, np.asarray(x0, dtype=float)[None, :], cfg,
+        None if not thermostat else [stream], thermostat,
+    )
 
 
 def simulate_scalar(model, p, h0, cfg, stream, thermostat=True) -> Trajectory:
     """Integrate one realisation of a reduced scalar model from ``h0``."""
-    try:
-        times, rec = integrate_scalar_batch(
-            model, p, np.array([h0], dtype=float), cfg,
-            None if not thermostat else [stream], thermostat,
-        )
-    except NumericalBlowupError as err:
-        t_part, rec_part = err.recorded
-        raise NumericalBlowupError(
-            err.step, stream_id=stream.stream_id,
-            trajectory=Trajectory(t_part, rec_part[0]), beta=err.beta,
-        ) from None
-    return Trajectory(times, rec[0])
+    return _one_trajectory(
+        stream, integrate_scalar_batch, model, p, np.array([h0], dtype=float), cfg,
+        None if not thermostat else [stream], thermostat,
+    )
 
 
 def ensemble_mean(trajectories) -> tuple[Trajectory, np.ndarray]:

@@ -7,13 +7,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mzcg
 from mzcg.cli import main
-from mzcg.config import ConfigError, resolve
+from mzcg.config import EXPERIMENTS, KEYS, ConfigError, resolve
 from mzcg.csvio import format_value, read_csv, write_csv
 from mzcg.experiments import time_to_half
 from mzcg.kernel import fit_decay_rate
+
+
+# Numbers near the edges of the floats, where derived scales overflow.
+EDGE_VALUES = ["0", "-1", "1", "2", "1e-320", "5e-324", "1e-200", "1e200", "1e308",
+               "1.7976931348623157e308", "1e300", "inf", "nan", "0.001", "0.01",
+               "9007199254740993", "1" + "0" * 400, "1,2", "1,", ",", ""]
+VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(max_size=8),
+)
+
+
+def set_pairs(experiment):
+    """--set pairs of the experiment's own keys and of arbitrary text."""
+    keys = st.one_of(st.sampled_from(sorted(KEYS[experiment])), st.text(max_size=8))
+    return st.lists(st.builds("{}={}".format, keys, VALUES), max_size=4)
 
 
 def run_cli(args):
@@ -57,6 +77,19 @@ class TestConfigResolution:
         path.write_text("master_seed=5\n")
         cfg = resolve("kernel", config_path=path, set_pairs=("master_seed=6",), seed=7)
         assert cfg["master_seed"] == 7
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(EXPERIMENTS).flatmap(
+        lambda e: st.tuples(st.just(e), set_pairs(e))))
+    def test_resolve_raises_only_config_errors_and_returns_finite_floats(self, case):
+        experiment, pairs = case
+        try:
+            cfg = resolve(experiment, set_pairs=pairs)
+        except ConfigError:
+            return
+        for value in cfg.values():
+            for v in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(v, float) or math.isfinite(v)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -333,6 +366,21 @@ class TestCLIContract:
         ["ensemble", "--set", "omega=0"],
         ["ensemble", "--set", "beta_list=1,nan"],
         ["mean-trajectory", "--set", "t_final=inf"],
+        ["kernel", "--set", "lag_efolds=0"],
+        ["kernel", "--set", "lag_efolds=-1"],
+        ["kernel-matrix", "--set", "lag_efolds=-1"],
+        ["stationary", "--set", "hist_halfwidth=-1"],
+        ["stationary", "--set", "hist_halfwidth=0"],
+        ["mean-trajectory", "--set", "t_final=0.001", "--set", "dt=0.01"],
+        ["ensemble", "--set", "t_final=0.001", "--set", "dt=0.01"],
+        ["stationary", "--set", "t_main=0.001", "--set", "dt_main=0.01"],
+        ["kernel", "--set", "dt=1"],
+        ["kernel", "--set", "omega=1e-320"],
+        ["kernel-matrix", "--set", "omega=1e-320"],
+        ["ensemble", "--set", "omega=1e-320"],
+        ["kernel", "--set", "lambda=1e308"],
+        ["kernel", "--set", "tau=1e200"],
+        ["stationary", "--set", "beta=1e-320"],
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mzcg.benchmark import BenchmarkParams
+from mzcg.benchmark import BenchmarkParams, grad_potential
 from mzcg.kernel import memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
@@ -104,6 +104,16 @@ class TestSimulateFull:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.5)
         traj = simulate_full(P, np.zeros(2), cfg, NoiseStream(1, 0), thermostat=False)
         assert np.all(traj.states == 0.0)
+
+    def test_full_step_is_minus_gradient_times_dt(self):
+        # The in-place step of sde._march against the potential's gradient.
+        rng = np.random.default_rng(3)
+        xy0 = rng.uniform(-3.0, 3.0, size=(64, 2))
+        dt = 1e-3
+        cfg = IntegratorConfig(dt=dt, t_final=dt)
+        _, rec = integrate_full_batch(P, xy0, cfg, thermostat=False)
+        expected = xy0 - grad_potential(P, xy0[:, 0], xy0[:, 1]) * dt
+        np.testing.assert_allclose(rec[:, 1], expected, rtol=1e-15, atol=1e-15)
 
     def test_deterministic_exponential_decay(self):
         # tau=0 on-manifold start: x(t) = x0 exp(-mu t) exactly.
