@@ -254,8 +254,11 @@ def _check_derived(experiment, cfg):
             for x0 in points:
                 rate = float(kernel_decay_rate(p, x0))
                 scales[f"kernel decay rate at x0={x0:g}"] = rate
-                # default_lag_grid's largest lag: lag_efolds decay times.
-                windows.append((f"lag horizon at x0={x0:g}", cfg["lag_efolds"] / rate, "dt"))
+                # default_lag_grid's lags run from s_max / 100 to s_max, with
+                # s_max = lag_efolds decay times.
+                s_max = cfg["lag_efolds"] / rate
+                scales[f"first positive lag at x0={x0:g}"] = s_max / 100.0
+                windows.append((f"lag horizon at x0={x0:g}", s_max, "dt"))
     else:
         windows = [(t, cfg[t], dt) for t, dt in
                    (("t_final", "dt"), ("t_main", "dt_main"), ("t_resid", "dt_resid"))

@@ -29,9 +29,9 @@ from .sde import (
     NoiseStream,
     NumericalBlowupError,
     integrate_crn_batch,
+    integrate_flow_batch,
     integrate_full_batch,
     map_stream_blocks,
-    simulate_scalar,
 )
 
 EXIT_OK = 0
@@ -155,21 +155,27 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
     """Relaxation of the mean observable: unthermostatted ensemble of the full
     dynamics (unresolved coordinate drawn from its conditional law) next to
     each requested reduced model integrated as a deterministic flow from the
-    same start.  A model that blows up is truncated and flagged."""
+    same start.  The models ride in the stream block that holds row 0, in
+    the same engine call as its full-system rows.  A model that blows up is
+    truncated and flagged while the others go on; a blowup of the full
+    system raises, naming its stream."""
     p = params_from_config(cfg)
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
+    scalar_models = [EffectiveModel(kind, p) for kind in cfg["models"]]
 
     def worker(a, b):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
         y0 = np.array([conditional_y_sample(p, x0, s) for s in streams])
         x0s = np.stack([np.full(b - a, x0), y0], axis=-1)
-        _, rec = integrate_full_batch(p, x0s, icfg, None, thermostat=False)
-        return rec[:, :, 0]
+        _, full_x, runs = integrate_flow_batch(
+            p, scalar_models if a == 0 else [], x0s, x0, icfg, streams
+        )
+        return full_x, runs
 
     blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
-    full = np.concatenate(blocks, axis=0)
+    full = np.concatenate([x for x, _ in blocks], axis=0)
     times = icfg.record_steps() * icfg.dt
     full_mean = full.mean(axis=0)
     full_stderr = full.std(axis=0, ddof=1) / np.sqrt(full.shape[0])
@@ -178,15 +184,9 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
     columns = [times, full_mean, full_stderr]
     summary = [("time_to_half_full", time_to_half(times, full_mean))]
     flags = []
-    for kind in cfg["models"]:
-        model = EffectiveModel(kind, p)
-        spare = NoiseStream(seed, 2**32)  # unused: deterministic flow
-        try:
-            traj = simulate_scalar(model, p, x0, icfg, spare, thermostat=False)
-            values = traj.states
-        except NumericalBlowupError as err:
-            values = err.trajectory.states
-            flags.append((f"blowup_{kind}_step", err.step))
+    for kind, (values, step) in zip(cfg["models"], blocks[0][1]):
+        if step is not None:
+            flags.append((f"blowup_{kind}_step", step))
         header.append(kind)
         columns.append(values)
         summary.append((f"time_to_half_{kind}", time_to_half(times[: len(values)], values)))

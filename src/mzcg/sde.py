@@ -5,15 +5,24 @@ scheduled, and reduced models can share the resolved-component Brownian
 increments of the full system (common random numbers).
 
 One chunked loop, ``_march``, steps every batch; ``integrate_full_batch``,
-``integrate_scalar_batch`` and ``integrate_crn_batch`` only choose its
-planes, betas and output layout.  The state is laid out (plane, beta,
-stream): one contiguous plane per coordinate (x and y of the full system, h of
-each reduced model) and rows indexed by (beta, stream), so several inverse
-temperatures run as one wide batch.  Each stream's noise is drawn once per
-chunk and broadcast over the betas without a copy; the amplitude
-sqrt(2 dt / beta) and 1/beta are per row.  Every operation is elementwise in a
-fixed order, so a row's bits do not depend on the batch around it, and a
-multi-beta run equals one-beta runs bit for bit.
+``integrate_scalar_batch``, ``integrate_crn_batch`` and
+``integrate_flow_batch`` only choose its planes, betas and output layout.
+The state is laid out (plane, beta, stream): one contiguous plane per
+coordinate (x and y of the full system, h of each reduced model) and rows
+indexed by (beta, stream), so several inverse temperatures run as one wide
+batch.  Each stream's noise is drawn once per chunk and broadcast over the
+betas without a copy; the amplitude sqrt(2 dt / beta) and 1/beta are per row.
+Every operation is elementwise in a fixed order, so a row's bits do not
+depend on the batch around it, and a multi-beta run equals one-beta runs bit
+for bit.
+
+A blowup raises ``NumericalBlowupError`` at the first step that leaves range,
+with one exception: in an unthermostatted run beside the full system
+(``integrate_flow_batch``, whose deterministic model flows step one row of
+their planes), a model that leaves range is truncated on its own, keeping
+its blowup step and its records before it, while the other planes go on.
+A blowup of the full system raises there too, and thermostatted runs raise
+at any blowup.
 
 ``map_stream_blocks`` splits an ensemble into fixed stream blocks and, given
 several workers, runs them in forked worker processes: the per-step loop holds
@@ -222,29 +231,37 @@ def _blowup_error(step, state, beta, streams, recorded):
     )
 
 
-def _march(p, cfg, state, full, scalar_models, beta, streams, out, package):
+def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     """The one chunked Euler-Maruyama loop behind the batch integrators.
 
     ``state`` has shape (planes, n_beta, n_streams) and is stepped in place.
     With ``full`` set, its first and last planes are the full system's x and
-    y, and each of ``scalar_models`` steps one plane in between; otherwise
-    the models step all planes.  ``beta`` is None for an unthermostatted run,
-    which steps the drift alone and draws no noise, or a column of shape
-    (n_beta, 1): row block k then runs at inverse temperature beta[k], and
-    all row blocks share the noise drawn once per stream and chunk.  The full
-    system consumes each stream's increment pair, every model its first
-    component.
+    y.  ``stepped`` holds one (model, h) pair per reduced model, ``h`` being
+    the view of ``state`` that the model steps: a whole plane, or its first
+    stream alone.  ``beta`` is None for an unthermostatted run, which steps
+    the drift alone and draws no noise, or a column of shape (n_beta, 1): row
+    block k then runs at inverse temperature beta[k], and all row blocks
+    share the noise drawn once per stream and chunk.  The full system
+    consumes each stream's increment pair, every model its first component.
 
-    After each recorded step ``out[..., pos]`` receives the first
-    ``len(out)`` planes.  ``package(times, k)`` turns the first k records
-    into the caller's return value; a blowup carries it as ``recorded``.
+    A blowup raises at its step, except in an unthermostatted run beside the
+    full system: there a model that leaves range is truncated on its own.
+    Its blowup step and the records taken before it are kept, it is set to
+    zero and no longer stepped, and the other planes go on; a blowup of the
+    full system still raises.
+
+    After each recorded step ``dst[..., pos] = src`` for each (src, dst) of
+    ``records``.  ``package(times, k, ends)`` turns the first k records into
+    the caller's return value, ``ends`` mapping the index in ``stepped`` of
+    each truncated model to its (blowup step, records kept); a blowup carries
+    that value as ``recorded``.
     """
     n_steps = cfg.n_steps
     rec_idx = cfg.record_steps()
     times = rec_idx * cfg.dt
     rec_steps = rec_idx.tolist() + [-1]
-    rec = state[: len(out)]
-    out[..., 0] = rec
+    for src, dst in records:
+        dst[..., 0] = src
     rec_pos = 1
 
     dt = cfg.dt
@@ -252,7 +269,9 @@ def _march(p, cfg, state, full, scalar_models, beta, streams, out, package):
     if thermostat:
         amp = np.sqrt(2.0 * dt / beta)
         az = np.empty(state.shape[1:])  # amp * resolved noise component
-    stepped = list(zip(scalar_models, state[1:-1] if full else state))
+    truncate = full and not thermostat
+    models_in = list(stepped)
+    ends = {}
     if full:
         x, y = state[0], state[-1]
         mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
@@ -304,14 +323,23 @@ def _march(p, cfg, state, full, scalar_models, beta, streams, out, package):
                     add(h, sigma, h)
             step += 1
             if not np.abs(state, mag).max() < BLOWUP_LIMIT:
-                raise _blowup_error(
-                    step, state, beta, streams, package(times[:rec_pos], rec_pos)
-                )
+                # With truncation, only the full system's rows are to blame.
+                planes = state[[0, -1]] if truncate else state
+                if not truncate or not np.abs(planes).max() < BLOWUP_LIMIT:
+                    raise _blowup_error(
+                        step, planes, beta, streams, package(times[:rec_pos], rec_pos, ends)
+                    )
+                for k, (_, h) in enumerate(models_in):
+                    if k not in ends and not np.abs(h).max() < BLOWUP_LIMIT:
+                        ends[k] = (step, rec_pos)
+                        h[...] = 0.0
+                stepped = [m for k, m in enumerate(models_in) if k not in ends]
             if step == rec_steps[rec_pos]:
-                out[..., rec_pos] = rec
+                for src, dst in records:
+                    dst[..., rec_pos] = src
                 rec_pos += 1
 
-    return package(times, rec_pos)
+    return package(times, rec_pos, ends)
 
 
 def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
@@ -330,8 +358,8 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
     recorded = np.empty((n, len(cfg.record_steps()), 2))
     return _march(
         p, cfg, state, True, (), np.array([[p.beta]]) if thermostat else None,
-        streams, recorded.transpose(2, 0, 1)[:, None],
-        lambda times, k: (times, recorded[:, :k]),
+        streams, [(state, recorded.transpose(2, 0, 1)[:, None])],
+        lambda times, k, ends: (times, recorded[:, :k]),
     )
 
 
@@ -357,9 +385,9 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     state[0, 0] = h0s
     recorded = np.empty((n, len(cfg.record_steps())))
     return _march(
-        p, cfg, state, False, (model,), np.array([[p.beta]]) if thermostat else None,
-        streams, recorded[None, None],
-        lambda times, k: (times, recorded[:, :k]),
+        p, cfg, state, False, [(model, state[0])],
+        np.array([[p.beta]]) if thermostat else None, streams,
+        [(state, recorded[None, None])], lambda times, k, ends: (times, recorded[:, :k]),
     )
 
 
@@ -393,11 +421,54 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     out = np.empty((len(scalar_models) + 1,) + state.shape[1:] + (len(cfg.record_steps()),))
     rows = 0 if beta.ndim == 0 else slice(None)
 
-    def package(times, k):
+    def package(times, k, ends):
         recs = out[:, rows, :, :k]
         return times, recs[0], list(recs[1:])
 
-    return _march(p, cfg, state, True, scalar_models, column, streams, out, package)
+    return _march(
+        p, cfg, state, True, list(zip(scalar_models, state[1:-1])), column, streams,
+        [(state[:-1], out)], package,
+    )
+
+
+def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
+    """Unthermostatted full 2D dynamics for a batch of starts ``x0s`` (shape
+    (n, 2)), and beside them each reduced scalar model as a deterministic
+    flow from ``h0``, all in one loop.
+
+    Each model steps the first stream of its own plane, with the arithmetic
+    of a one-row :func:`integrate_scalar_batch` call bit for bit.  A model
+    that blows up is truncated on its own and the rest go on; a blowup of
+    the full system raises, naming the row's stream when ``streams`` (one
+    per row, never drawn from) is given.
+
+    Returns (times, full_x, model_runs): full_x of shape (n, n_rec) records
+    the full system's x, and model_runs holds one (values, blowup_step) per
+    model, with values recorded up to the blowup and blowup_step None for a
+    model that ran to the end.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    n_rec = len(cfg.record_steps())
+    # Model planes are zero beyond their first stream, so only the stepped
+    # entries can trip the blowup check.
+    state = np.zeros((len(scalar_models) + 2, 1, x0s.shape[0]))
+    state[0, 0], state[-1, 0] = x0s.T
+    h = state[1:-1, :, :1]
+    h[...] = float(h0)
+    full_x = np.empty((x0s.shape[0], n_rec))
+    model_x = np.empty((len(scalar_models), n_rec))
+
+    def package(times, k, ends):
+        runs = []
+        for i, values in enumerate(model_x):
+            step, kept = ends.get(i, (None, k))
+            runs.append((values[:kept], step))
+        return times, full_x[:, :k], runs
+
+    return _march(
+        p, cfg, state, True, list(zip(scalar_models, h)), None, streams,
+        [(state[0], full_x[None]), (h, model_x[:, None, None])], package,
+    )
 
 
 def _one_trajectory(stream, integrate, *args):

@@ -218,6 +218,30 @@ class TestMeanTrajectoryExperiment:
         assert header == ["t", "full_mean", "full_stderr", "memory-corrected", "memory-free"]
         assert not any(k.startswith("blowup") for k in meta)
 
+    def test_full_system_blowup_names_stream(self, tmp_path):
+        out = tmp_path / "mt.csv"
+        res = run_cli([
+            "mean-trajectory", "--out", str(out), "--set", "dt=1.5", "--set", "t_final=150",
+            "--set", "n_samples=4", "--set", "models=memory-free",
+        ])
+        assert res.exit_code == 3
+        meta, header, _ = read_csv(out)
+        assert header == []
+        assert (meta["blowup_step"], meta["blowup_stream"]) == ("8", "0")
+        assert "blowup_beta" not in meta
+        assert "numerical blowup at step 8 (stream 0);" in res.stderr
+
+    def test_two_blocks_byte_identical_at_any_worker_count(self, tmp_path):
+        # The models ride in the first of two stream blocks; naive-memory is
+        # truncated, so both runs exit 3.
+        args = ["mean-trajectory", "--set", "dt=0.001", "--set", "t_final=0.5",
+                "--set", "n_samples=300"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(args + ["--out", str(a), "--threads", "1"]).exit_code == 3
+        assert run_cli(args + ["--out", str(b), "--threads", "2"]).exit_code == 3
+        assert a.read_bytes() == b.read_bytes()
+        assert "blowup_naive-memory_step" in read_csv(a)[0]
+
 
 class TestEnsembleExperiment:
     def test_per_beta_files_and_columns(self, tmp_path):
@@ -381,6 +405,9 @@ class TestCLIContract:
         ["kernel", "--set", "lambda=1e308"],
         ["kernel", "--set", "tau=1e200"],
         ["stationary", "--set", "beta=1e-320"],
+        ["kernel", "--set", "dt=1e-323", "--set", "lag_efolds=1e-319", "--set", "n_samples=2"],
+        ["kernel-matrix", "--set", "dt=1e-323", "--set", "lag_efolds=1e-319",
+         "--set", "n_samples=2"],
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

@@ -192,8 +192,9 @@ class TestAgreementRegime:
     @pytest.mark.xfail(
         strict=True,
         reason="initial fluctuation std 1/sqrt(lam beta) ~ 0.22 exceeds tau=0.2, so the"
-        " linearised kernel is ~11% off at the window end: beyond max(10%, 3 stderr)"
-        " at n=2000, where the Monte Carlo stderr is only ~3-4%",
+        " linearised kernel is up to ~8.3% off over the fit window; the seed-1 Monte Carlo"
+        " estimate sits about 1 stderr low, 10.1-11.1% off, beyond max(10%, 3 stderr) at"
+        " n=2000, where the stderr is only ~3-4%, so the outcome depends on the seed",
     )
     def test_weak_coupling_case_tight_envelope(self, small_valley_estimate):
         p, x0, lags, est = small_valley_estimate

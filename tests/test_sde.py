@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzcg.benchmark import BenchmarkParams, grad_potential
 from mzcg.kernel import memory_integral_closed_form
@@ -24,6 +26,7 @@ from mzcg.sde import (
     Trajectory,
     ensemble_mean,
     integrate_crn_batch,
+    integrate_flow_batch,
     integrate_full_batch,
     integrate_scalar_batch,
     map_stream_blocks,
@@ -66,6 +69,30 @@ class TestNoiseStream:
 
     def test_master_seed_changes_draws(self):
         assert not np.array_equal(NoiseStream(1, 0).pairs(8), NoiseStream(2, 0).pairs(8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        ops=st.lists(
+            st.tuples(st.sampled_from(["pairs", "scalars", "seek"]), st.integers(0, 40)),
+            max_size=12,
+        ),
+    )
+    def test_chunks_and_seeks_reproduce_one_draw(self, seed, stream_id, ops):
+        # Any split into chunks, any external reset of position, and scalar
+        # draws between them give the pairs of one draw at the same positions.
+        whole = NoiseStream(seed, stream_id).pairs(40 + 12 * 40)  # past any reach
+        s = NoiseStream(seed, stream_id)
+        for op, n in ops:
+            pos = s.position
+            if op == "seek":
+                s.position = n
+                continue
+            got = getattr(s, op)(n)
+            want = whole[pos:pos + n]
+            assert np.array_equal(got, want if op == "pairs" else want[:, 0])
+            assert s.position == pos + n
 
 
 class TestIntegratorConfig:
@@ -269,6 +296,77 @@ class TestSimulateScalar:
         assert np.array_equal(times, full_times)
         assert np.array_equal(full_x, full_rec[:, :, 0])
         assert [r.shape for r in model_recs] == [full_x.shape] * 2
+
+
+class TestFlowBatch:
+    """The unthermostatted full system with the reduced models as planes of
+    one engine call, as ``mean-trajectory`` runs it."""
+
+    CFG = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=3)
+    X0 = 2.0
+
+    def starts(self, n):
+        streams = [NoiseStream(4, i) for i in range(n)]
+        y0 = [P.tau * np.sin(P.omega * self.X0) + 0.2 * s.scalars(1)[0] for s in streams]
+        return np.stack([np.full(n, self.X0), y0], axis=-1), streams
+
+    def test_each_model_matches_its_one_row_scalar_run_bitwise(self):
+        x0s, streams = self.starts(5)
+        kinds = (MEMORY_CORRECTED, NAIVE_MEMORY, MEMORY_FREE)
+        times, full_x, runs = integrate_flow_batch(
+            P, [EffectiveModel(k, P) for k in kinds], x0s, self.X0, self.CFG, streams
+        )
+        _, full_rec = integrate_full_batch(P, x0s, self.CFG, thermostat=False)
+        assert np.array_equal(full_x, full_rec[:, :, 0])
+        assert np.array_equal(times, self.CFG.record_steps() * self.CFG.dt)
+        for kind, (values, step) in zip(kinds, runs):
+            model = EffectiveModel(kind, P)
+            if kind == NAIVE_MEMORY:
+                with pytest.raises(NumericalBlowupError) as err:
+                    simulate_scalar(model, P, self.X0, self.CFG, NoiseStream(1, 0),
+                                    thermostat=False)
+                assert step == err.value.step
+                assert np.array_equal(values, err.value.trajectory.states)
+            else:
+                alone = simulate_scalar(model, P, self.X0, self.CFG, NoiseStream(1, 0),
+                                        thermostat=False)
+                assert step is None
+                assert np.array_equal(values, alone.states)
+        # The naive-memory model blows up mid-run, between two records.
+        assert 0 < runs[1][1] < self.CFG.n_steps
+        assert 0 < len(runs[1][0]) < len(times)
+
+    def test_truncated_model_leaves_the_other_planes_bit_identical(self):
+        x0s, streams = self.starts(5)
+        kinds = (MEMORY_CORRECTED, MEMORY_FREE)
+        _, full_x, runs = integrate_flow_batch(
+            P, [EffectiveModel(k, P) for k in (NAIVE_MEMORY,) + kinds], x0s, self.X0,
+            self.CFG, streams,
+        )
+        _, full_without, runs_without = integrate_flow_batch(
+            P, [EffectiveModel(k, P) for k in kinds], x0s, self.X0, self.CFG, streams
+        )
+        assert runs[0][1] is not None
+        assert np.array_equal(full_x, full_without)
+        for (values, step), (values_without, step_without) in zip(runs[1:], runs_without):
+            assert step is None and step_without is None
+            assert np.array_equal(values, values_without)
+
+    def test_full_system_blowup_raises_naming_its_stream(self):
+        # dt = 0.2 is beyond the stiff mode's stability limit; the truncated
+        # naive-memory plane must not hide the full system's blowup.
+        cfg = IntegratorConfig(dt=0.2, t_final=20.0)
+        x0s, streams = self.starts(4)
+        with pytest.raises(NumericalBlowupError) as flow:
+            integrate_flow_batch(
+                P, [EffectiveModel(NAIVE_MEMORY, P)], x0s, self.X0, cfg, streams
+            )
+        with pytest.raises(NumericalBlowupError) as full:
+            integrate_full_batch(P, x0s, cfg, streams, thermostat=False)
+        assert flow.value.step == full.value.step
+        assert full.value.stream_id is not None
+        assert flow.value.stream_id == full.value.stream_id
+        assert flow.value.beta is None
 
 
 class TestThermostattedStationarity:
