@@ -23,8 +23,8 @@ def _common_options(fn):
                   help="Output CSV path (default: <experiment>.csv).")
     @click.option("--seed", type=int, default=None, help="Master seed override.")
     @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                  help="Worker processes (at most one per stream block); "
-                       "output is identical for any count.")
+                  help="Worker processes, each taking one contiguous block of "
+                       "the streams; output is identical for any count.")
     @click.option("--desk-scale", is_flag=True,
                   help="Cheaper documented defaults for the long experiments.")
     @functools.wraps(fn)

@@ -19,6 +19,7 @@ positive, and every integration window must pass ``IntegratorConfig``'s rule.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import Callable, NamedTuple
 
@@ -228,10 +229,10 @@ def _reciprocal(v):
 
 
 def _check_derived(experiment, cfg):
-    """Check what the runner derives from ``cfg``: each scale it divides by
-    must be finite and positive, and each integration window must pass
-    IntegratorConfig's rule (at least one step, at most 2**53 steps)."""
-    scales, windows = {}, []
+    """Check what the runner derives: each scale it divides by is finite and
+    positive, each first positive kernel lag squares to a normal float, and each
+    integration window passes IntegratorConfig's rule (1 to 2**53 steps)."""
+    scales, lags, windows = {}, {}, []
     if experiment == "ensemble":
         scales.update((f"1/beta at beta={b:g}", 1.0 / b) for b in cfg["beta_list"])
     elif "beta" in cfg:
@@ -254,10 +255,10 @@ def _check_derived(experiment, cfg):
             for x0 in points:
                 rate = float(kernel_decay_rate(p, x0))
                 scales[f"kernel decay rate at x0={x0:g}"] = rate
-                # default_lag_grid's lags run from s_max / 100 to s_max, with
-                # s_max = lag_efolds decay times.
+                # default_lag_grid's lags run from s_max / 100 to s_max, with s_max =
+                # lag_efolds decay times; np.polyfit fails once their squares underflow.
                 s_max = cfg["lag_efolds"] / rate
-                scales[f"first positive lag at x0={x0:g}"] = s_max / 100.0
+                lags[f"first positive lag at x0={x0:g}"] = s_max / 100.0
                 windows.append((f"lag horizon at x0={x0:g}", s_max, "dt"))
     else:
         windows = [(t, cfg[t], dt) for t, dt in
@@ -266,6 +267,10 @@ def _check_derived(experiment, cfg):
     for name, value in scales.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} is {value:g}; it must be finite and positive")
+    least_lag = math.sqrt(sys.float_info.min)
+    for name, value in lags.items():
+        if not value >= least_lag:
+            raise ConfigError(f"{name} is {value:g}; it must be at least {least_lag:g}")
     for name, horizon, dt in windows:
         try:
             IntegratorConfig(cfg[dt], horizon)

@@ -32,6 +32,7 @@ from .sde import (
     integrate_flow_batch,
     integrate_full_batch,
     map_stream_blocks,
+    raise_earliest_blowup,
 )
 
 EXIT_OK = 0
@@ -285,15 +286,12 @@ def run_stationary(cfg, out_path, threads=1) -> int:
         try:
             rec = integrate(resid_cfg, range(n + a, n + b))
         except NumericalBlowupError as err:
-            # Raised below once every main phase is back, so a main-phase
-            # blowup in any block is reported first.
+            # Raised below, once every main phase is back: those come first.
             return x, err
         return x, rec[:, :, 1] - p.tau * np.sin(p.omega * rec[:, :, 0])
 
     blocks = map_stream_blocks(worker, n, threads=threads)
-    for _, resid in blocks:
-        if isinstance(resid, NumericalBlowupError):
-            raise resid
+    raise_earliest_blowup(r for _, r in blocks)
     x_samples = np.concatenate([x for x, _ in blocks], axis=0).ravel()
     residuals = np.concatenate([r for _, r in blocks], axis=0).ravel()
 

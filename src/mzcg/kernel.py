@@ -23,10 +23,6 @@ from .sde import (
     map_stream_blocks,
 )
 
-# Samples per work block in the Monte Carlo estimators; fixed so estimates do
-# not depend on the worker count.
-SAMPLE_BLOCK = 2048
-
 
 @dataclass(frozen=True)
 class KernelEstimate:
@@ -181,15 +177,13 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
             if s > prev:
                 x, y = _rk4_march(p, x, y, s - prev, cfg.dt)
                 prev = s
-            peak = max(np.abs(x).max(), np.abs(y).max())
-            if not peak < BLOWUP_LIMIT:
-                bad = int(np.argmax(~(np.maximum(np.abs(x), np.abs(y)) < BLOWUP_LIMIT)))
-                raise NumericalBlowupError(li, stream_id=stream.stream_id + a + bad)
+            ok = np.maximum(np.abs(x), np.abs(y)) < BLOWUP_LIMIT
+            if not ok.all():
+                raise NumericalBlowupError(li, stream_id=stream.stream_id + a + int(np.argmin(ok)))
             out[li] = benchmark.orthogonal_drift(p, x, y)
         return out
 
-    blocks = map_stream_blocks(worker, n_samples, threads=threads, block=SAMPLE_BLOCK)
-    return np.concatenate(blocks, axis=1)
+    return np.concatenate(map_stream_blocks(worker, n_samples, threads=threads), axis=1)
 
 
 def _mc_moments(prod, beta):

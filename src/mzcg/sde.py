@@ -1,7 +1,7 @@
 """Euler-Maruyama integration of the full 2D dynamics and of scalar reduced
 models, driven by counter-addressed Gaussian streams so that runs are exactly
-reproducible, ensembles are independent of how their stream blocks are
-scheduled, and reduced models can share the resolved-component Brownian
+reproducible, ensembles are independent of how they are split into stream
+blocks, and reduced models can share the resolved-component Brownian
 increments of the full system (common random numbers).
 
 One chunked loop, ``_march``, steps every batch; ``integrate_full_batch``,
@@ -17,20 +17,22 @@ depend on the batch around it, and a multi-beta run equals one-beta runs bit
 for bit.
 
 A blowup raises ``NumericalBlowupError`` at the first step that leaves range,
-with one exception: in an unthermostatted run beside the full system
+naming the lowest stream, then the first beta, that left it, with one
+exception: in an unthermostatted run beside the full system
 (``integrate_flow_batch``, whose deterministic model flows step one row of
 their planes), a model that leaves range is truncated on its own, keeping
 its blowup step and its records before it, while the other planes go on.
 A blowup of the full system raises there too, and thermostatted runs raise
 at any blowup.
 
-``map_stream_blocks`` splits an ensemble into fixed stream blocks and, given
-several workers, runs them in forked worker processes: the per-step loop holds
-the interpreter lock, so threads would not overlap.
+``map_stream_blocks`` splits an ensemble into one stream block per worker and
+runs them in forked processes: the per-step loop holds the interpreter lock,
+so threads would not overlap.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,13 +51,8 @@ MAX_STEPS = 2**53
 # Steps of noise generated per block inside the integration loops.
 NOISE_CHUNK = 4096
 
-# Ensembles are integrated in fixed-size stream blocks regardless of the
-# worker count, so the arithmetic performed per trajectory never depends on
-# how many worker processes execute it.
-STREAM_BLOCK = 256
-
-# The worker of the running pooled map_stream_blocks call.  Workers are
-# closures, which cannot be pickled; forked children inherit this instead.
+# The worker of the running map_stream_blocks call.  Workers are closures,
+# which cannot be pickled; forked children inherit this instead.
 _block_worker = None
 
 
@@ -83,10 +80,7 @@ class NumericalBlowupError(RuntimeError):
 
     def __reduce__(self):
         # Keep every field when a worker process sends the error back.
-        return (
-            type(self),
-            (self.step, self.stream_id, self.trajectory, self.recorded, self.beta),
-        )
+        return type(self), (self.step, self.stream_id, self.trajectory, self.recorded, self.beta)
 
     @property
     def where(self) -> str:
@@ -219,10 +213,10 @@ def _draw_noise(streams, span):
 
 
 def _blowup_error(step, state, beta, streams, recorded):
-    """The error for the first (beta, stream) row of ``state`` that left the
-    representable range."""
+    """The error for the lowest stream of ``state`` that left the
+    representable range, at the first of its betas that did."""
     bad = ~(np.abs(state) < BLOWUP_LIMIT).all(axis=0)
-    k, i = np.unravel_index(np.argmax(bad), bad.shape)
+    i, k = np.argwhere(bad.T)[0]
     return NumericalBlowupError(
         step,
         stream_id=streams[i].stream_id if streams is not None else None,
@@ -525,40 +519,49 @@ def ensemble_mean(trajectories) -> tuple[Trajectory, np.ndarray]:
     return Trajectory(times, mean), stderr
 
 
+def raise_earliest_blowup(results):
+    """Raise the earliest-step, then lowest-stream, blowup among ``results``."""
+    errors = [r for r in results if isinstance(r, NumericalBlowupError)]
+    if errors:
+        raise min(errors, key=lambda err: (err.step, err.stream_id))
+
+
 def _run_block(a, b):
-    return _block_worker(a, b)
+    """The running map's worker on streams [a, b), or the blowup it raised."""
+    try:
+        return _block_worker(a, b)
+    except NumericalBlowupError as err:
+        return err
 
 
-def map_stream_blocks(worker, n_items, threads=1, block=STREAM_BLOCK):
-    """Run ``worker(start, stop)`` over fixed-size index blocks and return the
-    results in block order.
+def map_stream_blocks(worker, n_items, threads=1):
+    """Run ``worker(start, stop)`` over ``min(threads, n_items)`` near-equal
+    contiguous index blocks and return the results in block order.
 
-    The block partition never depends on ``threads``, so each trajectory is
-    computed by identical array operations whatever the worker count; only
-    scheduling changes.  With ``threads`` above 1 and more than one block,
-    the blocks run in up to ``threads`` forked worker processes (serially
-    where ``fork`` is unavailable), so ``worker`` may be a closure but its
-    side effects stay in the child.  Results are read in block order, so an
-    error is raised from the first failing block whatever the worker count.
-    A fork copies only the calling thread, so a pooled call must not race
-    other threads of the process that hold locks; the package starts none.
+    A row's bits do not depend on its batch, so one worker takes every item
+    in one batch and the results are the same for any count.  Several blocks
+    run in forked processes (serially without ``fork``), so ``worker`` may be
+    a closure but its side effects stay in the child.  Blowups go through
+    :func:`raise_earliest_blowup` once every block has run; other errors
+    come from the first block that raised one.  A fork copies only the
+    calling thread, so a pooled call must not race other threads holding
+    locks; the package starts none.
     """
     global _block_worker
-    spans = [(i, min(i + block, n_items)) for i in range(0, n_items, block)]
-    if threads > 1 and len(spans) > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
+    k = min(threads, n_items)
+    bounds = [n_items * j // k for j in range(k + 1)]
+    _block_worker = worker
+    try:
+        if k > 1 and hasattr(os, "fork"):
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            _block_worker = worker
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(threads, len(spans)),
-                    mp_context=multiprocessing.get_context("fork"),
-                ) as pool:
-                    futures = [pool.submit(_run_block, a, b) for a, b in spans]
-                    return [f.result() for f in futures]
-            finally:
-                _block_worker = None
-    return [worker(a, b) for a, b in spans]
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(k, mp_context=context) as pool:
+                results = list(pool.map(_run_block, bounds[:-1], bounds[1:]))
+        else:
+            results = list(map(_run_block, bounds[:-1], bounds[1:]))
+    finally:
+        _block_worker = None
+    raise_earliest_blowup(results)
+    return results

@@ -408,6 +408,11 @@ class TestCLIContract:
         ["kernel", "--set", "dt=1e-323", "--set", "lag_efolds=1e-319", "--set", "n_samples=2"],
         ["kernel-matrix", "--set", "dt=1e-323", "--set", "lag_efolds=1e-319",
          "--set", "n_samples=2"],
+        # Subnormal and tiny normal lags, whose squares underflow in the fit.
+        ["kernel", "--set", "dt=1e-320", "--set", "lag_efolds=1e-314", "--set", "n_samples=2",
+         "--set", "n_lags=3"],
+        ["kernel", "--set", "dt=2e-165", "--set", "lag_efolds=8.02e-160", "--set", "n_samples=2",
+         "--set", "n_lags=3"],
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

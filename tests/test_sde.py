@@ -1,15 +1,19 @@
+import functools
 import math
 import os
 import pickle
+import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzcg import kernel
 from mzcg.benchmark import BenchmarkParams, grad_potential
-from mzcg.kernel import memory_integral_closed_form
+from mzcg.kernel import _sample_orthogonal_drifts, memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
     MEMORY_FREE,
@@ -431,6 +435,79 @@ class TestEnsembleMean:
             assert abs(mean.states[k] - analytic[k]) < 3.0 * stderr[k]
 
 
+# The engines of the partition sweep; each returns its outputs stream axis first.
+WIDEST = 600
+PART_CFG = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=5)
+PART_BETAS = (1.0, 10.0, 100.0)
+PART_LAGS = np.array([0.0, 2e-4, 1e-3])
+
+
+def _part_streams(a, b):
+    return [NoiseStream(6, i) for i in range(a, b)]
+
+
+def _part_starts(a, b):
+    rows = np.arange(a, b)
+    return np.stack([0.2 + 1e-3 * rows, 0.4 - 2e-3 * rows], axis=-1)
+
+
+def _part_models():
+    return [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+
+
+def _part_full(a, b):
+    return [integrate_full_batch(P, _part_starts(a, b), PART_CFG, _part_streams(a, b))[1]]
+
+
+def _part_scalar(a, b):
+    h0s = _part_starts(a, b)[:, 0]
+    model = EffectiveModel(MEMORY_CORRECTED, P)
+    return [integrate_scalar_batch(model, P, h0s, PART_CFG, _part_streams(a, b))[1]]
+
+
+def _part_crn(a, b):
+    x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3)
+    _, full_x, recs = integrate_crn_batch(
+        P, _part_models(), (x0, y0), x0, PART_CFG, _part_streams(a, b), PART_BETAS
+    )
+    return [np.moveaxis(r, 1, 0) for r in [full_x, *recs]]
+
+
+def _part_flow(a, b):
+    # The model flows are one row whatever the batch, so only x is compared.
+    _, full_x, _ = integrate_flow_batch(
+        P, _part_models(), _part_starts(a, b), 0.2, PART_CFG, _part_streams(a, b)
+    )
+    return [full_x]
+
+
+def _part_kernel_sampler(a, b):
+    # The sampler's own block worker, run on samples a..b alone.
+    def one_block(worker, n_items, threads):
+        return [worker(a, b)]
+
+    cfg = IntegratorConfig(dt=1e-4, t_final=PART_LAGS[-1])
+    with mock.patch.object(kernel, "map_stream_blocks", one_block):
+        drifts = _sample_orthogonal_drifts(
+            P, 0.3, PART_LAGS, WIDEST, NoiseStream(6, 0), cfg, 1
+        )
+    return [np.moveaxis(drifts, 1, 0)]
+
+
+PART_ENGINES = {
+    "full": _part_full,
+    "scalar": _part_scalar,
+    "crn": _part_crn,
+    "flow": _part_flow,
+    "kernel-sampler": _part_kernel_sampler,
+}
+
+
+@functools.cache
+def _part_widest(engine):
+    return PART_ENGINES[engine](0, WIDEST)
+
+
 class TestDeterminism:
     def test_repeat_runs_are_bit_identical(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=10)
@@ -451,20 +528,46 @@ class TestDeterminism:
         pooled = np.concatenate(map_stream_blocks(worker, 600, threads=8), axis=0)
         assert np.array_equal(lone, pooled)
 
-    def test_blocks_run_in_worker_processes(self):
-        pids = map_stream_blocks(lambda a, b: os.getpid(), 512, threads=2)
-        assert len(pids) == 2
+    @pytest.mark.parametrize("n_items", [512, 200, 300])
+    def test_blocks_run_in_worker_processes(self, n_items):
+        def worker(a, b):
+            time.sleep(0.1)  # so that one process cannot take both blocks
+            return os.getpid()
+
+        pids = map_stream_blocks(worker, n_items, threads=2)
+        assert len(pids) == len(set(pids)) == 2
         assert os.getpid() not in pids
 
-    def test_batch_partition_does_not_change_results(self):
-        # Row-wise elementwise arithmetic: integrating a trajectory alone or
-        # inside a larger batch must agree bitwise.
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.3, record_stride=10)
-        streams = [NoiseStream(6, i) for i in range(32)]
-        x0 = np.tile([0.2, 0.4], (32, 1))
-        _, rec = integrate_full_batch(P, x0, cfg, streams, thermostat=True)
-        lone = simulate_full(P, np.array([0.2, 0.4]), cfg, NoiseStream(6, 17))
-        assert np.array_equal(rec[17], lone.states)
+    @pytest.mark.parametrize("engine", sorted(PART_ENGINES))
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 255, 256, 257, WIDEST])
+    def test_batch_partition_does_not_change_results(self, engine, width):
+        # Row-wise elementwise arithmetic: every block of any width (these
+        # straddle SIMD lane counts) must equal the matching rows of the
+        # widest batch bit for bit.  This lets the worker count choose the
+        # partition.
+        widest = _part_widest(engine)
+        for a in range(0, WIDEST, width):
+            b = min(a + width, WIDEST)
+            for block, rows in zip(PART_ENGINES[engine](a, b), widest):
+                assert np.array_equal(block, rows[a:b])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_blowup_reported_alike_for_any_partition(self, threads):
+        # Stream 1 blows up at step 9; streams 300, 450 and 590 at step 4,
+        # so later blocks fail earlier than block 0.  One batch of every
+        # stream would report the earliest step, then the lowest stream.
+        fail_at = {1: 9, 300: 4, 450: 4, 590: 4}
+
+        def worker(a, b):
+            fails = [(fail_at[i], i) for i in range(a, b) if i in fail_at]
+            if fails:
+                step, stream = min(fails)
+                raise NumericalBlowupError(step, stream_id=stream)
+            return b - a
+
+        with pytest.raises(NumericalBlowupError) as err:
+            map_stream_blocks(worker, WIDEST, threads=threads)
+        assert (err.value.step, err.value.stream_id) == (4, 300)
 
 
 class TestStationarity:
