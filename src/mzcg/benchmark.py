@@ -7,6 +7,7 @@ All functions accept scalars or numpy arrays in the coordinate arguments.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,10 +77,24 @@ def valley_coupling(p: BenchmarkParams, h):
     coordinate at ``h``, as (tau^2 omega^2, cos^2(omega h), 1 + tau^2 omega^2
     cos^2(omega h)): its two factors, which callers group as their formulas
     need, and the factor by which it slows the resolved mode.  The reduced
-    models and the approximate kernel all take the coupling from here."""
+    models and the approximate kernel all take the coupling from here.
+
+    A Python float ``h`` gives Python floats, with the bits of a one-element
+    array (see :func:`trig`)."""
     t2w2 = p.tau * p.tau * p.omega * p.omega
-    c2 = np.square(np.cos(p.omega * h))
+    c = trig(math.cos, np.cos, p.omega * h)
+    c2 = c * c
     return t2w2, c2, 1.0 + t2w2 * c2
+
+
+def trig(scalar_fn, ufunc, a):
+    """``scalar_fn(a)`` (a :mod:`math` function) for a finite Python float,
+    else ``ufunc(a)``.  The two agree bit for bit on finite floats; numpy
+    also takes arrays and turns a non-finite argument into nan, where
+    ``math.cos`` and ``math.sin`` raise."""
+    if type(a) is float and math.isfinite(a):
+        return scalar_fn(a)
+    return ufunc(a)
 
 
 def conditional_y_sample(p: BenchmarkParams, x, stream, deterministic: bool = False):

@@ -43,21 +43,22 @@ def _run(ctx, experiment, config_path, set_pairs, out_path, seed, threads, desk_
     out = out_path or f"{experiment}.csv"
     runner = experiments.RUNNERS[experiment]
     try:
-        code = runner(cfg, out, threads=threads)
-    except NumericalBlowupError as err:
-        # Unexpected blowup of a primary run: keep a metadata-only file.
-        where = [("blowup_step", err.step)]
-        if err.stream_id is not None:
-            where.append(("blowup_stream", err.stream_id))
-        if err.beta is not None:
-            where.append(("blowup_beta", err.beta))
-        write_csv(out, experiments.config_comments(cfg) + where, [], [])
-        click.echo(
-            f"numerical blowup at step {err.step}{err.where}; partial output in {out}",
-            err=True,
-        )
-        ctx.exit(3)
-    except OSError as err:
+        try:
+            code = runner(cfg, out, threads=threads)
+        except NumericalBlowupError as err:
+            # Unexpected blowup of a primary run: keep a metadata-only file.
+            where = [("blowup_step", err.step)]
+            if err.stream_id is not None:
+                where.append(("blowup_stream", err.stream_id))
+            if err.beta is not None:
+                where.append(("blowup_beta", err.beta))
+            write_csv(out, experiments.config_comments(cfg) + where, [], [])
+            click.echo(
+                f"numerical blowup at step {err.step}{err.where}; partial output in {out}",
+                err=True,
+            )
+            ctx.exit(3)
+    except OSError as err:  # also from writing the blowup's file
         click.echo(f"io error: {err}", err=True)
         ctx.exit(1)
     if code == experiments.EXIT_BLOWUP:

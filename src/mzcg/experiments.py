@@ -156,10 +156,11 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
     """Relaxation of the mean observable: unthermostatted ensemble of the full
     dynamics (unresolved coordinate drawn from its conditional law) next to
     each requested reduced model integrated as a deterministic flow from the
-    same start.  The models ride in the stream block that holds row 0, in
-    the same engine call as its full-system rows.  A model that blows up is
-    truncated and flagged while the others go on; a blowup of the full
-    system raises, naming its stream."""
+    same start.  The block that holds row 0 also steps the model flows, as
+    scalar recurrences beside its engine call (see
+    :func:`integrate_flow_batch`).  A model that blows up is truncated and
+    flagged while the others go on; a blowup of the full system raises,
+    naming its stream."""
     p = params_from_config(cfg)
     x0 = cfg["x0"]
     seed = cfg["master_seed"]

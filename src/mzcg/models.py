@@ -30,11 +30,12 @@ beta) is not settled by the model's derivation, so it is left out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import BenchmarkParams, valley_coupling
+from .benchmark import BenchmarkParams, trig, valley_coupling
 
 MEMORY_CORRECTED = "memory-corrected"
 MEMORY_FREE = "memory-free"
@@ -59,9 +60,14 @@ class EffectiveModel:
 
 
 def drift(model: EffectiveModel, h):
-    """Deterministic drift b(h) of the reduced model; pure in ``h``."""
+    """Deterministic drift b(h) of the reduced model; pure in ``h``.
+
+    A Python float ``h`` is evaluated in Python floats, which is what the
+    deterministic model flows step; it gives the bits of a one-element array,
+    and nan, not an exception, where the array would hold nan."""
     p = model.params
-    h = np.asarray(h, dtype=float)
+    if type(h) is not float:
+        h = np.asarray(h, dtype=float)
     if model.kind == MEMORY_FREE:
         return -p.mu * h
     t2w2, c2, factor = valley_coupling(p, h)
@@ -69,7 +75,7 @@ def drift(model: EffectiveModel, h):
         return -p.mu * h / factor
     return (p.lam * t2w2 * c2 - 1.0) * (p.mu * h) + (
         p.lam / p.beta
-    ) * t2w2 * p.omega * np.sin(2.0 * p.omega * h)
+    ) * t2w2 * p.omega * trig(math.sin, np.sin, 2.0 * p.omega * h)
 
 
 def diffusion(model: EffectiveModel, h):

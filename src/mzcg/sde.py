@@ -5,8 +5,8 @@ blocks, and reduced models can share the resolved-component Brownian
 increments of the full system (common random numbers).
 
 One chunked loop, ``_march``, steps every batch; ``integrate_full_batch``,
-``integrate_scalar_batch``, ``integrate_crn_batch`` and
-``integrate_flow_batch`` only choose its planes, betas and output layout.
+``integrate_scalar_batch`` and ``integrate_crn_batch`` only choose its
+planes, betas and output layout.
 The state is laid out (plane, beta, stream): one contiguous plane per
 coordinate (x and y of the full system, h of each reduced model) and rows
 indexed by (beta, stream), so several inverse temperatures run as one wide
@@ -17,13 +17,14 @@ depend on the batch around it, and a multi-beta run equals one-beta runs bit
 for bit.
 
 A blowup raises ``NumericalBlowupError`` at the first step that leaves range,
-naming the lowest stream, then the first beta, that left it, with one
-exception: in an unthermostatted run beside the full system
-(``integrate_flow_batch``, whose deterministic model flows step one row of
-their planes), a model that leaves range is truncated on its own, keeping
-its blowup step and its records before it, while the other planes go on.
-A blowup of the full system raises there too, and thermostatted runs raise
-at any blowup.
+naming the lowest stream, then the first beta, that left it.
+
+``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
+and each deterministic reduced model beside it as a recurrence in Python
+floats (``_flow``), which costs far less than a one-row engine step and
+has the bits of a one-row ``integrate_scalar_batch`` call.  A model that leaves
+range ends there, keeping its blowup step and its records before it, while
+the full system and the other models go on.
 
 ``map_stream_blocks`` splits an ensemble into one stream block per worker and
 runs them in forked processes: the per-step loop holds the interpreter lock,
@@ -231,24 +232,17 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     ``state`` has shape (planes, n_beta, n_streams) and is stepped in place.
     With ``full`` set, its first and last planes are the full system's x and
     y.  ``stepped`` holds one (model, h) pair per reduced model, ``h`` being
-    the view of ``state`` that the model steps: a whole plane, or its first
-    stream alone.  ``beta`` is None for an unthermostatted run, which steps
-    the drift alone and draws no noise, or a column of shape (n_beta, 1): row
-    block k then runs at inverse temperature beta[k], and all row blocks
-    share the noise drawn once per stream and chunk.  The full system
+    the plane of ``state`` that the model steps.  ``beta`` is None for an
+    unthermostatted run, which steps the drift alone and draws no noise, or
+    a column of shape (n_beta, 1): row block k then runs at inverse
+    temperature beta[k], and all row blocks share the noise drawn once per
+    stream and chunk.  The full system
     consumes each stream's increment pair, every model its first component.
 
-    A blowup raises at its step, except in an unthermostatted run beside the
-    full system: there a model that leaves range is truncated on its own.
-    Its blowup step and the records taken before it are kept, it is set to
-    zero and no longer stepped, and the other planes go on; a blowup of the
-    full system still raises.
-
     After each recorded step ``dst[..., pos] = src`` for each (src, dst) of
-    ``records``.  ``package(times, k, ends)`` turns the first k records into
-    the caller's return value, ``ends`` mapping the index in ``stepped`` of
-    each truncated model to its (blowup step, records kept); a blowup carries
-    that value as ``recorded``.
+    ``records``.  ``package(times, k)`` turns the first k records into the
+    caller's return value; a blowup raises at its step, carrying that value
+    for the records taken before it as ``recorded``.
     """
     n_steps = cfg.n_steps
     rec_idx = cfg.record_steps()
@@ -263,9 +257,6 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     if thermostat:
         amp = np.sqrt(2.0 * dt / beta)
         az = np.empty(state.shape[1:])  # amp * resolved noise component
-    truncate = full and not thermostat
-    models_in = list(stepped)
-    ends = {}
     if full:
         x, y = state[0], state[-1]
         mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
@@ -317,23 +308,15 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                     add(h, sigma, h)
             step += 1
             if not np.abs(state, mag).max() < BLOWUP_LIMIT:
-                # With truncation, only the full system's rows are to blame.
-                planes = state[[0, -1]] if truncate else state
-                if not truncate or not np.abs(planes).max() < BLOWUP_LIMIT:
-                    raise _blowup_error(
-                        step, planes, beta, streams, package(times[:rec_pos], rec_pos, ends)
-                    )
-                for k, (_, h) in enumerate(models_in):
-                    if k not in ends and not np.abs(h).max() < BLOWUP_LIMIT:
-                        ends[k] = (step, rec_pos)
-                        h[...] = 0.0
-                stepped = [m for k, m in enumerate(models_in) if k not in ends]
+                raise _blowup_error(
+                    step, state, beta, streams, package(times[:rec_pos], rec_pos)
+                )
             if step == rec_steps[rec_pos]:
                 for src, dst in records:
                     dst[..., rec_pos] = src
                 rec_pos += 1
 
-    return package(times, rec_pos, ends)
+    return package(times, rec_pos)
 
 
 def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
@@ -353,7 +336,7 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
     return _march(
         p, cfg, state, True, (), np.array([[p.beta]]) if thermostat else None,
         streams, [(state, recorded.transpose(2, 0, 1)[:, None])],
-        lambda times, k, ends: (times, recorded[:, :k]),
+        lambda times, k: (times, recorded[:, :k]),
     )
 
 
@@ -381,7 +364,7 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     return _march(
         p, cfg, state, False, [(model, state[0])],
         np.array([[p.beta]]) if thermostat else None, streams,
-        [(state, recorded[None, None])], lambda times, k, ends: (times, recorded[:, :k]),
+        [(state, recorded[None, None])], lambda times, k: (times, recorded[:, :k]),
     )
 
 
@@ -415,7 +398,7 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     out = np.empty((len(scalar_models) + 1,) + state.shape[1:] + (len(cfg.record_steps()),))
     rows = 0 if beta.ndim == 0 else slice(None)
 
-    def package(times, k, ends):
+    def package(times, k):
         recs = out[:, rows, :, :k]
         return times, recs[0], list(recs[1:])
 
@@ -425,43 +408,54 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     )
 
 
+def _flow(model, h, cfg):
+    """The unthermostatted reduced model from ``h`` as a recurrence in Python
+    floats, with the bits of a one-row :func:`integrate_scalar_batch` call.
+
+    Returns (values, blowup_step): the values recorded at
+    ``cfg.record_steps()`` before the first step that leaves range, and that
+    step, or None for a run that reaches the end.
+    """
+    rec_steps = cfg.record_steps().tolist() + [-1]
+    values = np.empty(len(rec_steps) - 1)
+    h = values[0] = float(h)
+    dt = cfg.dt
+    drift = models.drift
+    rec_pos = 1
+    for step in range(1, cfg.n_steps + 1):
+        h = h + drift(model, h) * dt
+        if not abs(h) < BLOWUP_LIMIT:
+            return values[:rec_pos], step
+        if step == rec_steps[rec_pos]:
+            values[rec_pos] = h
+            rec_pos += 1
+    return values, None
+
+
 def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
     """Unthermostatted full 2D dynamics for a batch of starts ``x0s`` (shape
     (n, 2)), and beside them each reduced scalar model as a deterministic
-    flow from ``h0``, all in one loop.
+    flow from ``h0``.
 
-    Each model steps the first stream of its own plane, with the arithmetic
-    of a one-row :func:`integrate_scalar_batch` call bit for bit.  A model
-    that blows up is truncated on its own and the rest go on; a blowup of
-    the full system raises, naming the row's stream when ``streams`` (one
-    per row, never drawn from) is given.
+    Each model steps as a recurrence in Python floats, with the bits of a
+    one-row :func:`integrate_scalar_batch` call; a model that blows up ends
+    there and the rest go on.  A blowup of the full system raises, naming
+    the row's stream when ``streams`` (one per row, never drawn from) is
+    given.
 
     Returns (times, full_x, model_runs): full_x of shape (n, n_rec) records
     the full system's x, and model_runs holds one (values, blowup_step) per
     model, with values recorded up to the blowup and blowup_step None for a
     model that ran to the end.
     """
+    runs = [_flow(model, h0, cfg) for model in scalar_models]
     x0s = np.asarray(x0s, dtype=float)
-    n_rec = len(cfg.record_steps())
-    # Model planes are zero beyond their first stream, so only the stepped
-    # entries can trip the blowup check.
-    state = np.zeros((len(scalar_models) + 2, 1, x0s.shape[0]))
-    state[0, 0], state[-1, 0] = x0s.T
-    h = state[1:-1, :, :1]
-    h[...] = float(h0)
-    full_x = np.empty((x0s.shape[0], n_rec))
-    model_x = np.empty((len(scalar_models), n_rec))
-
-    def package(times, k, ends):
-        runs = []
-        for i, values in enumerate(model_x):
-            step, kept = ends.get(i, (None, k))
-            runs.append((values[:kept], step))
-        return times, full_x[:, :k], runs
-
+    state = np.empty((2, 1, x0s.shape[0]))
+    state[:, 0] = x0s.T
+    full_x = np.empty((x0s.shape[0], len(cfg.record_steps())))
     return _march(
-        p, cfg, state, True, list(zip(scalar_models, h)), None, streams,
-        [(state[0], full_x[None]), (h, model_x[:, None, None])], package,
+        p, cfg, state, True, (), None, streams, [(state[0], full_x[None])],
+        lambda times, k: (times, full_x[:, :k], runs),
     )
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzcg.benchmark import (
     BenchmarkParams,
@@ -8,6 +12,7 @@ from mzcg.benchmark import (
     grad_potential,
     orthogonal_drift,
     potential,
+    valley_coupling,
 )
 from mzcg.sde import NoiseStream
 
@@ -119,3 +124,34 @@ class TestOrthogonalDrift:
         for x, y in rng.uniform(-2, 2, size=(50, 2)):
             lhs = orthogonal_drift(P, x, y) + np.array([-P.mu * x, 0.0])
             assert lhs == pytest.approx(-grad_potential(P, x, y))
+
+
+def same_float(a, b):
+    """Equal bits, or both nan (whose sign and payload are not compared)."""
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
+class TestValleyCoupling:
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.floats(allow_nan=False, allow_infinity=False))
+    @example(h=5e-324)
+    @example(h=-2.2250738585072014e-308)
+    @example(h=1e-300)
+    @example(h=1e12)
+    @example(h=1.7976931348623157e308)
+    def test_float_matches_one_element_array_bitwise(self, h):
+        with np.errstate(all="ignore"):
+            on_float = valley_coupling(P, h)
+            on_array = valley_coupling(P, np.array([h]))
+        if math.isfinite(P.omega * h):
+            assert all(type(v) is float for v in on_float)
+        assert same_float(on_float[0], on_array[0])
+        for v, a in zip(on_float[1:], on_array[1:]):
+            assert same_float(v, a[0])
+
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_gives_nan(self, h):
+        with np.errstate(all="ignore"):
+            _, c2, factor = valley_coupling(P, h)
+        assert math.isnan(c2) and math.isnan(factor)

@@ -374,6 +374,18 @@ class TestCLIContract:
             seen.append(res.stderr)
         assert seen[0] == seen[1]
 
+    @pytest.mark.parametrize("blowup", [False, True], ids=["no-blowup", "blowup"])
+    def test_unwritable_output_is_io_error(self, tmp_path, blowup):
+        # dt = 0.2 blows up at step 22; either way the file cannot be written.
+        window = ["dt=0.2", "t_final=20"] if blowup else ["dt=0.01", "t_final=0.1"]
+        args = ["ensemble", "--out", str(tmp_path / "missing" / "ens.csv"),
+                "--set", "n_samples=4"]
+        res = run_cli(args + [arg for pair in window for arg in ("--set", pair)])
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("io error:")
+
     def test_threads_below_one_is_usage_error(self, tmp_path):
         res = run_cli(["landscape", "--out", str(tmp_path / "l.csv"), "--threads", "0"])
         assert res.exit_code == 2
@@ -413,6 +425,8 @@ class TestCLIContract:
          "--set", "n_lags=3"],
         ["kernel", "--set", "dt=2e-165", "--set", "lag_efolds=8.02e-160", "--set", "n_samples=2",
          "--set", "n_lags=3"],
+        # omega x0 overflows to inf, whose cosine is nan (math.cos would raise).
+        pytest.param(["kernel", "--set", "x0=1e308"], id="x0-overflow"),
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

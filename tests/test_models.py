@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzcg.benchmark import BenchmarkParams
 from mzcg.kernel import memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
     MEMORY_FREE,
+    MODEL_KINDS,
     NAIVE_MEMORY,
     EffectiveModel,
     UnsupportedModelError,
@@ -71,6 +76,45 @@ class TestDrift:
         reconstructed = -(P.mu * h - drift_term)
         direct = drift(EffectiveModel(MEMORY_CORRECTED, P), h)
         assert np.max(np.abs(reconstructed - direct)) < 1e-12
+
+
+def same_float(a, b):
+    """Equal bits, or both nan (whose sign and payload are not compared)."""
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
+class TestDriftOnFloats:
+    """A Python float is evaluated in Python floats, as the model flows of
+    ``mean-trajectory`` step it, with the bits of a one-element array."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.floats(allow_nan=False, allow_infinity=False))
+    @example(h=5e-324)
+    @example(h=-2.2250738585072014e-308)
+    @example(h=1e-300)
+    @example(h=-0.0)
+    @example(h=1e12)
+    @example(h=1.7976931348623157e308)
+    def test_float_matches_one_element_array_bitwise(self, kind, h):
+        model = EffectiveModel(kind, P)
+        with np.errstate(all="ignore"):
+            value = drift(model, h)
+            expected = drift(model, np.array([h]))[0]
+        if math.isfinite(2.0 * P.omega * h):
+            assert type(value) is float
+        assert same_float(value, expected)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_gives_what_the_array_gives(self, kind, h):
+        model = EffectiveModel(kind, P)
+        with np.errstate(all="ignore"):
+            value = drift(model, h)
+            assert same_float(value, drift(model, np.array([h]))[0])
+        if kind != MEMORY_FREE or math.isnan(h):
+            assert math.isnan(value)
 
 
 class TestDiffusion:

@@ -340,6 +340,27 @@ class TestFlowBatch:
         assert 0 < runs[1][1] < self.CFG.n_steps
         assert 0 < len(runs[1][0]) < len(times)
 
+    @pytest.mark.parametrize("kind", [MEMORY_CORRECTED, MEMORY_FREE, NAIVE_MEMORY])
+    def test_float_flow_matches_numpy_engine_over_mean_relax_window(self, kind):
+        # The benchmark's mean-relax window (desk dt, t_final = 2): the
+        # Python-float flow against the numpy engine of simulate_scalar,
+        # through naive-memory's blowup step and truncated prefix.
+        cfg = IntegratorConfig(dt=1e-4, t_final=2.0, record_stride=10)
+        model = EffectiveModel(kind, P)
+        x0s, streams = self.starts(1)
+        _, _, [(values, step)] = integrate_flow_batch(P, [model], x0s, self.X0, cfg, streams)
+        try:
+            alone = simulate_scalar(model, P, self.X0, cfg, NoiseStream(1, 0), thermostat=False)
+        except NumericalBlowupError as err:
+            assert step == err.step
+            assert np.array_equal(values, err.trajectory.states)
+        else:
+            assert step is None
+            assert np.array_equal(values, alone.states)
+        if kind == NAIVE_MEMORY:
+            assert 0 < step < cfg.n_steps
+            assert 0 < len(values) < len(cfg.record_steps())
+
     def test_truncated_model_leaves_the_other_planes_bit_identical(self):
         x0s, streams = self.starts(5)
         kinds = (MEMORY_CORRECTED, MEMORY_FREE)
