@@ -7,7 +7,6 @@ All functions accept scalars or numpy arrays in the coordinate arguments.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,26 +74,22 @@ def effective_potential_grad(p: BenchmarkParams, h):
 def valley_coupling(p: BenchmarkParams, h):
     """The valley coupling tau^2 omega^2 cos^2(omega h) seen by the resolved
     coordinate at ``h``, as (tau^2 omega^2, cos^2(omega h), 1 + tau^2 omega^2
-    cos^2(omega h)): its two factors, which callers group as their formulas
-    need, and the factor by which it slows the resolved mode.  The reduced
-    models and the approximate kernel all take the coupling from here.
+    cos^2(omega h), sin(2 omega h)): its two factors, which callers group as
+    their formulas need, the factor by which it slows the resolved mode, and
+    the sine that its derivative in ``h`` carries.  The reduced models and the
+    approximate kernel all take the coupling from here.
 
-    A Python float ``h`` gives Python floats, with the bits of a one-element
-    array (see :func:`trig`)."""
+    With t = tan(omega h), cos^2(omega h) = 1 / (1 + t^2) and
+    sin(2 omega h) = 2 t cos^2(omega h).  A Python float ``h`` gives Python
+    floats with the bits of a one-element array, so t comes from ``np.tan``
+    there too (``math.tan`` differs from it in the last bit for some
+    arguments); a non-finite argument gives nan without raising."""
     t2w2 = p.tau * p.tau * p.omega * p.omega
-    c = trig(math.cos, np.cos, p.omega * h)
-    c2 = c * c
-    return t2w2, c2, 1.0 + t2w2 * c2
-
-
-def trig(scalar_fn, ufunc, a):
-    """``scalar_fn(a)`` (a :mod:`math` function) for a finite Python float,
-    else ``ufunc(a)``.  The two agree bit for bit on finite floats; numpy
-    also takes arrays and turns a non-finite argument into nan, where
-    ``math.cos`` and ``math.sin`` raise."""
-    if type(a) is float and math.isfinite(a):
-        return scalar_fn(a)
-    return ufunc(a)
+    t = np.tan(p.omega * h)
+    if type(h) is float:
+        t = float(t)
+    c2 = 1.0 / (1.0 + t * t)
+    return t2w2, c2, 1.0 + t2w2 * c2, 2.0 * t * c2
 
 
 def conditional_y_sample(p: BenchmarkParams, x, stream, deterministic: bool = False):
@@ -110,13 +105,37 @@ def conditional_y_sample(p: BenchmarkParams, x, stream, deterministic: bool = Fa
     return mean + np.sqrt(1.0 / (p.beta * p.lam)) * stream.scalars(1)[0]
 
 
-def orthogonal_drift(p: BenchmarkParams, x, y):
-    """Fluctuating part of the drift acting on (x, y): the full drift minus its
-    conditional average given x.  Vanishes identically on y = tau sin(omega x).
-    Components stacked along the last axis.
+def orthogonal_drift_xy(p: BenchmarkParams, x, y):
+    """Fluctuating part of the drift acting on (x, y), the full drift minus
+    its conditional average given x, as two new arrays (dx, dy) =
+    (-lam tau omega gap cos(omega x), lam gap) with gap = tau sin(omega x) - y.
+    It vanishes identically on y = tau sin(omega x).  ``x`` and ``y`` are
+    float arrays of one shape.
+
+    With u = tan(omega x / 2) and w = 1 / (1 + u^2), cos(omega x) =
+    (1 - u^2) w and sin(omega x) = 2 u w; a non-finite x gives nan without
+    raising.
     """
-    x = np.asarray(x, dtype=float)
-    gap = p.tau * np.sin(p.omega * x) - y
-    dx = -p.lam * p.tau * p.omega * gap * np.cos(p.omega * x)
-    dy = p.lam * gap
-    return np.stack(np.broadcast_arrays(dx, dy), axis=-1)
+    u = x * (0.5 * p.omega)
+    np.tan(u, out=u)
+    w = u * u
+    c = 1.0 - w
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    c *= w  # cos(omega x)
+    u += u
+    u *= w  # sin(omega x)
+    u *= p.tau
+    u -= y  # the valley gap
+    np.multiply(u, p.lam, out=w)
+    u *= c
+    u *= -(p.lam * p.tau * p.omega)
+    return u, w
+
+
+def orthogonal_drift(p: BenchmarkParams, x, y):
+    """:func:`orthogonal_drift_xy` on scalars or arrays that broadcast
+    together, with the components stacked along the last axis."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    drift = orthogonal_drift_xy(p, x.reshape(-1), y.reshape(-1))
+    return np.stack(drift, axis=-1).reshape(x.shape + (2,))

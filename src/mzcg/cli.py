@@ -5,6 +5,7 @@ files.  Exit codes: 0 success, 2 configuration error, 3 numerical blowup
 from __future__ import annotations
 
 import functools
+import os
 
 import click
 
@@ -24,7 +25,8 @@ def _common_options(fn):
     @click.option("--seed", type=int, default=None, help="Master seed override.")
     @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
                   help="Worker processes, each taking one contiguous block of "
-                       "the streams; output is identical for any count.")
+                       "the streams, at most one per CPU this process may run "
+                       "on; output is identical for any count.")
     @click.option("--desk-scale", is_flag=True,
                   help="Cheaper documented defaults for the long experiments.")
     @functools.wraps(fn)
@@ -34,7 +36,18 @@ def _common_options(fn):
     return wrapper
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``os.cpu_count()`` where the affinity
+    mask is unavailable)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run(ctx, experiment, config_path, set_pairs, out_path, seed, threads, desk_scale):
+    # More workers than CPUs only add per-step overhead: they cannot all run.
+    threads = min(threads, _usable_cpus())
     try:
         cfg = resolve(experiment, config_path, set_pairs, seed, desk_scale)
     except ConfigError as err:

@@ -12,7 +12,7 @@ from math import ceil, pi
 import numpy as np
 
 from . import benchmark
-from .benchmark import BenchmarkParams, valley_coupling
+from .benchmark import BenchmarkParams, orthogonal_drift_xy, valley_coupling
 from .geometry import CGMap
 from .sde import (
     BLOWUP_LIMIT,
@@ -62,7 +62,7 @@ def approx_kernel(p: BenchmarkParams, s, h):
     """Closed-form kernel approximation
     lam tau^2 omega^2 cos^2(omega h) * exp(-lam (1 + tau^2 omega^2 cos^2(omega h)) s),
     valid when initial fluctuations of the unresolved mode are small."""
-    t2w2, c2, factor = valley_coupling(p, h)
+    t2w2, c2, factor, _ = valley_coupling(p, h)
     return p.lam * t2w2 * c2 * np.exp(-p.lam * factor * np.asarray(s, dtype=float))
 
 
@@ -70,12 +70,12 @@ def approx_kernel_div(p: BenchmarkParams, s, h):
     """d/dh of :func:`approx_kernel` (exact derivative of the closed form)."""
     s = np.asarray(s, dtype=float)
     h = np.asarray(h, dtype=float)
-    t2w2, c2, factor = valley_coupling(p, h)
+    t2w2, c2, factor, s2 = valley_coupling(p, h)
     return (
         -p.lam
         * t2w2
         * p.omega
-        * np.sin(2.0 * p.omega * h)
+        * s2
         * (1.0 - p.lam * t2w2 * c2 * s)
         * np.exp(-p.lam * factor * s)
     )
@@ -89,24 +89,10 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
         div_term   = (1/beta) tau^2 omega^3 sin(2 omega h) / (1 + tau^2 omega^2 cos^2(omega h))^2
     """
     h = np.asarray(h, dtype=float)
-    t2w2, c2, denom = valley_coupling(p, h)
+    t2w2, c2, denom, s2 = valley_coupling(p, h)
     drift_term = t2w2 * c2 / denom * (p.mu * h)
-    div_term = (1.0 / p.beta) * t2w2 * p.omega * np.sin(2.0 * p.omega * h) / np.square(denom)
+    div_term = (1.0 / p.beta) * t2w2 * p.omega * s2 / np.square(denom)
     return drift_term, div_term
-
-
-def _odrift_xy(p, x, y):
-    # Component form of benchmark.orthogonal_drift on contiguous arrays,
-    # shared by the RK4 stages.
-    wx = x * p.omega
-    c = np.cos(wx)
-    np.sin(wx, out=wx)
-    wx *= p.tau
-    wx -= y  # wx is now the valley gap tau*sin(omega x) - y
-    dy = p.lam * wx
-    wx *= c
-    wx *= -(p.lam * p.tau * p.omega)
-    return wx, dy
 
 
 def _rk4_march(p, x, y, span, dt):
@@ -115,10 +101,10 @@ def _rk4_march(p, x, y, span, dt):
     n_sub = max(1, ceil(span / dt - 1e-12))
     h = span / n_sub
     for _ in range(n_sub):
-        k1x, k1y = _odrift_xy(p, x, y)
-        k2x, k2y = _odrift_xy(p, x + (0.5 * h) * k1x, y + (0.5 * h) * k1y)
-        k3x, k3y = _odrift_xy(p, x + (0.5 * h) * k2x, y + (0.5 * h) * k2y)
-        k4x, k4y = _odrift_xy(p, x + h * k3x, y + h * k3y)
+        k1x, k1y = orthogonal_drift_xy(p, x, y)
+        k2x, k2y = orthogonal_drift_xy(p, x + (0.5 * h) * k1x, y + (0.5 * h) * k1y)
+        k3x, k3y = orthogonal_drift_xy(p, x + (0.5 * h) * k2x, y + (0.5 * h) * k2y)
+        k4x, k4y = orthogonal_drift_xy(p, x + h * k3x, y + h * k3y)
         x = x + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
         y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
     return x, y

@@ -30,12 +30,11 @@ beta) is not settled by the model's derivation, so it is left out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import BenchmarkParams, trig, valley_coupling
+from .benchmark import BenchmarkParams, valley_coupling
 
 MEMORY_CORRECTED = "memory-corrected"
 MEMORY_FREE = "memory-free"
@@ -70,12 +69,10 @@ def drift(model: EffectiveModel, h):
         h = np.asarray(h, dtype=float)
     if model.kind == MEMORY_FREE:
         return -p.mu * h
-    t2w2, c2, factor = valley_coupling(p, h)
+    t2w2, c2, factor, s2 = valley_coupling(p, h)
     if model.kind == MEMORY_CORRECTED:
         return -p.mu * h / factor
-    return (p.lam * t2w2 * c2 - 1.0) * (p.mu * h) + (
-        p.lam / p.beta
-    ) * t2w2 * p.omega * trig(math.sin, np.sin, 2.0 * p.omega * h)
+    return (p.lam * t2w2 * c2 - 1.0) * (p.mu * h) + (p.lam / p.beta) * t2w2 * p.omega * s2
 
 
 def diffusion(model: EffectiveModel, h):
@@ -105,8 +102,10 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
 
     For ``memory-corrected``, sigma^2 = 1 / (1 + tau^2 omega^2 cos^2(omega h))
     and the noise-induced term is (1/beta) tau^2 omega^3 sin(2 omega h)
-    / (1 + tau^2 omega^2 cos^2(omega h))^2; the cosine is evaluated once for
-    both coefficients.  ``memory-free`` has constant sigma and no such term.
+    / (1 + tau^2 omega^2 cos^2(omega h))^2; both come from one
+    :func:`~mzcg.benchmark.valley_coupling` call, whose one tangent gives
+    cos^2(omega h) and sin(2 omega h).  ``memory-free`` has constant sigma and
+    no such term.
     """
     p = model.params
     h = np.asarray(h, dtype=float)
@@ -118,8 +117,8 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
         )
     if beta is None:
         beta = p.beta
-    t2w2, _, denom = valley_coupling(p, h)
+    t2w2, _, denom, s2 = valley_coupling(p, h)
     # ((1/beta) t2w2) omega is formed before it meets sin(2 omega h), so an
     # array of betas gives each row the bits of a scalar-beta call.
-    noise_drift = (1.0 / beta) * t2w2 * p.omega * np.sin(2.0 * p.omega * h) / np.square(denom)
+    noise_drift = (1.0 / beta) * t2w2 * p.omega * s2 / np.square(denom)
     return -p.mu * h / denom + noise_drift, np.sqrt(1.0 / denom)

@@ -261,12 +261,13 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
         x, y = state[0], state[-1]
         mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
         lto = lam * tau * omega
+        half_omega = 0.5 * omega
         wx, c, gap, g = (np.empty_like(x) for _ in range(4))
     mag = np.empty_like(state)
 
     # In-place ufuncs take their output positionally: the out= keyword adds a
     # per-call cost that shows on narrow batches, such as one-row models.
-    add, sub, mul = np.add, np.subtract, np.multiply
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     step = 0
     while step < n_steps:
         span = min(NOISE_CHUNK, n_steps - step)
@@ -277,10 +278,18 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 mul(amp, noise[j, 0], az)
             if full:
                 # x - (mu x + lam tau omega gap cos(omega x)) dt and
-                # y - (-lam gap) dt, with gap = tau sin(omega x) - y.
-                mul(omega, x, wx)
-                np.cos(wx, c)
-                np.sin(wx, gap)
+                # y - (-lam gap) dt, with gap = tau sin(omega x) - y, where
+                # u = tan(omega x / 2) and w = 1 / (1 + u^2) give
+                # cos(omega x) = (1 - u^2) w and sin(omega x) = 2 u w.
+                mul(half_omega, x, wx)
+                np.tan(wx, wx)
+                mul(wx, wx, c)
+                add(c, 1.0, g)
+                div(1.0, g, g)
+                sub(1.0, c, c)
+                mul(c, g, c)
+                add(wx, wx, wx)
+                mul(wx, g, gap)
                 mul(gap, tau, gap)
                 sub(gap, y, gap)
                 mul(lto, gap, g)

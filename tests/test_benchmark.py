@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mzcg.benchmark import (
@@ -126,6 +126,67 @@ class TestOrthogonalDrift:
             assert lhs == pytest.approx(-grad_potential(P, x, y))
 
 
+# omega x / 2 = pi / 2 here, where the half-angle tangent is largest.
+X_POLE = math.pi / P.omega
+ULPS = 4
+
+
+def sincos_orthogonal_drift(p, x, y):
+    """The orthogonal drift with np.sin and np.cos, and its valley gap."""
+    gap = p.tau * np.sin(p.omega * x) - y
+    return -p.lam * p.tau * p.omega * gap * np.cos(p.omega * x), p.lam * gap, gap
+
+
+def within_ulps(got, want, scale):
+    """``got`` equals ``want`` (both nan counts), or is within ULPS units of
+    roundoff of ``scale``."""
+    return bool(
+        got == want
+        or (np.isnan(got) and np.isnan(want))
+        or abs(got - want) <= ULPS * np.finfo(float).eps * scale
+    )
+
+
+class TestOrthogonalDriftTanForm:
+    """The tangent half-angle form agrees with sin/cos to a few ulps of the
+    terms it carries: the sine's tau and the gap, each times the prefactor."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        offset=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    @example(x=0.0, offset=1.0)
+    @example(x=-0.0, offset=0.0)
+    @example(x=5e-324, offset=0.5)
+    @example(x=-2.2250738585072014e-308, offset=0.0)
+    @example(x=X_POLE, offset=0.0)
+    @example(x=-X_POLE, offset=0.25)
+    @example(x=np.nextafter(X_POLE, 0.0), offset=0.0)
+    @example(x=np.nextafter(X_POLE, 1.0), offset=-2.0)
+    @example(x=3.0 * X_POLE, offset=1.0)
+    @example(x=0.5 * X_POLE, offset=0.0)
+    @example(x=1e12, offset=0.0)
+    @example(x=1e300, offset=3.0)
+    @example(x=1.7976931348623157e308, offset=0.0)
+    def test_matches_sincos_reference(self, x, offset):
+        # Beyond overflow of omega x the reference has no angle, while the
+        # half angle (omega / 2) x still has one.
+        assume(math.isfinite(P.omega * x))
+        y = P.tau * math.sin(P.omega * x) + offset
+        dx, dy = orthogonal_drift(P, x, y)
+        ref_dx, ref_dy, gap = sincos_orthogonal_drift(P, x, y)
+        carried = P.tau + abs(gap)
+        assert within_ulps(dy, ref_dy, P.lam * carried)
+        assert within_ulps(dx, ref_dx, P.lam * P.tau * P.omega * carried)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_gives_nan(self, x):
+        with np.errstate(all="ignore"):
+            d = orthogonal_drift(P, np.array([x, 0.1]), 1.0)
+        assert np.isnan(d[0]).all() and np.isfinite(d[1]).all()
+
+
 def same_float(a, b):
     """Equal bits, or both nan (whose sign and payload are not compared)."""
     a, b = np.float64(a), np.float64(b)
@@ -146,6 +207,7 @@ class TestValleyCoupling:
             on_array = valley_coupling(P, np.array([h]))
         if math.isfinite(P.omega * h):
             assert all(type(v) is float for v in on_float)
+        assert len(on_float) == len(on_array) == 4  # ..., sin(2 omega h)
         assert same_float(on_float[0], on_array[0])
         for v, a in zip(on_float[1:], on_array[1:]):
             assert same_float(v, a[0])
@@ -153,5 +215,5 @@ class TestValleyCoupling:
     @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
     def test_non_finite_float_gives_nan(self, h):
         with np.errstate(all="ignore"):
-            _, c2, factor = valley_coupling(P, h)
-        assert math.isnan(c2) and math.isnan(factor)
+            _, c2, factor, s2 = valley_coupling(P, h)
+        assert math.isnan(c2) and math.isnan(factor) and math.isnan(s2)

@@ -274,19 +274,21 @@ class TestStationaryExperiment:
         assert (data[:, 1] * width).sum() == pytest.approx(1.0, abs=0.02)
         assert float(meta["x_variance_target"]) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("t_main, expected", [
-        # Two blocks of 256 streams.  The residual phase (streams 512..1023)
+    @pytest.mark.parametrize("t_main, expected, dt_main", [
+        # Ids name each case by its t_main.  Two blocks of 256 streams.  The residual phase (streams 512..1023)
         # blows up at step 12 in both blocks; the main phase blows up at step
-        # 115 in the second block only, and a main-phase blowup is reported
-        # before any residual-phase one.
-        ("12.76", ("115", "478", "1")),
+        # 116, its last, in the second block only, and a main-phase blowup is
+        # reported before any residual-phase one.
+        pytest.param("12.76", ("116", "272", "1"), "0.1101", id="12.76-expected0"),
         # Main phase clean: the first block's residual blowup is reported.
-        ("0.11", ("12", "513", "1")),
+        pytest.param("0.11", ("12", "512", "1"), "0.11", id="0.11-expected1"),
     ])
-    def test_blowup_reported_alike_at_any_worker_count(self, tmp_path, t_main, expected):
+    def test_blowup_reported_alike_at_any_worker_count(
+        self, tmp_path, t_main, expected, dt_main
+    ):
         out = tmp_path / "st.csv"
         args = ["stationary", "--out", str(out), "--set", "n_samples=512",
-                "--set", "dt_main=0.11", "--set", f"t_main={t_main}",
+                "--set", f"dt_main={dt_main}", "--set", f"t_main={t_main}",
                 "--set", "stride_main=1", "--set", "dt_resid=0.5",
                 "--set", "t_resid=20", "--set", "stride_resid=1"]
         seen = []
@@ -351,9 +353,9 @@ class TestCLIContract:
         assert res.exit_code == 3
         meta, _, _ = read_csv(out)
         assert meta["blowup_step"] == "22"
-        assert meta["blowup_stream"] == "1"
+        assert meta["blowup_stream"] == "0"
         assert meta["blowup_beta"] == "1"
-        assert "step 22 (stream 1, beta 1)" in res.output
+        assert "step 22 (stream 0, beta 1)" in res.output
         # Every beta steps in one batch, so a blowup leaves no per-beta file.
         assert not list(tmp_path.glob("ens_beta*.csv"))
 
@@ -369,7 +371,7 @@ class TestCLIContract:
             assert res.exit_code == 3
             meta, _, _ = read_csv(out)
             assert (meta["blowup_step"], meta["blowup_stream"], meta["blowup_beta"]) == (
-                "22", "1", "1"
+                "22", "0", "1"
             )
             seen.append(res.stderr)
         assert seen[0] == seen[1]
@@ -390,6 +392,33 @@ class TestCLIContract:
         res = run_cli(["landscape", "--out", str(tmp_path / "l.csv"), "--threads", "0"])
         assert res.exit_code == 2
         assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("affinity, cpu_count, asked, used", [
+        ({0, 1}, 64, 8, 2),
+        ({0, 1}, 64, 1, 1),
+        ({0, 1, 2, 3}, 2, 3, 3),
+        (None, 3, 8, 3),
+        (None, None, 8, 1),
+    ])
+    def test_threads_capped_at_usable_cpus(
+        self, tmp_path, monkeypatch, affinity, cpu_count, asked, used
+    ):
+        # The CPU count is patched and the runner replaced, so no worker starts.
+        seen = []
+
+        def runner(cfg, out, threads=1):
+            seen.append(threads)
+            return 0
+
+        monkeypatch.setitem(mzcg.experiments.RUNNERS, "landscape", runner)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        res = run_cli(["landscape", "--out", str(tmp_path / "l.csv"), "--threads", str(asked)])
+        assert res.exit_code == 0
+        assert seen == [used]
 
     @pytest.mark.parametrize("args", [
         ["kernel", "--set", "omega=0"],

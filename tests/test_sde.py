@@ -8,10 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mzcg import kernel
+from mzcg import kernel, sde
 from mzcg.benchmark import BenchmarkParams, grad_potential
 from mzcg.kernel import _sample_orthogonal_drifts, memory_integral_closed_form
 from mzcg.models import (
@@ -196,6 +196,76 @@ class TestSimulateFull:
         assert np.array_equal(back.trajectory.states, err.trajectory.states)
         assert np.array_equal(back.recorded[0], times)
         assert np.array_equal(back.recorded[1], np.ones((2, 2)))
+
+
+class TestFullStepTanForm:
+    """One unthermostatted step of the engine, whose drift takes sin and cos
+    from tan(omega x / 2), agrees with a sin/cos reference to a few ulps of
+    the terms it carries: the sine's tau and the gap, each times its
+    prefactor, the mu x term, and the state the increment lands on."""
+
+    DT = 1.0
+    ULPS = 4
+
+    def step(self, x, y):
+        """(x, y) after one step, also where the step leaves range."""
+        state = np.array([[[x]], [[y]]])
+        cfg = IntegratorConfig(dt=self.DT, t_final=self.DT)
+        with np.errstate(all="ignore"):
+            try:
+                sde._march(P, cfg, state, True, (), None, None, [], lambda times, k: None)
+            except NumericalBlowupError:
+                pass
+        return state[0, 0, 0], state[1, 0, 0]
+
+    def reference(self, x, y):
+        with np.errstate(all="ignore"):
+            gap = P.tau * np.sin(P.omega * x) - y
+            g = P.lam * P.tau * P.omega * gap * np.cos(P.omega * x) + P.mu * x
+            return x - g * self.DT, y - -P.lam * gap * self.DT, gap
+
+    def close(self, got, want, scale):
+        # A few ulps of the increment's terms, and one of the state landed on.
+        eps = np.finfo(float).eps
+        return bool(
+            got == want
+            or (np.isnan(got) and np.isnan(want))
+            or abs(got - want) <= eps * (self.ULPS * scale + abs(want))
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.floats(allow_nan=False, allow_infinity=False),
+        offset=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    @example(x=0.0, offset=1.0)
+    @example(x=5e-324, offset=0.0)
+    @example(x=-2.2250738585072014e-308, offset=0.5)
+    @example(x=math.pi / P.omega, offset=0.0)  # tan(omega x / 2) ~ 1.6e16
+    @example(x=np.nextafter(-math.pi / P.omega, 0.0), offset=-1.0)
+    @example(x=3.0 * math.pi / P.omega, offset=0.0)
+    @example(x=1e12, offset=0.0)
+    @example(x=1e300, offset=2.0)
+    @example(x=1.7976931348623157e308, offset=0.0)
+    def test_matches_sincos_reference(self, x, offset):
+        # Beyond overflow of omega x the reference has no angle.
+        assume(math.isfinite(P.omega * x))
+        y = P.tau * math.sin(P.omega * x) + offset
+        x1, y1 = self.step(x, y)
+        ref_x, ref_y, gap = self.reference(x, y)
+        carried = (P.tau + abs(gap)) * self.DT
+        lto = P.lam * P.tau * P.omega
+        assert self.close(y1, ref_y, P.lam * carried)
+        assert self.close(x1, ref_x, lto * carried + P.mu * abs(x) * self.DT)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_gives_nan_and_a_blowup(self, x):
+        state = np.array([[[x, 0.1]], [[1.0, 1.0]]])
+        cfg = IntegratorConfig(dt=1e-3, t_final=1e-3)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError) as err:
+            sde._march(P, cfg, state, True, (), None, None, [], lambda times, k: None)
+        assert err.value.step == 1
+        assert np.isnan(state[:, 0, 0]).all() and np.isfinite(state[:, 0, 1]).all()
 
 
 class TestSimulateScalar:
