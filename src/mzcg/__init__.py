@@ -43,12 +43,10 @@ from .models import (
     thermostatted_coefficients,
 )
 from .sde import (
-    GridMismatchError,
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
     Trajectory,
-    ensemble_mean,
     simulate_full,
     simulate_scalar,
 )

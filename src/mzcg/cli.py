@@ -1,6 +1,7 @@
 """Command-line entry point: one subcommand per experiment, writing CSV data
 files.  Exit codes: 0 success, 2 configuration error, 3 numerical blowup
-(partial output retained and flagged in the file comments)."""
+(flagged in the file comments; a full-system blowup writes the comments
+alone)."""
 
 from __future__ import annotations
 

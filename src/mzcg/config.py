@@ -13,12 +13,14 @@ parameters shared by all experiments are declared once, in ``_PARAMS``.
 Rules that involve several keys, or one experiment's use of a key, are
 explicit code in ``_check_rules``.  Once derived values are filled in, the
 per-key checks run again, the scales the runners divide by must be finite and
-positive, and every integration window must pass ``IntegratorConfig``'s rule.
+positive, every integration window must pass ``IntegratorConfig``'s rule, and
+the arrays the runner fills must fit in physical memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from typing import Callable, NamedTuple
@@ -278,6 +280,47 @@ def _check_derived(experiment, cfg):
             raise ConfigError(f"{name} = {horizon:g} with {dt} = {cfg[dt]:g}: {err}") from err
 
 
+def _n_records(t_final, dt, stride):
+    """Length of ``IntegratorConfig(dt, t_final, stride).record_steps()``,
+    without building it."""
+    return -(-IntegratorConfig(dt, t_final).n_steps // stride) + 1
+
+
+def _array_bytes(experiment, cfg):
+    """Bytes of the float64 arrays the runner fills (the recorded series, the
+    kernels' per-lag samples, the landscape's grid), and what shrinks them."""
+    if experiment == "landscape":
+        return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
+    if experiment in ("kernel", "kernel-matrix"):
+        return 2 * cfg["n_lags"] * cfg["n_samples"] * 8, "fewer n_samples or n_lags"
+    if experiment == "stationary":
+        records = (_n_records(cfg["t_main"], cfg["dt_main"], cfg["stride_main"])
+                   + _n_records(cfg["t_resid"], cfg["dt_resid"], cfg["stride_resid"]))
+        return 2 * cfg["n_samples"] * records * 8, "a larger stride_main or stride_resid"
+    records = _n_records(cfg["t_final"], cfg["dt"], cfg["record_stride"])
+    if experiment == "ensemble":
+        series = 3 * len(cfg["beta_list"]) * cfg["n_samples"]
+    else:
+        series = cfg["n_samples"] + len(cfg["models"])
+    return series * records * 8, "a larger record_stride"
+
+
+def _check_memory(experiment, cfg):
+    """The runner's arrays must fit in physical memory (where the platform
+    tells its size): a run that cannot hold them fails only once it has
+    started them."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need, remedy = _array_bytes(experiment, cfg)
+    if need > physical:
+        raise ConfigError(
+            f"{experiment} needs {need / 1e9:,.1f} GB for its arrays, more than the "
+            f"{physical / 1e9:,.1f} GB of physical memory; use {remedy}"
+        )
+
+
 def _finalize(experiment, keys, cfg):
     """Derive the keys still None, then check the derived values and every
     integration window."""
@@ -292,6 +335,7 @@ def _finalize(experiment, keys, cfg):
     if cfg.get("record_stride", 1) is None:
         n_steps = IntegratorConfig(cfg["dt"], cfg["t_final"]).n_steps
         cfg["record_stride"] = max(1, n_steps // 2000)
+    _check_memory(experiment, cfg)
 
 
 def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=False):

@@ -32,6 +32,7 @@ from .sde import (
     integrate_flow_batch,
     integrate_full_batch,
     map_stream_blocks,
+    mean_stderr,
     raise_earliest_blowup,
 )
 
@@ -179,8 +180,7 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
     blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
     full = np.concatenate([x for x, _ in blocks], axis=0)
     times = icfg.record_steps() * icfg.dt
-    full_mean = full.mean(axis=0)
-    full_stderr = full.std(axis=0, ddof=1) / np.sqrt(full.shape[0])
+    full_mean, full_stderr = mean_stderr(full)
 
     header = ["t", "full_mean", "full_stderr"]
     columns = [times, full_mean, full_stderr]
@@ -223,14 +223,12 @@ def run_ensemble(cfg, out_path, threads=1) -> int:
     # copy is held on top of the blocks.
     blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
     times = icfg.record_steps() * icfg.dt
-    n = cfg["n_samples"]
 
     for k, beta in enumerate(betas):
         cols = {}
         for name, parts in zip(("full", "approx", "nomem"), zip(*blocks)):
             data = parts[0][k] if len(parts) == 1 else np.concatenate([b[k] for b in parts])
-            cols[f"{name}_mean"] = data.mean(axis=0)
-            cols[f"{name}_stderr"] = data.std(axis=0, ddof=1) / np.sqrt(n)
+            cols[f"{name}_mean"], cols[f"{name}_stderr"] = mean_stderr(data)
 
         summary = [
             ("initial_amplitude", abs(x0)),

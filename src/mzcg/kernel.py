@@ -21,6 +21,7 @@ from .sde import (
     NumericalBlowupError,
     Trajectory,
     map_stream_blocks,
+    mean_stderr,
 )
 
 
@@ -97,17 +98,39 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
 
 def _rk4_march(p, x, y, span, dt):
     """Advance a batch of orthogonal-dynamics states by ``span`` with classical
-    RK4, using equal substeps no longer than ``dt`` (landing exactly)."""
+    RK4, using equal substeps no longer than ``dt`` (landing exactly).
+
+    The state marches as one stacked (2, n) array.  The four slopes, the
+    stage input and the drift's scratch are allocated once per call, and the
+    stage arithmetic runs in place with 0-d constants, in the operation order
+    of ``x + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with stage inputs
+    ``x + (h / 2) * k``.  Returns new arrays (x, y).
+    """
     n_sub = max(1, ceil(span / dt - 1e-12))
     h = span / n_sub
+    z = np.stack((x, y))
+    k1, k2, k3, k4, t = (np.empty_like(z) for _ in range(5))
+    cos = np.empty_like(z[0])
+    half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
+    add, mul = np.add, np.multiply
     for _ in range(n_sub):
-        k1x, k1y = orthogonal_drift_xy(p, x, y)
-        k2x, k2y = orthogonal_drift_xy(p, x + (0.5 * h) * k1x, y + (0.5 * h) * k1y)
-        k3x, k3y = orthogonal_drift_xy(p, x + (0.5 * h) * k2x, y + (0.5 * h) * k2y)
-        k4x, k4y = orthogonal_drift_xy(p, x + h * k3x, y + h * k3y)
-        x = x + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-    return x, y
+        orthogonal_drift_xy(p, z[0], z[1], k1, cos)
+        mul(half_h, k1, t)
+        add(z, t, t)
+        orthogonal_drift_xy(p, t[0], t[1], k2, cos)
+        mul(half_h, k2, t)
+        add(z, t, t)
+        orthogonal_drift_xy(p, t[0], t[1], k3, cos)
+        mul(full_h, k3, t)
+        add(z, t, t)
+        orthogonal_drift_xy(p, t[0], t[1], k4, cos)
+        add(k2, k3, t)
+        mul(two, t, t)
+        add(k1, t, t)
+        add(t, k4, t)
+        mul(sixth_h, t, t)
+        add(z, t, z)
+    return z[0], z[1]
 
 
 def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig) -> Trajectory:
@@ -172,13 +195,6 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
     return np.concatenate(map_stream_blocks(worker, n_samples, threads=threads), axis=1)
 
 
-def _mc_moments(prod, beta):
-    n = prod.shape[1]
-    values = beta * prod.mean(axis=1)
-    stderr = beta * prod.std(axis=1, ddof=1) / np.sqrt(n)
-    return values, stderr
-
-
 def empirical_kernel(
     p: BenchmarkParams, x0, lags, n_samples, stream, cfg, threads=1
 ) -> KernelEstimate:
@@ -191,7 +207,7 @@ def empirical_kernel(
     lags = np.asarray(lags, dtype=float)
     drifts = _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads)
     a = drifts[:, :, 0]
-    values, stderr = _mc_moments(a * a[0], p.beta)
+    values, stderr = mean_stderr(a * a[0], axis=1, factor=p.beta)
     return KernelEstimate(
         x0=float(x0), lags=lags, values=values, stderr=stderr, n_samples=n_samples
     )
@@ -214,7 +230,9 @@ def empirical_kernel_matrix(
     stderr = np.empty_like(values)
     for j in range(nfull):
         for k in range(nfull):
-            values[:, j, k], stderr[:, j, k] = _mc_moments(g[:, :, j] * g[0, :, k], p.beta)
+            values[:, j, k], stderr[:, j, k] = mean_stderr(
+                g[:, :, j] * g[0, :, k], axis=1, factor=p.beta
+            )
     return KernelEstimate(
         x0=float(x0), lags=lags, values=values, stderr=stderr, n_samples=n_samples
     )

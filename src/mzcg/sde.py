@@ -17,7 +17,9 @@ depend on the batch around it, and a multi-beta run equals one-beta runs bit
 for bit.
 
 A blowup raises ``NumericalBlowupError`` at the first step that leaves range,
-naming the lowest stream, then the first beta, that left it.
+naming the lowest stream, then the first beta, that left it.  At the widths
+the experiments run, a step costs ufunc calls more than arithmetic, so
+``_march`` makes as few calls as it can (see its docstring).
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
@@ -44,6 +46,8 @@ from . import models
 
 # Any coordinate beyond this magnitude (or non-finite) counts as a blowup.
 BLOWUP_LIMIT = 1e12
+# Its square rounded: |v| >= BLOWUP_LIMIT gives v * v >= BLOWUP_SQUARED.
+BLOWUP_SQUARED = BLOWUP_LIMIT**2
 
 # Most steps one integration may take: beyond 2**53, round(t_final / dt) no
 # longer counts steps exactly (and no such run would finish).
@@ -55,10 +59,6 @@ NOISE_CHUNK = 4096
 # The worker of the running map_stream_blocks call.  Workers are closures,
 # which cannot be pickled; forked children inherit this instead.
 _block_worker = None
-
-
-class GridMismatchError(ValueError):
-    """Trajectories passed to an ensemble reduction have different time grids."""
 
 
 class NumericalBlowupError(RuntimeError):
@@ -243,6 +243,15 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     ``records``.  ``package(times, k)`` turns the first k records into the
     caller's return value; a blowup raises at its step, carrying that value
     for the records taken before it as ``recorded``.
+
+    A step costs ufunc calls more than arithmetic, so it makes few: every
+    constant is a 0-d array made once per call (a ufunc takes one for less
+    per call than a Python float, with the same bits), x and y are updated
+    as one view of planes 0 and -1, and the thermostat scales each
+    increment pair in one call.  The blowup test is one dot product of the
+    state with itself; only when the sum of squares reaches BLOWUP_SQUARED
+    (or is not finite) does the exact test of every entry decide, so the
+    decision is always that of the exact test.
     """
     n_steps = cfg.n_steps
     rec_idx = cfg.record_steps()
@@ -252,18 +261,28 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
         dst[..., 0] = src
     rec_pos = 1
 
-    dt = cfg.dt
+    dt = np.array(cfg.dt)
     thermostat = beta is not None
     if thermostat:
         amp = np.sqrt(2.0 * dt / beta)
-        az = np.empty(state.shape[1:])  # amp * resolved noise component
+        # amp times each stream's increment pair; daz[0] is the resolved part.
+        daz = np.empty((2,) + state.shape[1:])
+        az = daz[0]
     if full:
-        x, y = state[0], state[-1]
-        mu, lam, tau, omega = p.mu, p.lam, p.tau, p.omega
-        lto = lam * tau * omega
-        half_omega = 0.5 * omega
-        wx, c, gap, g = (np.empty_like(x) for _ in range(4))
-    mag = np.empty_like(state)
+        # x and y as one view: planes 0 and -1, whatever lies between them.
+        x, y = xy = state[:: len(state) - 1]
+        half_omega, one, tau, lto, mu, neg_lam = (np.array(v) for v in (
+            0.5 * p.omega, 1.0, p.tau, p.lam * p.tau * p.omega, p.mu, -p.lam))
+        # The drift's x and y components; gx first holds 1 / (1 + u^2) and
+        # gy the valley gap.
+        gxy = np.empty_like(xy)
+        gx, gy = gxy
+        wx, c = np.empty_like(x), np.empty_like(x)
+    # The blowup test reads the live state through this view; a copy would
+    # go stale, and ravel copies a state that is not contiguous.
+    flat = state.ravel()
+    if not np.may_share_memory(flat, state):
+        raise ValueError("the state must be one contiguous array")
 
     # In-place ufuncs take their output positionally: the out= keyword adds a
     # per-call cost that shows on narrow batches, such as one-row models.
@@ -272,10 +291,10 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     while step < n_steps:
         span = min(NOISE_CHUNK, n_steps - step)
         if thermostat:
-            noise = _draw_noise(streams, span)
+            noise = _draw_noise(streams, span)[:, :, None]
         for j in range(span):
             if thermostat:
-                mul(amp, noise[j, 0], az)
+                mul(amp, noise[j], daz)
             if full:
                 # x - (mu x + lam tau omega gap cos(omega x)) dt and
                 # y - (-lam gap) dt, with gap = tau sin(omega x) - y, where
@@ -284,27 +303,23 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 mul(half_omega, x, wx)
                 np.tan(wx, wx)
                 mul(wx, wx, c)
-                add(c, 1.0, g)
-                div(1.0, g, g)
-                sub(1.0, c, c)
-                mul(c, g, c)
+                add(c, one, gx)
+                div(one, gx, gx)
+                sub(one, c, c)
+                mul(c, gx, c)
                 add(wx, wx, wx)
-                mul(wx, g, gap)
-                mul(gap, tau, gap)
-                sub(gap, y, gap)
-                mul(lto, gap, g)
-                mul(g, c, g)
+                mul(wx, gx, gy)
+                mul(gy, tau, gy)
+                sub(gy, y, gy)
+                mul(lto, gy, gx)
+                mul(gx, c, gx)
                 mul(mu, x, c)
-                add(g, c, g)
-                mul(g, dt, g)
-                sub(x, g, x)
-                mul(gap, -lam, gap)
-                mul(gap, dt, gap)
-                sub(y, gap, y)
+                add(gx, c, gx)
+                mul(gy, neg_lam, gy)
+                mul(gxy, dt, gxy)
+                sub(xy, gxy, xy)
                 if thermostat:
-                    add(x, az, x)
-                    mul(amp, noise[j, 1], gap)
-                    add(y, gap, y)
+                    add(xy, daz, xy)
             for model, h in stepped:
                 if thermostat:
                     b, sigma = models.thermostatted_coefficients(model, h, beta)
@@ -316,7 +331,12 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 if thermostat:
                     add(h, sigma, h)
             step += 1
-            if not np.abs(state, mag).max() < BLOWUP_LIMIT:
+            # The sum of squares is at least each rounded square, so passing
+            # it means every |entry| < BLOWUP_LIMIT; nan, inf and overflowing
+            # squares fail it and fall through to the exact test.
+            if not np.dot(flat, flat) < BLOWUP_SQUARED and not (
+                np.abs(state).max() < BLOWUP_LIMIT
+            ):
                 raise _blowup_error(
                     step, state, beta, streams, package(times[:rec_pos], rec_pos)
                 )
@@ -504,22 +524,13 @@ def simulate_scalar(model, p, h0, cfg, stream, thermostat=True) -> Trajectory:
     )
 
 
-def ensemble_mean(trajectories) -> tuple[Trajectory, np.ndarray]:
-    """Pointwise mean of trajectories on one common grid, plus the pointwise
-    standard error of the mean (zero for a single trajectory)."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    times = trajectories[0].times
-    for t in trajectories[1:]:
-        if t.times.shape != times.shape or not np.array_equal(t.times, times):
-            raise GridMismatchError("trajectories are on different time grids")
-    stack = np.stack([t.states for t in trajectories])
-    mean = stack.mean(axis=0)
-    if len(trajectories) == 1:
-        stderr = np.zeros_like(mean)
-    else:
-        stderr = stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
-    return Trajectory(times, mean), stderr
+def mean_stderr(samples, axis=0, factor=1.0):
+    """``factor`` times the mean of ``samples`` along ``axis``, and its
+    standard error ``(factor * std(ddof=1)) / sqrt(n)`` over the ``n``
+    samples: the one reduction of the ensembles and the kernel estimators."""
+    n = samples.shape[axis]
+    return (factor * samples.mean(axis=axis),
+            factor * samples.std(axis=axis, ddof=1) / np.sqrt(n))
 
 
 def raise_earliest_blowup(results):

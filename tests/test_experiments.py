@@ -456,6 +456,13 @@ class TestCLIContract:
          "--set", "n_lags=3"],
         # omega x0 overflows to inf, whose cosine is nan (math.cos would raise).
         pytest.param(["kernel", "--set", "x0=1e308"], id="x0-overflow"),
+        # Arrays beyond physical memory, e.g. 1.2 TB for a full-scale ensemble
+        # that records every step; each fails before anything is allocated.
+        pytest.param(["ensemble", "--set", "record_stride=1"], id="records-exceed-memory"),
+        ["mean-trajectory", "--set", "record_stride=1", "--set", "n_samples=100000"],
+        ["stationary", "--set", "stride_main=1", "--set", "n_samples=10000000"],
+        ["kernel", "--set", "n_samples=100000000000"],
+        ["landscape", "--set", "grid_points=10000000"],
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mzcg.benchmark import BenchmarkParams, orthogonal_drift
+from mzcg.benchmark import BenchmarkParams, orthogonal_drift, orthogonal_drift_xy
 from mzcg.geometry import build_cg_map
 from mzcg.kernel import (
     KernelEstimate,
+    _rk4_march,
     approx_kernel,
     approx_kernel_div,
     default_lag_grid,
@@ -125,6 +128,42 @@ class TestOrthogonalTrajectory:
         err_coarse = np.linalg.norm(endpoint(base) - ref)
         err_fine = np.linalg.norm(endpoint(base / 2.0) - ref)
         assert 10.0 < err_coarse / err_fine < 22.0
+
+
+def allocating_rk4_march(p, x, y, span, dt):
+    """RK4 in the allocating form that the in-place march must equal bit for bit."""
+    n_sub = max(1, math.ceil(span / dt - 1e-12))
+    h = span / n_sub
+    for _ in range(n_sub):
+        k1x, k1y = orthogonal_drift_xy(p, x, y)
+        k2x, k2y = orthogonal_drift_xy(p, x + (0.5 * h) * k1x, y + (0.5 * h) * k1y)
+        k3x, k3y = orthogonal_drift_xy(p, x + (0.5 * h) * k2x, y + (0.5 * h) * k2y)
+        k4x, k4y = orthogonal_drift_xy(p, x + h * k3x, y + h * k3y)
+        x = x + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
+    return x, y
+
+
+class TestRK4March:
+    @pytest.mark.parametrize("p", [P, P_SMALL])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_in_place_march_equals_allocating_form_bitwise(self, p, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-3.0, 3.0, n)
+        y = p.tau * np.sin(p.omega * x) + rng.normal(scale=0.5, size=n)
+        x[0] = np.pi / p.omega  # tan(omega x / 2) near its pole
+        dt = 1e-4 / p.lam
+        got = _rk4_march(p, x.copy(), y.copy(), 7.5 * dt, dt)
+        want = allocating_rk4_march(p, x, y, 7.5 * dt, dt)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_drift_into_buffers_equals_new_arrays(self):
+        x = np.linspace(-2.0, 2.0, 11)
+        y = np.cos(x)
+        out, cos = np.full((2, 11), np.nan), np.full(11, np.nan)
+        assert orthogonal_drift_xy(P, x, y, out, cos) is out
+        assert out.tobytes() == orthogonal_drift_xy(P, x, y).tobytes()
 
 
 class TestEmpiricalKernel:

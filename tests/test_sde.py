@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mzcg import kernel, sde
 from mzcg.benchmark import BenchmarkParams, grad_potential
@@ -23,17 +24,17 @@ from mzcg.models import (
     drift,
 )
 from mzcg.sde import (
-    GridMismatchError,
+    BLOWUP_LIMIT,
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
     Trajectory,
-    ensemble_mean,
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
     integrate_scalar_batch,
     map_stream_blocks,
+    mean_stderr,
     simulate_full,
     simulate_scalar,
 )
@@ -268,6 +269,64 @@ class TestFullStepTanForm:
         assert np.isnan(state[:, 0, 0]).all() and np.isfinite(state[:, 0, 1]).all()
 
 
+# Entries on both sides of the blowup limit, and ones whose squares misbehave.
+_NEAR_LIMIT = np.nextafter(BLOWUP_LIMIT, 0.0)
+_EDGE_VALUES = [
+    math.nan, math.inf, -math.inf, BLOWUP_LIMIT, -BLOWUP_LIMIT, _NEAR_LIMIT,
+    -_NEAR_LIMIT, 1e200, -1e200, 5e-324, -2.2250738585072014e-308, 0.0, -0.0,
+]
+
+
+class TestBlowupDecision:
+    """The engine's blowup test, a sum of squares with an exact fallback,
+    raises exactly when some entry is not below the limit in magnitude."""
+
+    def raises(self, state):
+        # No plane is stepped, so the test sees the state as given.
+        cfg = IntegratorConfig(dt=1.0, t_final=1.0)
+        with np.errstate(all="ignore"):
+            try:
+                sde._march(P, cfg, state, False, (), None, None, [], lambda times, k: None)
+            except NumericalBlowupError as err:
+                assert err.step == 1
+                return True
+        return False
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40)),
+        elements=st.one_of(
+            st.sampled_from(_EDGE_VALUES),
+            st.floats(min_value=-1.5e12, max_value=1.5e12),
+            st.floats(width=64),
+        ),
+    ))
+    def test_raises_iff_an_entry_leaves_range(self, state):
+        expected = not (np.abs(state) < BLOWUP_LIMIT).all()
+        assert self.raises(state) == expected
+
+    @pytest.mark.parametrize("value", _EDGE_VALUES)
+    def test_each_edge_value_alone(self, value):
+        state = np.zeros((2, 1, 3))
+        state[-1, 0, 1] = value
+        assert self.raises(state) == (not abs(value) < BLOWUP_LIMIT)
+
+    def test_state_that_is_not_contiguous_is_refused(self):
+        # The test reads the state through a flat view, which a copy would not be.
+        state = np.zeros((4, 1, 3))[::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            self.raises(state)
+
+    @pytest.mark.parametrize("n", [2, 64, 10_000])
+    def test_many_entries_below_the_limit_do_not_raise(self, n):
+        # Their squares sum far past BLOWUP_LIMIT**2: the fallback decides.
+        state = np.full((2, 1, n), _NEAR_LIMIT)
+        state[1] *= -1.0
+        assert np.dot(state.ravel(), state.ravel()) >= sde.BLOWUP_SQUARED
+        assert not self.raises(state)
+
+
 class TestSimulateScalar:
     def test_memory_free_exponential(self):
         model = EffectiveModel(MEMORY_FREE, P)
@@ -494,36 +553,33 @@ class TestThermostattedStationarity:
 
 
 class TestEnsembleMean:
-    def test_single_trajectory_is_identity_with_zero_stderr(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        mean, stderr = ensemble_mean([traj])
-        assert np.array_equal(mean.states, traj.states)
-        assert np.all(stderr == 0.0)
-
     def test_mirrored_pair_averages_to_zero(self):
         t = np.linspace(0.0, 1.0, 5)
         f = np.sin(t) + 0.5
-        mean, _ = ensemble_mean([Trajectory(t, f), Trajectory(t, -f)])
-        assert np.allclose(mean.states, 0.0, atol=1e-15)
-
-    def test_grid_mismatch(self):
-        a = Trajectory(np.array([0.0, 1.0]), np.zeros(2))
-        b = Trajectory(np.array([0.0, 2.0]), np.zeros(2))
-        with pytest.raises(GridMismatchError):
-            ensemble_mean([a, b])
+        mean, _ = mean_stderr(np.stack([f, -f]))
+        assert np.allclose(mean, 0.0, atol=1e-15)
 
     def test_ou_ensemble_mean_tracks_analytic_decay(self):
         # 500 thermostatted OU trajectories: mean within 3 stderr of x0 e^{-mu t}.
         n = 500
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, record_stride=250)
-        trajs = []
-        for i in range(n):
-            traj = simulate_full(P_OU, np.array([1.0, 0.0]), cfg, NoiseStream(8, i))
-            trajs.append(Trajectory(traj.times, traj.x))
-        mean, stderr = ensemble_mean(trajs)
-        analytic = np.exp(-P_OU.mu * mean.times)
+        streams = [NoiseStream(8, i) for i in range(n)]
+        _, rec = integrate_full_batch(P_OU, np.tile([1.0, 0.0], (n, 1)), cfg, streams)
+        mean, stderr = mean_stderr(rec[:, :, 0])
+        analytic = np.exp(-P_OU.mu * cfg.record_steps() * cfg.dt)
         for k in (2, 4):
-            assert abs(mean.states[k] - analytic[k]) < 3.0 * stderr[k]
+            assert abs(mean[k] - analytic[k]) < 3.0 * stderr[k]
+
+    def test_factor_scales_before_dividing(self):
+        # The runners' and the kernel estimators' expressions, bit for bit.
+        samples = np.random.default_rng(4).normal(size=(9, 33))
+        beta = 0.3
+        mean, stderr = mean_stderr(samples)
+        assert np.array_equal(mean, samples.mean(axis=0))
+        assert np.array_equal(stderr, samples.std(axis=0, ddof=1) / np.sqrt(9))
+        mean, stderr = mean_stderr(samples, axis=1, factor=beta)
+        assert np.array_equal(mean, beta * samples.mean(axis=1))
+        assert np.array_equal(stderr, beta * samples.std(axis=1, ddof=1) / np.sqrt(33))
 
 
 # The engines of the partition sweep; each returns its outputs stream axis first.
