@@ -59,6 +59,17 @@ class BenchmarkParams:
             c.flags.writeable = False
         return constants
 
+    @cached_property
+    def _coupling_constants(self):
+        """omega, 1, tau^2 omega^2 and -mu, the constants of
+        :func:`valley_coupling` and of the reduced models when they write into
+        caller buffers, as read-only 0-d float64 arrays made once."""
+        constants = tuple(np.array(v) for v in (
+            self.omega, 1.0, self.tau * self.tau * self.omega * self.omega, -self.mu))
+        for c in constants:
+            c.flags.writeable = False
+        return constants
+
 
 def potential(p: BenchmarkParams, x, y):
     """Potential energy (mu/2) x^2 + (lam/2) (tau sin(omega x) - y)^2."""
@@ -84,7 +95,7 @@ def effective_potential_grad(p: BenchmarkParams, h):
     return p.mu * np.asarray(h, dtype=float)
 
 
-def valley_coupling(p: BenchmarkParams, h):
+def valley_coupling(p: BenchmarkParams, h, out=None):
     """The valley coupling tau^2 omega^2 cos^2(omega h) seen by the resolved
     coordinate at ``h``, as (tau^2 omega^2, cos^2(omega h), 1 + tau^2 omega^2
     cos^2(omega h), sin(2 omega h)): its two factors, which callers group as
@@ -96,8 +107,27 @@ def valley_coupling(p: BenchmarkParams, h):
     sin(2 omega h) = 2 t cos^2(omega h).  A Python float ``h`` gives Python
     floats with the bits of a one-element array, so t comes from ``np.tan``
     there too (``math.tan`` differs from it in the last bit for some
-    arguments); a non-finite argument gives nan without raising."""
+    arguments); a non-finite argument gives nan without raising.
+
+    ``out``, three float arrays of one shape that ``h`` broadcasts to and
+    that share no memory with ``h``, receives the last three values, from the
+    same operations in the same order with 0-d constants and no temporary;
+    tau^2 omega^2 is still returned as a Python float."""
     t2w2 = p.tau * p.tau * p.omega * p.omega
+    if out is not None:
+        omega, one, t2w2_0d, _ = p._coupling_constants
+        c2, factor, s2 = out
+        mul, add = np.multiply, np.add
+        mul(omega, h, s2)
+        np.tan(s2, s2)  # t
+        mul(s2, s2, c2)
+        add(one, c2, c2)
+        np.divide(one, c2, c2)
+        mul(t2w2_0d, c2, factor)
+        add(one, factor, factor)
+        add(s2, s2, s2)
+        mul(s2, c2, s2)
+        return t2w2, c2, factor, s2
     t = np.tan(p.omega * h)
     if type(h) is float:
         t = float(t)

@@ -109,7 +109,7 @@ KEYS = {
         "beta": Key(float, 1.0, POSITIVE),
         "master_seed": Key(int, 1),
         "x0": Key(float, 2.0),
-        "n_samples": Key(int, 500, AT_LEAST_1),
+        "n_samples": Key(int, 500, AT_LEAST_2),
         "dt": Key(float, 1e-5, POSITIVE),
         "t_final": Key(float, 80.0, POSITIVE),
         "record_stride": Key(int, None, AT_LEAST_1),
@@ -120,7 +120,7 @@ KEYS = {
         "beta_list": Key(_float_list, (1.0, 10.0, 100.0)),
         "master_seed": Key(int, 1),
         "x0": Key(float, None),
-        "n_samples": Key(int, 500, AT_LEAST_1),
+        "n_samples": Key(int, 500, AT_LEAST_2),
         "dt": Key(float, 1e-5, POSITIVE),
         "t_final": Key(float, 320.0, POSITIVE),
         "record_stride": Key(int, None, AT_LEAST_1),

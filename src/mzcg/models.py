@@ -92,7 +92,7 @@ def diffusion(model: EffectiveModel, h):
     return np.sqrt(1.0 / valley_coupling(p, h)[2])
 
 
-def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
+def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, work=None):
     """Ito coefficients (b, sigma) of the thermostatted model at ``h``:
     b = drift(h) + (1/beta) d(sigma^2)/dh and sigma = diffusion(h), with
     drift(h) and sigma equal bit for bit to what those functions return.
@@ -106,19 +106,49 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
     :func:`~mzcg.benchmark.valley_coupling` call, whose one tangent gives
     cos^2(omega h) and sin(2 omega h).  ``memory-free`` has constant sigma and
     no such term.
+
+    ``out=(b, sigma)``, two float arrays of the shape of ``h`` broadcast
+    against ``beta``, receives the coefficients with the bits of the
+    allocating call, from the same operations in the same order with 0-d
+    constants; ``work``, an array of that shape, is the scratch of
+    ``memory-corrected`` (a new array when not given).  None of them may
+    share memory with ``h``.  Returns ``out``.
     """
     p = model.params
-    h = np.asarray(h, dtype=float)
-    if model.kind == MEMORY_FREE:
-        return -p.mu * h, np.ones_like(h)
     if model.kind == NAIVE_MEMORY:
         raise UnsupportedModelError(
             "naive-memory has no noise closure and cannot be thermostatted"
         )
     if beta is None:
         beta = p.beta
-    t2w2, _, denom, s2 = valley_coupling(p, h)
-    # ((1/beta) t2w2) omega is formed before it meets sin(2 omega h), so an
-    # array of betas gives each row the bits of a scalar-beta call.
-    noise_drift = (1.0 / beta) * t2w2 * p.omega * s2 / np.square(denom)
-    return -p.mu * h / denom + noise_drift, np.sqrt(1.0 / denom)
+    if out is None:
+        h = np.asarray(h, dtype=float)
+        if model.kind == MEMORY_FREE:
+            return -p.mu * h, np.ones_like(h)
+        t2w2, _, denom, s2 = valley_coupling(p, h)
+        # ((1/beta) t2w2) omega is formed before it meets sin(2 omega h), so
+        # an array of betas gives each row the bits of a scalar-beta call.
+        noise_drift = (1.0 / beta) * t2w2 * p.omega * s2 / np.square(denom)
+        return -p.mu * h / denom + noise_drift, np.sqrt(1.0 / denom)
+
+    b, sigma = out
+    omega, one, t2w2, neg_mu = p._coupling_constants
+    mul, div = np.multiply, np.divide
+    if model.kind == MEMORY_FREE:
+        mul(neg_mu, h, b)
+        sigma.fill(1.0)
+        return out
+    if work is None:
+        work = np.empty_like(b)
+    # cos^2 goes to work, the slowing factor (denom) to sigma and the sine to
+    # b; then the allocating path's operations follow in its order.
+    valley_coupling(p, h, out=(work, sigma, b))
+    mul(mul(mul(div(one, beta), t2w2), omega), b, b)
+    np.square(sigma, work)
+    div(b, work, b)  # the noise-induced drift
+    mul(neg_mu, h, work)
+    div(work, sigma, work)
+    np.add(work, b, b)
+    div(one, sigma, sigma)
+    np.sqrt(sigma, sigma)
+    return out

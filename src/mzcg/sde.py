@@ -19,7 +19,10 @@ for bit.
 A blowup raises ``NumericalBlowupError`` at the first step that leaves range,
 naming the lowest stream, then the first beta, that left it.  At the widths
 the experiments run, a step costs ufunc calls more than arithmetic, so
-``_march`` makes as few calls as it can (see its docstring).
+``_march`` makes as few calls as it can and allocates no array of the
+batch's width: every plane, the full system's and each reduced model's,
+writes its drift and its noise term into two buffers shaped like the state,
+and one update steps them all (see its docstring).
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
@@ -36,6 +39,7 @@ so threads would not overlap.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +59,15 @@ MAX_STEPS = 2**53
 
 # Steps of noise generated per block inside the integration loops.
 NOISE_CHUNK = 4096
+
+# The one Philox generator of the process, which every NoiseStream seeks to
+# its own key and counter before it draws: far cheaper than a new Philox per
+# stream, whose constructor draws OS entropy for a seed sequence that a keyed
+# generator never uses.  Made on first draw; the lock keeps each seek and its
+# draw together.
+_philox = None
+_philox_lock = threading.Lock()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 # The worker of the running map_stream_blocks call.  Workers are closures,
 # which cannot be pickled; forked children inherit this instead.
@@ -114,8 +127,6 @@ class NoiseStream:
     stream_id: int
     position: int = 0
     _key: np.ndarray = field(init=False, repr=False)
-    _bitgen: Philox | None = field(init=False, repr=False, default=None)
-    _word_cursor: int = field(init=False, repr=False, default=-1)
 
     def __post_init__(self):
         self._key = np.array(
@@ -123,22 +134,27 @@ class NoiseStream:
         )
 
     def _take_words(self, count: int) -> np.ndarray:
-        # Words [2*position, 2*position + count) of the keyed counter stream.
-        # The generator persists between calls; it is reseeked only when
-        # ``position`` was changed externally (Philox advances in 4-word
-        # blocks, so a reseek may discard up to 2 words).
-        word_start = 2 * self.position
-        if self._bitgen is None or self._word_cursor != word_start:
-            self._bitgen = Philox(key=self._key)
-            if word_start >= 4:
-                self._bitgen.advance(word_start // 4)
-            skip = word_start % 4
-            if skip:
-                self._bitgen.random_raw(skip)
-            self._word_cursor = word_start
-        words = self._bitgen.random_raw(count)
-        self._word_cursor += count
-        return words
+        # Words [2*position, 2*position + count) of the keyed counter stream,
+        # the words of Philox(key=self._key) from there.  Every draw seeks the
+        # shared generator to this key and counter: Philox makes 4 words per
+        # counter value, so it may draw up to 2 words before the first.
+        global _philox
+        block, skip = divmod(2 * self.position, 4)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [(block >> s) % 2**64 for s in (0, 64, 128, 192)],
+                      "key": self._key},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        with _philox_lock:
+            if _philox is None:
+                _philox = Philox(key=self._key)
+            _philox.state = state
+            words = _philox.random_raw(skip + count)
+        return words[skip:]
 
     def pairs(self, count: int) -> np.ndarray:
         """Next ``count`` standard-normal pairs, shape (count, 2)."""
@@ -231,12 +247,12 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
 
     ``state`` has shape (planes, n_beta, n_streams) and is stepped in place.
     With ``full`` set, its first and last planes are the full system's x and
-    y.  ``stepped`` holds one (model, h) pair per reduced model, ``h`` being
-    the plane of ``state`` that the model steps.  ``beta`` is None for an
-    unthermostatted run, which steps the drift alone and draws no noise, or
-    a column of shape (n_beta, 1): row block k then runs at inverse
-    temperature beta[k], and all row blocks share the noise drawn once per
-    stream and chunk.  The full system
+    y.  ``stepped`` holds the reduced models, one per remaining plane in
+    order: the planes between x and y with ``full`` set, every plane
+    otherwise.  ``beta`` is None for an unthermostatted run, which steps the
+    drift alone and draws no noise, or a column of shape (n_beta, 1): row
+    block k then runs at inverse temperature beta[k], and all row blocks
+    share the noise drawn once per stream and chunk.  The full system
     consumes each stream's increment pair, every model its first component.
 
     After each recorded step ``dst[..., pos] = src`` for each (src, dst) of
@@ -244,14 +260,22 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     caller's return value; a blowup raises at its step, carrying that value
     for the records taken before it as ``recorded``.
 
-    A step costs ufunc calls more than arithmetic, so it makes few: every
-    constant is a 0-d array made once per call (a ufunc takes one for less
-    per call than a Python float, with the same bits), x and y are updated
-    as one view of planes 0 and -1, and the thermostat scales each
-    increment pair in one call.  The blowup test is one dot product of the
-    state with itself; only when the sum of squares reaches BLOWUP_SQUARED
-    (or is not finite) does the exact test of every entry decide, so the
-    decision is always that of the exact test.
+    A step costs ufunc calls more than arithmetic, so it makes few, and
+    allocates no array of the batch's width.  Every plane writes its drift into one buffer ``g``
+    and its noise into one buffer ``noise_term``, both shaped like the
+    state: the full system's gradient and the thermostat's amp * xi go to
+    the x and y planes, and each model's coefficients
+    (:func:`models.thermostatted_coefficients` into the model's planes, or
+    :func:`models.drift` copied there) to its own.  One update then serves
+    every plane: ``g *= dt``, x and y lose ``g`` (one view of planes 0 and
+    -1), the models' contiguous planes gain it, and the state gains the
+    noise term.  Each element sees the operations, in the order, of a
+    separate step per plane.  Every constant is a 0-d array made once per
+    call (a ufunc takes one for less per call than a Python float, with the
+    same bits).  The blowup test is one dot product of the state with
+    itself; only when the sum of squares reaches BLOWUP_SQUARED (or is not
+    finite) does the exact test of every entry decide, so the decision is
+    always that of the exact test.
     """
     n_steps = cfg.n_steps
     rec_idx = cfg.record_steps()
@@ -263,21 +287,34 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
 
     dt = np.array(cfg.dt)
     thermostat = beta is not None
-    if thermostat:
-        amp = np.sqrt(2.0 * dt / beta)
-        # amp times each stream's increment pair; daz[0] is the resolved part.
-        daz = np.empty((2,) + state.shape[1:])
-        az = daz[0]
+    # Every plane's drift, and with the thermostat its noise term.
+    g = np.empty_like(state)
+    h_planes = slice(1, -1) if full else slice(None)
+    h, gh = state[h_planes], g[h_planes]
     if full:
         # x and y as one view: planes 0 and -1, whatever lies between them.
-        x, y = xy = state[:: len(state) - 1]
+        xy_planes = slice(None, None, len(state) - 1)
+        x, y = xy = state[xy_planes]
         half_omega, one, tau, lto, mu, neg_lam = (np.array(v) for v in (
             0.5 * p.omega, 1.0, p.tau, p.lam * p.tau * p.omega, p.mu, -p.lam))
         # The drift's x and y components; gx first holds 1 / (1 + u^2) and
         # gy the valley gap.
-        gxy = np.empty_like(xy)
+        gxy = g[xy_planes]
         gx, gy = gxy
         wx, c = np.empty_like(x), np.empty_like(x)
+    if thermostat:
+        amp = np.sqrt(2.0 * dt / beta)
+        noise_term = np.empty_like(state)
+        nh = noise_term[h_planes]
+        # amp times each stream's increment pair, in the x and y planes of
+        # the noise term (or apart, with no full system); az, its first
+        # component, is what the models take.
+        daz = noise_term[xy_planes] if full else np.empty((2,) + state.shape[1:])
+        az = daz[0]
+        work = np.empty(state.shape[1:])
+        planes = list(zip(stepped, h, gh, nh))
+    else:
+        planes = list(zip(stepped, h, gh))
     # The blowup test reads the live state through this view; a copy would
     # go stale, and ravel copies a state that is not contiguous.
     flat = state.ravel()
@@ -296,10 +333,10 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
             if thermostat:
                 mul(amp, noise[j], daz)
             if full:
-                # x - (mu x + lam tau omega gap cos(omega x)) dt and
-                # y - (-lam gap) dt, with gap = tau sin(omega x) - y, where
-                # u = tan(omega x / 2) and w = 1 / (1 + u^2) give
-                # cos(omega x) = (1 - u^2) w and sin(omega x) = 2 u w.
+                # mu x + lam tau omega gap cos(omega x) and -lam gap, with
+                # gap = tau sin(omega x) - y, where u = tan(omega x / 2) and
+                # w = 1 / (1 + u^2) give cos(omega x) = (1 - u^2) w and
+                # sin(omega x) = 2 u w.
                 mul(half_omega, x, wx)
                 np.tan(wx, wx)
                 mul(wx, wx, c)
@@ -316,20 +353,22 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 mul(mu, x, c)
                 add(gx, c, gx)
                 mul(gy, neg_lam, gy)
-                mul(gxy, dt, gxy)
+            if thermostat:
+                for model, hm, b, sigma in planes:
+                    models.thermostatted_coefficients(model, hm, beta, (b, sigma), work)
+                if planes:
+                    mul(nh, az, nh)
+            else:
+                for model, hm, b in planes:
+                    np.copyto(b, models.drift(model, hm))
+            # The update: x - g dt, y - g dt and h + b dt, then + noise.
+            mul(g, dt, g)
+            if full:
                 sub(xy, gxy, xy)
-                if thermostat:
-                    add(xy, daz, xy)
-            for model, h in stepped:
-                if thermostat:
-                    b, sigma = models.thermostatted_coefficients(model, h, beta)
-                    mul(sigma, az, sigma)
-                else:
-                    b = models.drift(model, h)
-                mul(b, dt, b)
-                add(h, b, h)
-                if thermostat:
-                    add(h, sigma, h)
+            if planes:
+                add(h, gh, h)
+            if thermostat:
+                add(state, noise_term, state)
             step += 1
             # The sum of squares is at least each rounded square, so passing
             # it means every |entry| < BLOWUP_LIMIT; nan, inf and overflowing
@@ -391,7 +430,7 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     state[0, 0] = h0s
     recorded = np.empty((n, len(cfg.record_steps())))
     return _march(
-        p, cfg, state, False, [(model, state[0])],
+        p, cfg, state, False, [model],
         np.array([[p.beta]]) if thermostat else None, streams,
         [(state, recorded[None, None])], lambda times, k: (times, recorded[:, :k]),
     )
@@ -432,7 +471,7 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
         return times, recs[0], list(recs[1:])
 
     return _march(
-        p, cfg, state, True, list(zip(scalar_models, state[1:-1])), column, streams,
+        p, cfg, state, True, scalar_models, column, streams,
         [(state[:-1], out)], package,
     )
 

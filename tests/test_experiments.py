@@ -463,6 +463,11 @@ class TestCLIContract:
         ["stationary", "--set", "stride_main=1", "--set", "n_samples=10000000"],
         ["kernel", "--set", "n_samples=100000000000"],
         ["landscape", "--set", "grid_points=10000000"],
+        # One sample has no standard error.
+        pytest.param(["ensemble", "--set", "n_samples=1", "--set", "dt=0.01",
+                      "--set", "t_final=0.1"], id="ensemble-one-sample"),
+        pytest.param(["mean-trajectory", "--set", "n_samples=1", "--set", "dt=0.01",
+                      "--set", "t_final=0.1"], id="mean-trajectory-one-sample"),
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

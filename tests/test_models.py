@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mzcg.benchmark import BenchmarkParams
+from mzcg.benchmark import BenchmarkParams, valley_coupling
 from mzcg.kernel import memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
@@ -146,3 +146,61 @@ class TestThermostattedCoefficients:
     def test_naive_memory_has_no_noise_closure(self):
         with pytest.raises(UnsupportedModelError):
             thermostatted_coefficients(EffectiveModel(NAIVE_MEMORY, P), 0.1)
+
+
+# Signed zeros, subnormals, the blowup limit, huge and non-finite arguments.
+EDGE_H = np.array([
+    0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e12, -1e12, 1e300, -1e300,
+    1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+])
+
+
+def same_bits(a, b):
+    """Equal shapes and bits, nan payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceCoefficients:
+    """``out=`` writes the bits of the allocating call, which the engine's
+    model planes rely on."""
+
+    @pytest.mark.parametrize("kind", [MEMORY_CORRECTED, MEMORY_FREE])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h=st.lists(st.floats(), max_size=20),
+        beta=st.one_of(
+            st.none(),
+            st.floats(1e-3, 1e3),
+            st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+        ),
+        with_work=st.booleans(),
+    )
+    def test_out_equals_allocating_call_bitwise(self, kind, h, beta, with_work):
+        model = EffectiveModel(kind, P)
+        h = np.concatenate([np.array(h, dtype=float), EDGE_H])
+        if isinstance(beta, list):
+            beta = np.array(beta).reshape(-1, 1)
+        shape = np.broadcast_shapes(h.shape, np.shape(beta) if beta is not None else ())
+        out = (np.empty(shape), np.empty(shape))
+        work = np.empty(shape) if with_work else None
+        with np.errstate(all="ignore"):
+            b, sigma = thermostatted_coefficients(model, h, beta)
+            got = thermostatted_coefficients(model, h, beta, out=out, work=work)
+        assert got is out
+        assert same_bits(out[0], np.broadcast_to(b, shape))
+        assert same_bits(out[1], np.broadcast_to(sigma, shape))
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.lists(st.floats(), max_size=20))
+    def test_valley_coupling_out_equals_allocating_call_bitwise(self, h):
+        h = np.concatenate([np.array(h, dtype=float), EDGE_H])
+        out = tuple(np.empty_like(h) for _ in range(3))
+        with np.errstate(all="ignore"):
+            expected = valley_coupling(P, h)
+            got = valley_coupling(P, h, out=out)
+        assert type(got[0]) is float and got[0] == expected[0]
+        assert all(g is o for g, o in zip(got[1:], out))
+        for g, e in zip(got[1:], expected[1:]):
+            assert same_bits(g, e)
+        assert np.isnan(got[2][-1]) and np.isnan(got[3][-1])

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from mzcg import kernel, sde
 from mzcg.benchmark import BenchmarkParams, grad_potential
@@ -22,6 +24,7 @@ from mzcg.models import (
     EffectiveModel,
     diffusion,
     drift,
+    thermostatted_coefficients,
 )
 from mzcg.sde import (
     BLOWUP_LIMIT,
@@ -98,6 +101,31 @@ class TestNoiseStream:
             want = whole[pos:pos + n]
             assert np.array_equal(got, want if op == "pairs" else want[:, 0])
             assert s.position == pos + n
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        position=st.one_of(st.integers(0, 9), st.integers(0, 2**62)),
+        count=st.integers(0, 9),
+        other=st.integers(0, 2**64 - 1),
+    )
+    def test_pairs_come_from_the_keyed_philox_words(
+        self, seed, stream_id, position, count, other
+    ):
+        # The words of Philox(key=(seed, stream)) from word 2 * position,
+        # whatever stream drew before or between the draws.
+        g = Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+        start = 2 * position
+        g.advance(start // 4)
+        words = g.random_raw(start % 4 + 2 * count + 2)[start % 4:].reshape(count + 1, 2)
+        want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        s = NoiseStream(seed, stream_id, position=position)
+        NoiseStream(other, stream_id).pairs(3)
+        assert np.array_equal(s.pairs(count), want[:count])
+        NoiseStream(seed, other, position=position).pairs(1)
+        assert np.array_equal(s.pairs(1), want[count:])
 
 
 class TestIntegratorConfig:
@@ -429,6 +457,62 @@ class TestSimulateScalar:
         assert np.array_equal(times, full_times)
         assert np.array_equal(full_x, full_rec[:, :, 0])
         assert [r.shape for r in model_recs] == [full_x.shape] * 2
+
+
+def _allocating_crn_steps(p, model_list, x0, y0, h0, dt, n_steps, streams, betas):
+    """The CRN engine's steps written out with an allocating expression per
+    plane: the full system's tan-form gradient, and each model as
+    h + b dt + sigma az with (b, sigma) from the allocating
+    thermostatted_coefficients.  Returns x and each model's h after every
+    step, shaped (n_beta, n, n_steps)."""
+    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
+    amp = np.sqrt(2.0 * dt / beta)
+    xi = np.stack([s.pairs(n_steps) for s in streams], axis=-1)  # (steps, 2, n)
+    shape = (len(beta), len(streams))
+    x, y = np.full(shape, x0), np.full(shape, y0)
+    hs = [np.full(shape, h0) for _ in model_list]
+    xs, hrecs = [], [[] for _ in model_list]
+    for j in range(n_steps):
+        az, ay = amp * xi[j, 0], amp * xi[j, 1]
+        u = np.tan((0.5 * p.omega) * x)
+        u2 = u * u
+        w = 1.0 / (u2 + 1.0)
+        gap = (u + u) * w * p.tau - y
+        gx = p.lam * p.tau * p.omega * gap * ((1.0 - u2) * w) + p.mu * x
+        gy = gap * -p.lam
+        for i, model in enumerate(model_list):
+            b, sigma = thermostatted_coefficients(model, hs[i], beta)
+            hs[i] = hs[i] + b * dt + sigma * az
+            hrecs[i].append(hs[i])
+        x, y = x - gx * dt + az, y - gy * dt + ay
+        xs.append(x)
+    return np.stack(xs, axis=-1), [np.stack(r, axis=-1) for r in hrecs]
+
+
+class TestModelPlanes:
+    @pytest.mark.parametrize("betas", [(1.0,), (1.0, 10.0, 100.0)])
+    @pytest.mark.parametrize("width", [1, 7, 600])
+    def test_crn_steps_equal_the_allocating_form_bitwise(self, width, betas):
+        # Every plane writes into the engine's shared drift and noise
+        # buffers, and one update serves them all; each element must still
+        # see the operations of the separate allocating steps.
+        model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+        n_steps, dt = 6, 1e-3
+        x0, h0 = 0.3, 0.17
+        y0 = P.tau * np.sin(P.omega * x0)
+        cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt)
+        assert cfg.n_steps == n_steps
+        streams = [NoiseStream(8, i) for i in range(width)]
+        _, full_x, recs = integrate_crn_batch(
+            P, model_list, (x0, y0), h0, cfg, streams, betas
+        )
+        xs, hs = _allocating_crn_steps(
+            P, model_list, x0, y0, h0, dt, n_steps,
+            [NoiseStream(8, i) for i in range(width)], betas,
+        )
+        assert np.array_equal(full_x[..., 1:], xs)
+        for rec, h in zip(recs, hs):
+            assert np.array_equal(rec[..., 1:], h)
 
 
 class TestFlowBatch:
