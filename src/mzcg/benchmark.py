@@ -135,16 +135,10 @@ def valley_coupling(p: BenchmarkParams, h, out=None):
     return t2w2, c2, 1.0 + t2w2 * c2, 2.0 * t * c2
 
 
-def conditional_y_sample(p: BenchmarkParams, x, stream, deterministic: bool = False):
+def conditional_y_sample(p: BenchmarkParams, x, stream):
     """Draw the unresolved coordinate from its conditional equilibrium law
-    N(tau sin(omega x), 1/(beta lam)) given the resolved value ``x``.
-
-    ``deterministic=True`` returns the conditional mean exactly (the zero
-    temperature limit) and consumes nothing from ``stream``.
-    """
+    N(tau sin(omega x), 1/(beta lam)) given the resolved value ``x``."""
     mean = p.tau * np.sin(p.omega * x)
-    if deterministic:
-        return mean
     return mean + np.sqrt(1.0 / (p.beta * p.lam)) * stream.scalars(1)[0]
 
 
@@ -155,9 +149,11 @@ def orthogonal_drift_xy(p: BenchmarkParams, x, y, out=None, cos=None):
     It vanishes identically on y = tau sin(omega x).  ``x`` and ``y`` are
     float arrays of one shape.
 
-    The result is written into ``out``, shape (2,) + x.shape, with ``cos``
-    (x's shape) as scratch; either one is a new array when not given, and
-    neither may share memory with ``x`` or ``y``.  Returns ``out``.
+    The result is written into ``out``, an array of shape (2,) + x.shape or
+    a pair of arrays of x's shape, with ``cos`` (x's shape) as scratch;
+    either one is a new array when not given, and neither may share memory
+    with ``x`` or ``y``.  Returns ``out``.  Adding (-mu x, 0) gives the full
+    drift -grad V, which is what the Euler-Maruyama engine steps.
 
     With u = tan(omega x / 2) and w = 1 / (1 + u^2), cos(omega x) =
     (1 - u^2) w and sin(omega x) = 2 u w; a non-finite x gives nan without
@@ -182,8 +178,8 @@ def orthogonal_drift_xy(p: BenchmarkParams, x, y, out=None, cos=None):
     mul(u, tau, u)
     sub(u, y, u)  # the valley gap
     mul(u, lam, w)
+    mul(neg_lto, u, u)
     mul(u, cos, u)
-    mul(u, neg_lto, u)
     return out
 
 

@@ -107,12 +107,11 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, wo
     cos^2(omega h) and sin(2 omega h).  ``memory-free`` has constant sigma and
     no such term.
 
-    ``out=(b, sigma)``, two float arrays of the shape of ``h`` broadcast
-    against ``beta``, receives the coefficients with the bits of the
-    allocating call, from the same operations in the same order with 0-d
-    constants; ``work``, an array of that shape, is the scratch of
-    ``memory-corrected`` (a new array when not given).  None of them may
-    share memory with ``h``.  Returns ``out``.
+    The coefficients are written into ``out=(b, sigma)``, two float arrays
+    of the shape of ``h`` broadcast against ``beta``, with 0-d constants and
+    no temporary of that shape; ``work``, an array of that shape, is the
+    scratch of ``memory-corrected``.  Each is a new array when not given,
+    and none may share memory with ``h``.  Returns ``out``.
     """
     p = model.params
     if model.kind == NAIVE_MEMORY:
@@ -122,15 +121,8 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, wo
     if beta is None:
         beta = p.beta
     if out is None:
-        h = np.asarray(h, dtype=float)
-        if model.kind == MEMORY_FREE:
-            return -p.mu * h, np.ones_like(h)
-        t2w2, _, denom, s2 = valley_coupling(p, h)
-        # ((1/beta) t2w2) omega is formed before it meets sin(2 omega h), so
-        # an array of betas gives each row the bits of a scalar-beta call.
-        noise_drift = (1.0 / beta) * t2w2 * p.omega * s2 / np.square(denom)
-        return -p.mu * h / denom + noise_drift, np.sqrt(1.0 / denom)
-
+        shape = np.broadcast_shapes(np.shape(h), np.shape(beta))
+        out = (np.empty(shape), np.empty(shape))
     b, sigma = out
     omega, one, t2w2, neg_mu = p._coupling_constants
     mul, div = np.multiply, np.divide
@@ -141,7 +133,8 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, wo
     if work is None:
         work = np.empty_like(b)
     # cos^2 goes to work, the slowing factor (denom) to sigma and the sine to
-    # b; then the allocating path's operations follow in its order.
+    # b.  ((1/beta) t2w2) omega is formed before it meets the sine, so an
+    # array of betas gives each row the bits of a scalar-beta call.
     valley_coupling(p, h, out=(work, sigma, b))
     mul(mul(mul(div(one, beta), t2w2), omega), b, b)
     np.square(sigma, work)

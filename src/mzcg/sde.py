@@ -22,7 +22,10 @@ the experiments run, a step costs ufunc calls more than arithmetic, so
 ``_march`` makes as few calls as it can and allocates no array of the
 batch's width: every plane, the full system's and each reduced model's,
 writes its drift and its noise term into two buffers shaped like the state,
-and one update steps them all (see its docstring).
+and one update steps them all (see its docstring).  The full system's drift
+is built from the one definition of the benchmark's orthogonal drift,
+:func:`~mzcg.benchmark.orthogonal_drift_xy`, plus its conditional average
+(-mu x, 0); the kernel's RK4 march steps the same function.
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
@@ -47,6 +50,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from . import models
+from .benchmark import orthogonal_drift_xy
 
 # Any coordinate beyond this magnitude (or non-finite) counts as a blowup.
 BLOWUP_LIMIT = 1e12
@@ -261,21 +265,21 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     for the records taken before it as ``recorded``.
 
     A step costs ufunc calls more than arithmetic, so it makes few, and
-    allocates no array of the batch's width.  Every plane writes its drift into one buffer ``g``
-    and its noise into one buffer ``noise_term``, both shaped like the
-    state: the full system's gradient and the thermostat's amp * xi go to
-    the x and y planes, and each model's coefficients
+    allocates no array of the batch's width.  Every plane writes its drift
+    into one buffer ``g`` and its noise into one buffer ``noise_term``, both
+    shaped like the state.  The full system's drift -grad V, which is
+    :func:`~mzcg.benchmark.orthogonal_drift_xy` plus its conditional average
+    (-mu x, 0), goes to the x and y planes, and the thermostat's amp * xi to
+    theirs in the noise term; each model's coefficients
     (:func:`models.thermostatted_coefficients` into the model's planes, or
-    :func:`models.drift` copied there) to its own.  One update then serves
-    every plane: ``g *= dt``, x and y lose ``g`` (one view of planes 0 and
-    -1), the models' contiguous planes gain it, and the state gains the
-    noise term.  Each element sees the operations, in the order, of a
-    separate step per plane.  Every constant is a 0-d array made once per
-    call (a ufunc takes one for less per call than a Python float, with the
-    same bits).  The blowup test is one dot product of the state with
-    itself; only when the sum of squares reaches BLOWUP_SQUARED (or is not
-    finite) does the exact test of every entry decide, so the decision is
-    always that of the exact test.
+    :func:`models.drift` copied there) go to its own.  One update then serves
+    every plane: ``g *= dt``, the state gains ``g``, then the noise term.
+    Each element sees the operations, in the order, of a separate step per
+    plane.  Every constant is a 0-d array made once (a ufunc takes one for
+    less per call than a Python float, with the same bits).  The blowup test
+    is one dot product of the state with itself; only when the sum of squares
+    reaches BLOWUP_SQUARED (or is not finite) does the exact test of every
+    entry decide, so the decision is always that of the exact test.
     """
     n_steps = cfg.n_steps
     rec_idx = cfg.record_steps()
@@ -287,29 +291,27 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
 
     dt = np.array(cfg.dt)
     thermostat = beta is not None
-    # Every plane's drift, and with the thermostat its noise term.
-    g = np.empty_like(state)
+    # Every plane's drift.  The update reads every plane, so it starts at
+    # zero: a call with no plane stepped must leave the state alone.
+    g = np.zeros_like(state)
     h_planes = slice(1, -1) if full else slice(None)
     h, gh = state[h_planes], g[h_planes]
     if full:
-        # x and y as one view: planes 0 and -1, whatever lies between them.
-        xy_planes = slice(None, None, len(state) - 1)
-        x, y = xy = state[xy_planes]
-        half_omega, one, tau, lto, mu, neg_lam = (np.array(v) for v in (
-            0.5 * p.omega, 1.0, p.tau, p.lam * p.tau * p.omega, p.mu, -p.lam))
-        # The drift's x and y components; gx first holds 1 / (1 + u^2) and
-        # gy the valley gap.
-        gxy = g[xy_planes]
-        gx, gy = gxy
-        wx, c = np.empty_like(x), np.empty_like(x)
+        x, y = state[0], state[-1]
+        # The drift's x and y planes as one pair, made once rather than
+        # unpacked from a view of both on every step.
+        gx = g[0]
+        gxy = (gx, g[-1])
+        c = np.empty_like(x)
+        neg_mu = p._coupling_constants[3]
     if thermostat:
         amp = np.sqrt(2.0 * dt / beta)
         noise_term = np.empty_like(state)
         nh = noise_term[h_planes]
         # amp times each stream's increment pair, in the x and y planes of
-        # the noise term (or apart, with no full system); az, its first
-        # component, is what the models take.
-        daz = noise_term[xy_planes] if full else np.empty((2,) + state.shape[1:])
+        # the noise term as one view of planes 0 and -1 (or apart, with no
+        # full system); az, its first component, is what the models take.
+        daz = noise_term[::len(state) - 1] if full else np.empty((2,) + state.shape[1:])
         az = daz[0]
         work = np.empty(state.shape[1:])
         planes = list(zip(stepped, h, gh, nh))
@@ -323,7 +325,7 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
 
     # In-place ufuncs take their output positionally: the out= keyword adds a
     # per-call cost that shows on narrow batches, such as one-row models.
-    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    add, mul = np.add, np.multiply
     step = 0
     while step < n_steps:
         span = min(NOISE_CHUNK, n_steps - step)
@@ -333,26 +335,10 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
             if thermostat:
                 mul(amp, noise[j], daz)
             if full:
-                # mu x + lam tau omega gap cos(omega x) and -lam gap, with
-                # gap = tau sin(omega x) - y, where u = tan(omega x / 2) and
-                # w = 1 / (1 + u^2) give cos(omega x) = (1 - u^2) w and
-                # sin(omega x) = 2 u w.
-                mul(half_omega, x, wx)
-                np.tan(wx, wx)
-                mul(wx, wx, c)
-                add(c, one, gx)
-                div(one, gx, gx)
-                sub(one, c, c)
-                mul(c, gx, c)
-                add(wx, wx, wx)
-                mul(wx, gx, gy)
-                mul(gy, tau, gy)
-                sub(gy, y, gy)
-                mul(lto, gy, gx)
-                mul(gx, c, gx)
-                mul(mu, x, c)
+                # -grad V: the orthogonal drift plus (-mu x, 0).
+                orthogonal_drift_xy(p, x, y, gxy, c)
+                mul(neg_mu, x, c)
                 add(gx, c, gx)
-                mul(gy, neg_lam, gy)
             if thermostat:
                 for model, hm, b, sigma in planes:
                     models.thermostatted_coefficients(model, hm, beta, (b, sigma), work)
@@ -361,12 +347,9 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
             else:
                 for model, hm, b in planes:
                     np.copyto(b, models.drift(model, hm))
-            # The update: x - g dt, y - g dt and h + b dt, then + noise.
+            # The update: state + g dt, then + noise.
             mul(g, dt, g)
-            if full:
-                sub(xy, gxy, xy)
-            if planes:
-                add(h, gh, h)
+            add(state, g, state)
             if thermostat:
                 add(state, noise_term, state)
             step += 1

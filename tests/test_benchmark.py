@@ -91,12 +91,6 @@ class TestEffectivePotentialGrad:
 
 
 class TestConditionalSample:
-    def test_deterministic_limit(self):
-        x = 0.37
-        assert conditional_y_sample(P, x, None, deterministic=True) == pytest.approx(
-            P.tau * np.sin(P.omega * x)
-        )
-
     def test_moments(self):
         n = 100_000
         stream = NoiseStream(42, 0)

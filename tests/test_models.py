@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,9 +162,23 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def reference_coefficients(model, h, beta):
+    """(b, sigma) of the thermostatted model from drift, diffusion and the
+    kernel's closed-form noise-induced drift, one beta at a time: a
+    reference written apart from thermostatted_coefficients."""
+    if model.kind == MEMORY_FREE:
+        return drift(model, h), diffusion(model, h)
+    rows = [
+        drift(model, h) + memory_integral_closed_form(replace(P, beta=float(b)), h)[1]
+        for b in np.ravel(P.beta if beta is None else beta)
+    ]
+    return (np.stack(rows) if np.ndim(beta) == 2 else rows[0]), diffusion(model, h)
+
+
 class TestInPlaceCoefficients:
-    """``out=`` writes the bits of the allocating call, which the engine's
-    model planes rely on."""
+    """The coefficients, in caller buffers or new ones, have the bits of the
+    model's drift, diffusion and closed-form noise-induced drift, which the
+    engine's model planes rely on."""
 
     @pytest.mark.parametrize("kind", [MEMORY_CORRECTED, MEMORY_FREE])
     @settings(max_examples=100, deadline=None)
@@ -185,11 +200,13 @@ class TestInPlaceCoefficients:
         out = (np.empty(shape), np.empty(shape))
         work = np.empty(shape) if with_work else None
         with np.errstate(all="ignore"):
-            b, sigma = thermostatted_coefficients(model, h, beta)
+            b, sigma = reference_coefficients(model, h, beta)
+            allocated = thermostatted_coefficients(model, h, beta)
             got = thermostatted_coefficients(model, h, beta, out=out, work=work)
         assert got is out
-        assert same_bits(out[0], np.broadcast_to(b, shape))
-        assert same_bits(out[1], np.broadcast_to(sigma, shape))
+        for coefficients in (got, allocated):
+            assert same_bits(coefficients[0], np.broadcast_to(b, shape))
+            assert same_bits(coefficients[1], np.broadcast_to(sigma, shape))
 
     @settings(max_examples=100, deadline=None)
     @given(h=st.lists(st.floats(), max_size=20))

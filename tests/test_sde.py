@@ -24,7 +24,6 @@ from mzcg.models import (
     EffectiveModel,
     diffusion,
     drift,
-    thermostatted_coefficients,
 )
 from mzcg.sde import (
     BLOWUP_LIMIT,
@@ -459,34 +458,55 @@ class TestSimulateScalar:
         assert [r.shape for r in model_recs] == [full_x.shape] * 2
 
 
+def _model_coefficients(model, h, beta):
+    """(b, sigma) of the thermostatted model at ``h`` (one row per entry of
+    the column ``beta``) from drift, diffusion and the kernel's closed-form
+    noise-induced drift: a reference written apart from
+    thermostatted_coefficients."""
+    if model.kind == MEMORY_FREE:
+        return drift(model, h), diffusion(model, h)
+    b = np.stack([
+        drift(model, row) + memory_integral_closed_form(replace(model.params, beta=float(bk)), row)[1]
+        for row, bk in zip(h, beta[:, 0])
+    ])
+    return b, diffusion(model, h)
+
+
 def _allocating_crn_steps(p, model_list, x0, y0, h0, dt, n_steps, streams, betas):
-    """The CRN engine's steps written out with an allocating expression per
-    plane: the full system's tan-form gradient, and each model as
-    h + b dt + sigma az with (b, sigma) from the allocating
-    thermostatted_coefficients.  Returns x and each model's h after every
+    """The engine's steps written out with an allocating expression per
+    plane: the full system's step x - g dt with g its tan-form gradient, and
+    each model as h + b dt + sigma az with (b, sigma) from
+    _model_coefficients.  ``betas`` None steps with no thermostat, ``streams``
+    then giving only the width.  Returns x, y and each model's h after every
     step, shaped (n_beta, n, n_steps)."""
-    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
-    amp = np.sqrt(2.0 * dt / beta)
-    xi = np.stack([s.pairs(n_steps) for s in streams], axis=-1)  # (steps, 2, n)
+    thermostat = betas is not None
+    beta = np.asarray(betas if thermostat else p.beta, dtype=float).reshape(-1, 1)
+    if thermostat:
+        amp = np.sqrt(2.0 * dt / beta)
+        xi = np.stack([s.pairs(n_steps) for s in streams], axis=-1)  # (steps, 2, n)
     shape = (len(beta), len(streams))
     x, y = np.full(shape, x0), np.full(shape, y0)
     hs = [np.full(shape, h0) for _ in model_list]
-    xs, hrecs = [], [[] for _ in model_list]
+    xs, ys, hrecs = [], [], [[] for _ in model_list]
     for j in range(n_steps):
-        az, ay = amp * xi[j, 0], amp * xi[j, 1]
         u = np.tan((0.5 * p.omega) * x)
         u2 = u * u
         w = 1.0 / (u2 + 1.0)
         gap = (u + u) * w * p.tau - y
         gx = p.lam * p.tau * p.omega * gap * ((1.0 - u2) * w) + p.mu * x
         gy = gap * -p.lam
-        for i, model in enumerate(model_list):
-            b, sigma = thermostatted_coefficients(model, hs[i], beta)
-            hs[i] = hs[i] + b * dt + sigma * az
-            hrecs[i].append(hs[i])
-        x, y = x - gx * dt + az, y - gy * dt + ay
+        x, y = x - gx * dt, y - gy * dt
+        if thermostat:
+            az, ay = amp * xi[j, 0], amp * xi[j, 1]
+            for i, model in enumerate(model_list):
+                b, sigma = _model_coefficients(model, hs[i], beta)
+                hs[i] = hs[i] + b * dt + sigma * az
+                hrecs[i].append(hs[i])
+            x, y = x + az, y + ay
         xs.append(x)
-    return np.stack(xs, axis=-1), [np.stack(r, axis=-1) for r in hrecs]
+        ys.append(y)
+    return (np.stack(xs, axis=-1), np.stack(ys, axis=-1),
+            [np.stack(r, axis=-1) for r in hrecs])
 
 
 class TestModelPlanes:
@@ -506,13 +526,34 @@ class TestModelPlanes:
         _, full_x, recs = integrate_crn_batch(
             P, model_list, (x0, y0), h0, cfg, streams, betas
         )
-        xs, hs = _allocating_crn_steps(
+        xs, _, hs = _allocating_crn_steps(
             P, model_list, x0, y0, h0, dt, n_steps,
             [NoiseStream(8, i) for i in range(width)], betas,
         )
         assert np.array_equal(full_x[..., 1:], xs)
         for rec, h in zip(recs, hs):
             assert np.array_equal(rec[..., 1:], h)
+
+    @pytest.mark.parametrize("thermostat", [True, False])
+    @pytest.mark.parametrize("width", [1, 7, 600])
+    def test_full_steps_equal_the_allocating_form_bitwise(self, width, thermostat):
+        # The engine steps x + g dt and y + g dt with g the orthogonal drift
+        # plus (-mu x, 0); x and y must keep the bits of the gradient step.
+        n_steps, dt = 6, 1e-4
+        x0 = np.linspace(-1.0, 1.0, width)
+        y0 = P.tau * np.sin(P.omega * x0) + np.linspace(0.5, -0.5, width)
+        cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt)
+        assert cfg.n_steps == n_steps
+        streams = [NoiseStream(8, i) for i in range(width)]
+        _, rec = integrate_full_batch(
+            P, np.stack([x0, y0], axis=-1), cfg, streams if thermostat else None, thermostat
+        )
+        xs, ys, _ = _allocating_crn_steps(
+            P, [], x0, y0, 0.0, dt, n_steps, [NoiseStream(8, i) for i in range(width)],
+            (P.beta,) if thermostat else None,
+        )
+        assert rec[:, 1:, 0].tobytes() == xs[0].tobytes()
+        assert rec[:, 1:, 1].tobytes() == ys[0].tobytes()
 
 
 class TestFlowBatch:
