@@ -135,11 +135,15 @@ def valley_coupling(p: BenchmarkParams, h, out=None):
     return t2w2, c2, 1.0 + t2w2 * c2, 2.0 * t * c2
 
 
-def conditional_y_sample(p: BenchmarkParams, x, stream):
+def conditional_y_sample(p: BenchmarkParams, x, streams):
     """Draw the unresolved coordinate from its conditional equilibrium law
-    N(tau sin(omega x), 1/(beta lam)) given the resolved value ``x``."""
+    N(tau sin(omega x), 1/(beta lam)) given the resolved value ``x``, once
+    per stream of ``streams`` from its next scalar draw: an array of one
+    draw per stream."""
+    from .sde import _draw_noise  # sde imports this module
+
     mean = p.tau * np.sin(p.omega * x)
-    return mean + np.sqrt(1.0 / (p.beta * p.lam)) * stream.scalars(1)[0]
+    return mean + np.sqrt(1.0 / (p.beta * p.lam)) * _draw_noise(streams, 1)[0, 0]
 
 
 def orthogonal_drift_xy(p: BenchmarkParams, x, y, out=None, cos=None):

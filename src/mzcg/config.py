@@ -219,11 +219,30 @@ def _check_rules(experiment, cfg):
         for kind in cfg["models"]:
             if kind not in MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        # Each model names a CSV column and a summary comment.
+        _check_distinct("models", cfg["models"], str)
     if "beta_list" in cfg:
         if not cfg["beta_list"]:
             raise ConfigError("beta_list must not be empty")
         if any(b <= 0.0 for b in cfg["beta_list"]):
             raise ConfigError("beta_list entries must be strictly positive")
+        # Each beta names its own output file.
+        _check_distinct("beta_list", cfg["beta_list"], beta_label)
+
+
+def beta_label(beta):
+    """The label of an ensemble output file at inverse temperature ``beta``."""
+    return f"beta{beta:g}"
+
+
+def _check_distinct(key, values, label):
+    """Refuse two entries of ``key`` whose labels coincide."""
+    seen = {}
+    for v in values:
+        if label(v) in seen:
+            raise ConfigError(
+                f"{key} entries {seen[label(v)]!r} and {v!r} both name {label(v)!r}")
+        seen[label(v)] = v
 
 
 def _reciprocal(v):
@@ -315,8 +334,10 @@ def _check_memory(experiment, cfg):
         return
     need, remedy = _array_bytes(experiment, cfg)
     if need > physical:
+        # An integer count can exceed the floats, which cannot divide it.
+        gb = need / 1e9 if need <= sys.float_info.max else math.inf
         raise ConfigError(
-            f"{experiment} needs {need / 1e9:,.1f} GB for its arrays, more than the "
+            f"{experiment} needs {gb:,.1f} GB for its arrays, more than the "
             f"{physical / 1e9:,.1f} GB of physical memory; use {remedy}"
         )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import conditional_y_sample, potential
-from .config import params_from_config
+from .config import beta_label, params_from_config
 from .csvio import write_csv
 from .geometry import build_cg_map
 from .kernel import (
@@ -28,6 +28,7 @@ from .sde import (
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
+    _draw_noise,
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
@@ -170,7 +171,7 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
 
     def worker(a, b):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
-        y0 = np.array([conditional_y_sample(p, x0, s) for s in streams])
+        y0 = conditional_y_sample(p, x0, streams)
         x0s = np.stack([np.full(b - a, x0), y0], axis=-1)
         _, full_x, runs = integrate_flow_batch(
             p, scalar_models if a == 0 else [], x0s, x0, icfg, streams
@@ -242,7 +243,7 @@ def run_ensemble(cfg, out_path, threads=1) -> int:
         meta["beta"] = beta
         header = ["t"] + list(cols)
         write_csv(
-            _with_suffix(out_path, f"beta{beta:g}"),
+            _with_suffix(out_path, beta_label(beta)),
             config_comments(meta) + summary,
             header,
             [times] + list(cols.values()),
@@ -264,8 +265,7 @@ def run_stationary(cfg, out_path, threads=1) -> int:
 
     def equilibrium_start(streams):
         x0s = np.empty((len(streams), 2))
-        for i, s in enumerate(streams):
-            zx, zy = s.pairs(1)[0]
+        for i, (zx, zy) in enumerate(_draw_noise(streams, 1)[0].T.tolist()):
             x = sd_x * zx
             x0s[i] = (x, p.tau * math.sin(p.omega * x) + sd_r * zy)
         return x0s

@@ -174,13 +174,10 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
         raise ValueError("n_samples must be >= 2")
 
     def worker(a, b):
-        k = b - a
-        y = np.empty(k)
-        for i in range(k):
-            sub = NoiseStream(stream.master_seed, stream.stream_id + a + i)
-            y[i] = benchmark.conditional_y_sample(p, x0, sub)
-        x = np.full(k, float(x0))
-        out = np.empty((len(lags), k, 2))
+        subs = [NoiseStream(stream.master_seed, stream.stream_id + i) for i in range(a, b)]
+        y = benchmark.conditional_y_sample(p, x0, subs)
+        x = np.full(b - a, float(x0))
+        out = np.empty((len(lags), b - a, 2))
         prev = 0.0
         for li, s in enumerate(lags):
             if s > prev:

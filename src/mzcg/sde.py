@@ -12,6 +12,10 @@ coordinate (x and y of the full system, h of each reduced model) and rows
 indexed by (beta, stream), so several inverse temperatures run as one wide
 batch.  Each stream's noise is drawn once per chunk and broadcast over the
 betas without a copy; the amplitude sqrt(2 dt / beta) and 1/beta are per row.
+A chunk is drawn a group of streams at a time (``_draw_noise``): each stream
+turns its Philox words into normals in place in its row of one reused buffer
+(:meth:`NoiseStream.pairs`), and the group goes into the step-major chunk in
+one blocked copy, so no write strides across the chunk one stream at a time.
 Every operation is elementwise in a fixed order, so a row's bits do not
 depend on the batch around it, and a multi-beta run equals one-beta runs bit
 for bit.
@@ -64,14 +68,22 @@ MAX_STEPS = 2**53
 # Steps of noise generated per block inside the integration loops.
 NOISE_CHUNK = 4096
 
+# Bytes of one group of streams' pairs in _draw_noise: small enough that the
+# group's words, their transform and their copy into the step-major chunk
+# stay in the L2 cache (see ROADMAP for the measurements).
+NOISE_GROUP_BYTES = 1 << 20
+
 # The one Philox generator of the process, which every NoiseStream seeks to
 # its own key and counter before it draws: far cheaper than a new Philox per
 # stream, whose constructor draws OS entropy for a seed sequence that a keyed
-# generator never uses.  Made on first draw; the lock keeps each seek and its
-# draw together.
+# generator never uses.  ``_uniform`` is the fill method of a Generator on
+# it.  Made on first draw; the lock keeps each seek and its draw together.
 _philox = None
+_uniform = None
 _philox_lock = threading.Lock()
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+# Half of the 2**-53 spacing of the uniforms: centres each one in its cell.
+_HALF_SPACING = np.array(2.0**-54)
 
 # The worker of the running map_stream_blocks call.  Workers are closures,
 # which cannot be pickled; forked children inherit this instead.
@@ -137,12 +149,23 @@ class NoiseStream:
             [self.master_seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
         )
 
-    def _take_words(self, count: int) -> np.ndarray:
-        # Words [2*position, 2*position + count) of the keyed counter stream,
-        # the words of Philox(key=self._key) from there.  Every draw seeks the
-        # shared generator to this key and counter: Philox makes 4 words per
-        # counter value, so it may draw up to 2 words before the first.
-        global _philox
+    def pairs(self, count: int, out=None) -> np.ndarray:
+        """Next ``count`` standard-normal pairs, shape (count, 2).
+
+        ``out``, a C-contiguous float64 array of ``2 * count`` elements,
+        receives them in place and is returned as that (count, 2) view.
+
+        Position n owns words [2n, 2n + 2) of the keyed counter stream, the
+        words of Philox(key=...) from there.  The draw seeks the shared
+        generator to this key and counter (Philox makes 4 words per counter
+        value, so it discards up to 2 words first) and turns each word w into
+        ndtri(((w >> 11) + 0.5) * 2**-53), computed in place as numpy's
+        (w >> 11) * 2**-53 plus 2**-54: scaling by a power of two commutes
+        with rounding, so the bits are the same and no temporary is made.
+        """
+        global _philox, _uniform
+        if out is None:
+            out = np.empty(2 * count)
         block, skip = divmod(2 * self.position, 4)
         state = {
             "bit_generator": "Philox",
@@ -156,16 +179,15 @@ class NoiseStream:
         with _philox_lock:
             if _philox is None:
                 _philox = Philox(key=self._key)
+                _uniform = np.random.Generator(_philox).random
             _philox.state = state
-            words = _philox.random_raw(skip + count)
-        return words[skip:]
-
-    def pairs(self, count: int) -> np.ndarray:
-        """Next ``count`` standard-normal pairs, shape (count, 2)."""
-        words = self._take_words(2 * count).reshape(count, 2)
+            if skip:
+                _philox.random_raw(skip)
+            _uniform(out=out)
         self.position += count
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return ndtri(u)
+        np.add(out, _HALF_SPACING, out)
+        ndtri(out, out=out)
+        return out.reshape(count, 2)
 
     def scalars(self, count: int) -> np.ndarray:
         """Next ``count`` scalar draws: component 0 of :meth:`pairs` at the
@@ -226,10 +248,21 @@ class Trajectory:
 
 def _draw_noise(streams, span):
     """The next ``span`` increment pairs of every stream, shape
-    (span, 2, n_streams), so that each step's components are contiguous rows."""
-    noise = np.empty((span, 2, len(streams)))
-    for i, s in enumerate(streams):
-        noise[:, :, i] = s.pairs(span)
+    (span, 2, n_streams), so that each step's components are contiguous rows.
+
+    The streams are drawn a group at a time, each into its row of one reused
+    buffer of about NOISE_GROUP_BYTES, and each group is copied into the chunk
+    with one blocked transpose: writing one stream's column alone would touch
+    a new cache line per element."""
+    n = len(streams)
+    noise = np.empty((span, 2, n))
+    group = max(1, min(n, NOISE_GROUP_BYTES // (16 * span)))
+    buf = np.empty((group, 2 * span))
+    for a in range(0, n, group):
+        k = min(group, n - a)
+        for s, row in zip(streams[a:a + k], buf):
+            s.pairs(span, row)
+        noise[:, :, a:a + k] = buf[:k].reshape(k, span, 2).transpose(1, 2, 0)
     return noise
 
 
@@ -327,45 +360,50 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     # per-call cost that shows on narrow batches, such as one-row models.
     add, mul = np.add, np.multiply
     step = 0
-    while step < n_steps:
-        span = min(NOISE_CHUNK, n_steps - step)
-        if thermostat:
-            noise = _draw_noise(streams, span)[:, :, None]
-        for j in range(span):
+    # Overflow is silent inside the loop: the blowup test's sum of squares
+    # overflows for a state far out of range, and the exact test then
+    # decides.  A step from a state in range overflows elsewhere only when
+    # it leaves range too, and then raises.
+    with np.errstate(over="ignore"):
+        while step < n_steps:
+            span = min(NOISE_CHUNK, n_steps - step)
             if thermostat:
-                mul(amp, noise[j], daz)
-            if full:
-                # -grad V: the orthogonal drift plus (-mu x, 0).
-                orthogonal_drift_xy(p, x, y, gxy, c)
-                mul(neg_mu, x, c)
-                add(gx, c, gx)
-            if thermostat:
-                for model, hm, b, sigma in planes:
-                    models.thermostatted_coefficients(model, hm, beta, (b, sigma), work)
-                if planes:
-                    mul(nh, az, nh)
-            else:
-                for model, hm, b in planes:
-                    np.copyto(b, models.drift(model, hm))
-            # The update: state + g dt, then + noise.
-            mul(g, dt, g)
-            add(state, g, state)
-            if thermostat:
-                add(state, noise_term, state)
-            step += 1
-            # The sum of squares is at least each rounded square, so passing
-            # it means every |entry| < BLOWUP_LIMIT; nan, inf and overflowing
-            # squares fail it and fall through to the exact test.
-            if not np.dot(flat, flat) < BLOWUP_SQUARED and not (
-                np.abs(state).max() < BLOWUP_LIMIT
-            ):
-                raise _blowup_error(
-                    step, state, beta, streams, package(times[:rec_pos], rec_pos)
-                )
-            if step == rec_steps[rec_pos]:
-                for src, dst in records:
-                    dst[..., rec_pos] = src
-                rec_pos += 1
+                noise = _draw_noise(streams, span)[:, :, None]
+            for j in range(span):
+                if thermostat:
+                    mul(amp, noise[j], daz)
+                if full:
+                    # -grad V: the orthogonal drift plus (-mu x, 0).
+                    orthogonal_drift_xy(p, x, y, gxy, c)
+                    mul(neg_mu, x, c)
+                    add(gx, c, gx)
+                if thermostat:
+                    for model, hm, b, sigma in planes:
+                        models.thermostatted_coefficients(model, hm, beta, (b, sigma), work)
+                    if planes:
+                        mul(nh, az, nh)
+                else:
+                    for model, hm, b in planes:
+                        np.copyto(b, models.drift(model, hm))
+                # The update: state + g dt, then + noise.
+                mul(g, dt, g)
+                add(state, g, state)
+                if thermostat:
+                    add(state, noise_term, state)
+                step += 1
+                # The sum of squares is at least each rounded square, so passing
+                # it means every |entry| < BLOWUP_LIMIT; nan, inf and overflowing
+                # squares fail it and fall through to the exact test.
+                if not np.dot(flat, flat) < BLOWUP_SQUARED and not (
+                    np.abs(state).max() < BLOWUP_LIMIT
+                ):
+                    raise _blowup_error(
+                        step, state, beta, streams, package(times[:rec_pos], rec_pos)
+                    )
+                if step == rec_steps[rec_pos]:
+                    for src, dst in records:
+                        dst[..., rec_pos] = src
+                    rec_pos += 1
 
     return package(times, rec_pos)
 

@@ -96,11 +96,21 @@ class TestConditionalSample:
         stream = NoiseStream(42, 0)
         draws = P.tau * np.sin(P.omega * 0.0) + np.sqrt(1.0 / (P.beta * P.lam)) * stream.scalars(n)
         # same law as conditional_y_sample at x=0; spot-check one scalar draw
-        one = conditional_y_sample(P, 0.0, NoiseStream(42, 0))
-        assert one == draws[0]
+        one = conditional_y_sample(P, 0.0, [NoiseStream(42, 0)])
+        assert one.shape == (1,) and one[0] == draws[0]
         stderr = np.sqrt(1.0 / (P.beta * P.lam)) / np.sqrt(n)
         assert abs(draws.mean()) < 3 * stderr
         assert draws.var() == pytest.approx(1.0 / (P.beta * P.lam), rel=0.05)
+
+    def test_one_draw_per_stream_from_its_next_scalar(self):
+        x = 0.37
+        streams = [NoiseStream(5, i, position=i % 3) for i in range(50)]
+        got = conditional_y_sample(P, x, streams)
+        sd = np.sqrt(1.0 / (P.beta * P.lam))
+        want = [P.tau * np.sin(P.omega * x) + sd * NoiseStream(5, i, position=i % 3).scalars(1)[0]
+                for i in range(50)]
+        assert np.array_equal(got, want)
+        assert [s.position for s in streams] == [i % 3 + 1 for i in range(50)]
 
 
 class TestOrthogonalDrift:

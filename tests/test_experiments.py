@@ -463,11 +463,20 @@ class TestCLIContract:
         ["stationary", "--set", "stride_main=1", "--set", "n_samples=10000000"],
         ["kernel", "--set", "n_samples=100000000000"],
         ["landscape", "--set", "grid_points=10000000"],
+        # A byte count beyond the floats.
+        pytest.param(["kernel", "--set", "n_lags=1" + "0" * 400], id="bytes-beyond-floats"),
         # One sample has no standard error.
         pytest.param(["ensemble", "--set", "n_samples=1", "--set", "dt=0.01",
                       "--set", "t_final=0.1"], id="ensemble-one-sample"),
         pytest.param(["mean-trajectory", "--set", "n_samples=1", "--set", "dt=0.01",
                       "--set", "t_final=0.1"], id="mean-trajectory-one-sample"),
+        # Entries that would name the same output file or column.
+        pytest.param(["ensemble", "--set", "beta_list=1,1.0000001", "--set", "t_final=0.01",
+                      "--set", "n_samples=3"], id="betas-with-one-file-name"),
+        pytest.param(["ensemble", "--set", "beta_list=1,1", "--set", "t_final=0.01",
+                      "--set", "n_samples=3"], id="repeated-beta"),
+        pytest.param(["mean-trajectory", "--set", "models=memory-free,memory-free",
+                      "--set", "t_final=0.01", "--set", "n_samples=3"], id="repeated-model"),
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])
@@ -475,6 +484,25 @@ class TestCLIContract:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @pytest.mark.parametrize("args, where", [
+        (["ensemble", "--set", "x0=1e200", "--set", "t_final=0.01", "--set", "n_samples=3"],
+         "step 1 (stream 0, beta 1)"),
+        (["mean-trajectory", "--set", "x0=1e200", "--set", "t_final=0.01",
+          "--set", "n_samples=3"], "step 1 (stream 0)"),
+    ], ids=["ensemble", "mean-trajectory"])
+    def test_blowup_with_overflowing_squares_prints_one_line(self, tmp_path, args, where):
+        # In a child process, so that a numpy warning would reach stderr.
+        src = str(Path(mzcg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run(
+            [sys.executable, "-m", "mzcg.cli", *args, "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert res.returncode == 3
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and f"numerical blowup at {where};" in lines[0]
 
     @pytest.mark.parametrize("args", [
         ["mean-trajectory", "--set", "t_final=1e300"],

@@ -126,6 +126,69 @@ class TestNoiseStream:
         NoiseStream(seed, other, position=position).pairs(1)
         assert np.array_equal(s.pairs(1), want[count:])
 
+    @pytest.mark.parametrize("count", [0, 1, 7, 4096])
+    def test_pairs_into_a_buffer_equal_pairs(self, count):
+        buf = np.full(2 * count, np.nan)
+        s = NoiseStream(31, 4, position=3)
+        got = s.pairs(count, out=buf)
+        assert np.shares_memory(got, buf) or count == 0
+        assert np.array_equal(got, NoiseStream(31, 4, position=3).pairs(count))
+        assert s.position == 3 + count
+
+    def test_centred_uniform_is_scaled_uniform_plus_half_spacing(self):
+        # pairs forms ((w >> 11) + 0.5) * 2**-53 as (w >> 11) * 2**-53 + 2**-54.
+        edges = [0, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1, (2**52) << 11]
+        words = np.concatenate([
+            np.array(edges, dtype=np.uint64),
+            np.random.default_rng(0).integers(0, 2**64, 200_000, dtype=np.uint64),
+        ])
+        k = (words >> np.uint64(11)).astype(np.float64)
+        assert np.array_equal((k + 0.5) * 2.0**-53, k * 2.0**-53 + 2.0**-54)
+
+
+def _group(span):
+    """The number of streams _draw_noise draws per group at ``span``."""
+    return max(1, sde.NOISE_GROUP_BYTES // (16 * span))
+
+
+class TestDrawNoise:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        span=st.sampled_from([1, 2, 37, sde.NOISE_CHUNK]),
+        group=st.one_of(st.just(None), st.integers(1, 40)),
+        which=st.sampled_from(["one", "group-1", "group", "group+1", "600"]),
+        offset=st.integers(0, 3),
+    )
+    @example(seed=1, span=sde.NOISE_CHUNK, group=None, which="group+1", offset=1)
+    @example(seed=1, span=sde.NOISE_CHUNK, group=None, which="600", offset=0)
+    def test_equals_one_stack_of_stream_draws(self, seed, span, group, which, offset):
+        # group None keeps the module's budget; otherwise the budget is set
+        # to give exactly that many streams per group at this span.
+        budget = sde.NOISE_GROUP_BYTES if group is None else 16 * span * group
+        with mock.patch.object(sde, "NOISE_GROUP_BYTES", budget):
+            g = _group(span)
+            n = {"one": 1, "group-1": g - 1, "group": g, "group+1": g + 1, "600": 600}[which]
+            assume(1 <= n <= 2000)
+            # Positions 0 to 3 mix even and odd starts (the skipped words).
+            streams = [NoiseStream(seed, i, position=(i + offset) % 4) for i in range(n)]
+            copies = [NoiseStream(seed, i, position=(i + offset) % 4) for i in range(n)]
+            got = sde._draw_noise(streams, span)
+        want = np.stack([s.pairs(span) for s in copies], axis=-1)
+        assert got.shape == (span, 2, n)
+        assert np.array_equal(got, want)
+        assert [s.position for s in streams] == [s.position for s in copies]
+
+    @pytest.mark.parametrize("span", [1, sde.NOISE_CHUNK])
+    def test_calls_pairs_once_per_stream(self, span):
+        # bench/layertrace.py counts normals from each call's positional count.
+        n = _group(span) + 3 if span > 1 else 5
+        with mock.patch.object(NoiseStream, "pairs", autospec=True,
+                               side_effect=NoiseStream.pairs) as pairs:
+            sde._draw_noise([NoiseStream(2, i) for i in range(n)], span)
+        assert pairs.call_count == n
+        assert all(call.args[1] == span for call in pairs.call_args_list)
+
 
 class TestIntegratorConfig:
     def test_validation(self):
