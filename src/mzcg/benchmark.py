@@ -44,7 +44,7 @@ class BenchmarkParams:
             warnings.warn(
                 f"lam/mu = {self.lam / self.mu:.3g} < {TIMESCALE_RATIO_ADVISORY}: "
                 "weak timescale separation, reduced models may be inaccurate",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
 
     @cached_property

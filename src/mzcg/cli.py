@@ -1,7 +1,8 @@
-"""Command-line entry point: one subcommand per experiment, writing CSV data
-files.  Exit codes: 0 success, 2 configuration error, 3 numerical blowup
-(flagged in the file comments; a full-system blowup writes the comments
-alone)."""
+"""Command-line entry point: one subcommand per experiment.  It resolves the
+configuration, hands it to the experiment's runner, which writes every CSV
+file, and reports the outcome on stderr.  Exit codes: 0 success, 1 output
+that cannot be written, 2 configuration error, 3 numerical blowup (flagged
+in the file comments; a full-system blowup writes the comments alone)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import click
 
 from . import experiments
 from .config import ConfigError, resolve
-from .csvio import write_csv
 from .sde import NumericalBlowupError
 
 
@@ -55,23 +55,15 @@ def _run(ctx, experiment, config_path, set_pairs, out_path, seed, threads, desk_
         click.echo(f"config error: {err}", err=True)
         ctx.exit(2)
     out = out_path or f"{experiment}.csv"
-    runner = experiments.RUNNERS[experiment]
     try:
-        try:
-            code = runner(cfg, out, threads=threads)
-        except NumericalBlowupError as err:
-            # Unexpected blowup of a primary run: keep a metadata-only file.
-            where = [("blowup_step", err.step)]
-            if err.stream_id is not None:
-                where.append(("blowup_stream", err.stream_id))
-            if err.beta is not None:
-                where.append(("blowup_beta", err.beta))
-            write_csv(out, experiments.config_comments(cfg) + where, [], [])
-            click.echo(
-                f"numerical blowup at step {err.step}{err.where}; partial output in {out}",
-                err=True,
-            )
-            ctx.exit(3)
+        code = experiments.RUNNERS[experiment](cfg, out, threads=threads)
+    except NumericalBlowupError as err:
+        # The runner has written the blowup's metadata-only file.
+        click.echo(
+            f"numerical blowup at step {err.step}{err.where}; partial output in {out}",
+            err=True,
+        )
+        ctx.exit(3)
     except OSError as err:  # also from writing the blowup's file
         click.echo(f"io error: {err}", err=True)
         ctx.exit(1)

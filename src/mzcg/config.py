@@ -13,8 +13,10 @@ parameters shared by all experiments are declared once, in ``_PARAMS``.
 Rules that involve several keys, or one experiment's use of a key, are
 explicit code in ``_check_rules``.  Once derived values are filled in, the
 per-key checks run again, the scales the runners divide by must be finite and
-positive, every integration window must pass ``IntegratorConfig``'s rule, and
-the arrays the runner fills must fit in physical memory.
+positive, the constants they step or tabulate with must be finite, every
+integration window must pass ``IntegratorConfig``'s rule, the scalar kernel
+must not vanish in floating point, and the arrays the runner fills must fit
+in physical memory.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .benchmark import BenchmarkParams
-from .kernel import conditioning_points, kernel_decay_rate
+from .kernel import FIT_FLOOR_RATIO, conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
 from .sde import IntegratorConfig
 
@@ -141,6 +143,13 @@ KEYS = {
     },
 }
 
+# Bits of the valley scale tau that the Gibbs spread of the kernel's samples
+# must resolve.  At the defaults this refuses beta above about 2.4e23.  The
+# fitted decay rate there (20 samples, seed 1; theory 8020) is 8019.8 at
+# beta = 1e22 (12 bits), 7979 at 1e24 (9 bits), 3936 at 1e26 (6 bits) and 20,
+# the rate of the valley alone, at 1e28.
+KERNEL_SPREAD_BITS = 10
+
 # Cheaper defaults behind --desk-scale for the two long experiments.
 DESK_OVERRIDES = {
     "mean-trajectory": {"dt": 1e-4, "t_final": 80.0, "n_samples": 200},
@@ -251,9 +260,27 @@ def _reciprocal(v):
 
 def _check_derived(experiment, cfg):
     """Check what the runner derives: each scale it divides by is finite and
-    positive, each first positive kernel lag squares to a normal float, and each
-    integration window passes IntegratorConfig's rule (1 to 2**53 steps)."""
-    scales, lags, windows = {}, {}, []
+    positive, each constant it steps or tabulates with is finite, each first
+    positive kernel lag squares to a normal float, each integration window
+    passes IntegratorConfig's rule (1 to 2**53 steps), and the scalar kernel
+    passes :func:`_check_kernel_resolution`."""
+    scales, finite, lags, windows = {}, {}, {}, []
+    if experiment == "landscape":
+        x_edge = max(abs(cfg["x_min"]), abs(cfg["x_max"]))
+        y_edge = max(abs(cfg["y_min"]), abs(cfg["y_max"]))
+        gap = cfg["tau"] + y_edge
+        finite["omega x at the grid's edge"] = cfg["omega"] * x_edge
+        # No grid point's V = mu x^2 / 2 + lambda (tau sin(omega x) - y)^2 / 2
+        # exceeds this, evaluated in the potential's order.
+        finite["the potential's bound on the grid"] = (
+            0.5 * cfg["mu"] * (x_edge * x_edge) + 0.5 * cfg["lambda"] * (gap * gap))
+    else:
+        # The constants of the drifts, as BenchmarkParams forms them.
+        finite["tau^2 omega^2"] = cfg["tau"] * cfg["tau"] * cfg["omega"] * cfg["omega"]
+        finite["lambda tau omega"] = cfg["lambda"] * cfg["tau"] * cfg["omega"]
+    if "x0" in cfg:
+        # The valley's phase at the start.
+        finite["omega x0"] = cfg["omega"] * cfg["x0"]
     if experiment == "ensemble":
         scales.update((f"1/beta at beta={b:g}", 1.0 / b) for b in cfg["beta_list"])
     elif "beta" in cfg:
@@ -280,14 +307,21 @@ def _check_derived(experiment, cfg):
                 # lag_efolds decay times; np.polyfit fails once their squares underflow.
                 s_max = cfg["lag_efolds"] / rate
                 lags[f"first positive lag at x0={x0:g}"] = s_max / 100.0
-                windows.append((f"lag horizon at x0={x0:g}", s_max, "dt"))
+                # Two lags are 0 and s_max / 100: the grid then ends there.
+                horizon = s_max if cfg["n_lags"] > 2 else s_max / 100.0
+                windows.append((f"lag horizon at x0={x0:g}", horizon, "dt"))
     else:
         windows = [(t, cfg[t], dt) for t, dt in
                    (("t_final", "dt"), ("t_main", "dt_main"), ("t_resid", "dt_resid"))
                    if t in cfg]
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} is {value:g}; it must be finite")
     for name, value in scales.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} is {value:g}; it must be finite and positive")
+    if experiment == "kernel":
+        _check_kernel_resolution(cfg)
     least_lag = math.sqrt(sys.float_info.min)
     for name, value in lags.items():
         if not value >= least_lag:
@@ -299,6 +333,30 @@ def _check_derived(experiment, cfg):
             raise ConfigError(f"{name} = {horizon:g} with {dt} = {cfg[dt]:g}: {err}") from err
 
 
+def _check_kernel_resolution(cfg):
+    """The scalar kernel's samples must not be lost to rounding.
+
+    The start y0 = tau sin(omega x0) + sd z of each sample, with the Gibbs
+    spread sd = 1/sqrt(beta lambda), must resolve KERNEL_SPREAD_BITS bits on
+    the valley's scale tau, and the lag-0 drift product (lambda tau omega
+    cos(omega x0) sd)^2 must keep fit_decay_rate's floor, FIT_FLOOR_RATIO of
+    itself, a nonzero float.  Otherwise the estimate is rounding noise or 0
+    at every lag, and the decay fit has nothing to fit.
+    """
+    sd = math.sqrt(1.0 / (cfg["beta"] * cfg["lambda"]))
+    if not sd >= 2.0**KERNEL_SPREAD_BITS * sys.float_info.epsilon * cfg["tau"]:
+        raise ConfigError(
+            f"kernel spread 1/sqrt(beta lambda) = {sd:g} resolves fewer than "
+            f"{KERNEL_SPREAD_BITS} bits of tau = {cfg['tau']:g}; use a smaller beta")
+    amp = (cfg["lambda"] * cfg["tau"] * cfg["omega"]
+           * abs(math.cos(cfg["omega"] * cfg["x0"])) * sd)
+    least = sys.float_info.min * sys.float_info.epsilon / FIT_FLOOR_RATIO
+    if not amp * amp >= least:
+        raise ConfigError(
+            f"kernel lag-0 drift product (lambda tau omega cos(omega x0))^2 / (beta lambda) "
+            f"= {amp * amp:g} is below {least:g}, so the kernel rounds to 0; use a larger tau")
+
+
 def _n_records(t_final, dt, stride):
     """Length of ``IntegratorConfig(dt, t_final, stride).record_steps()``,
     without building it."""
@@ -307,7 +365,9 @@ def _n_records(t_final, dt, stride):
 
 def _array_bytes(experiment, cfg):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
-    kernels' per-lag samples, the landscape's grid), and what shrinks them."""
+    kernels' per-lag samples, the landscape's grid, the stationary
+    histogram's edges, counts, centres and two densities), and what shrinks
+    the larger part of them."""
     if experiment == "landscape":
         return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
     if experiment in ("kernel", "kernel-matrix"):
@@ -315,7 +375,11 @@ def _array_bytes(experiment, cfg):
     if experiment == "stationary":
         records = (_n_records(cfg["t_main"], cfg["dt_main"], cfg["stride_main"])
                    + _n_records(cfg["t_resid"], cfg["dt_resid"], cfg["stride_resid"]))
-        return 2 * cfg["n_samples"] * records * 8, "a larger stride_main or stride_resid"
+        series = 2 * cfg["n_samples"] * records * 8
+        histogram = 5 * (cfg["bins"] + 1) * 8
+        if histogram > series:
+            return series + histogram, "fewer bins"
+        return series + histogram, "a larger stride_main or stride_resid"
     records = _n_records(cfg["t_final"], cfg["dt"], cfg["record_stride"])
     if experiment == "ensemble":
         series = 3 * len(cfg["beta_list"]) * cfg["n_samples"]

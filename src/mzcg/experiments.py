@@ -1,11 +1,23 @@
-"""The experiment runners behind the CLI: each takes a resolved configuration,
-writes one or more CSV files with the configuration echoed as comments and
-summary statistics appended, and returns a process exit code (0 on success,
-3 when a numerical blowup truncated part of the output)."""
+"""The experiments behind the CLI, each as two phases that one driver runs.
+
+``simulate_<name>(cfg, threads)`` integrates and returns the raw records; a
+blowup of the full system (or of a kernel sample) raises
+:class:`NumericalBlowupError`.  ``reduce_<name>(cfg, raw)`` returns the
+output files, each as ``(label, comments, header, columns)``: label None
+names the output path itself, any other label is joined onto its stem.  The
+comments echo the resolved configuration, then flags and summary statistics.
+
+:func:`run` is the driver behind every entry of ``RUNNERS``.  It writes
+every file, a full-system blowup's too: a metadata-only file of the
+configuration and ``blowup_*`` comments, after which the error is raised
+again.  Its exit code comes from the comments alone: 3 when a ``blowup_*``
+comment flags a component truncated by its blowup, 0 otherwise.
+"""
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,83 +90,103 @@ def _with_suffix(out_path, label):
     return path.with_name(f"{path.stem}_{label}{path.suffix or '.csv'}")
 
 
-def run_landscape(cfg, out_path, threads=1) -> int:
+def run(simulate, reduce, cfg, out_path, threads=1) -> int:
+    """Run one experiment's phases, write its files under ``out_path`` and
+    return the exit code (see the module docstring)."""
+    error = None
+    try:
+        raw = simulate(cfg, threads)
+    except NumericalBlowupError as err:
+        error = err
+        where = {"blowup_step": err.step, "blowup_stream": err.stream_id,
+                 "blowup_beta": err.beta}
+        flags = [(key, value) for key, value in where.items() if value is not None]
+        files = [(None, config_comments(cfg) + flags, [], [])]
+    else:
+        files = reduce(cfg, raw)
+    for label, comments, header, columns in files:
+        path = out_path if label is None else _with_suffix(out_path, label)
+        write_csv(path, comments, header, columns)
+    if error is not None:
+        raise error
+    flagged = any(key.startswith("blowup_") for _, comments, _, _ in files for key, _ in comments)
+    return EXIT_BLOWUP if flagged else EXIT_OK
+
+
+def simulate_landscape(cfg, threads):
+    """Nothing to integrate: the potential is tabulated by the reduction."""
+    return None
+
+
+def reduce_landscape(cfg, raw):
     """Tabulate the potential on a rectangular grid for external contouring."""
     p = params_from_config(cfg)
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["grid_points"])
     ys = np.linspace(cfg["y_min"], cfg["y_max"], cfg["grid_points"])
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     v = potential(p, gx, gy)
-    write_csv(
-        out_path,
-        config_comments(cfg),
-        ["x", "y", "V"],
-        [gx.ravel(), gy.ravel(), v.ravel()],
-    )
-    return EXIT_OK
+    return [(None, config_comments(cfg), ["x", "y", "V"], [gx.ravel(), gy.ravel(), v.ravel()])]
 
 
-def run_kernel(cfg, out_path, threads=1) -> int:
-    """Empirical memory kernel at one conditioning value next to its
-    closed-form approximation, with fitted and theoretical decay rates."""
+def _estimate(estimator, cfg, x0, threads, *args):
+    """``estimator``'s kernel at conditioning value ``x0`` on the configured
+    lag grid, from stream 0 on; ``args`` come between the parameters and x0."""
     p = params_from_config(cfg)
-    x0 = cfg["x0"]
     lags = default_lag_grid(p, x0, n_lags=cfg["n_lags"], efolds=cfg["lag_efolds"])
     icfg = IntegratorConfig(dt=cfg["dt"], t_final=lags[-1])
     stream = NoiseStream(cfg["master_seed"], 0)
-    est = empirical_kernel(p, x0, lags, cfg["n_samples"], stream, icfg, threads=threads)
-    approx = approx_kernel(p, lags, x0)
-    rate = kernel_decay_rate(p, x0)
-    fitted = fit_decay_rate(lags, est.values, s_max=2.0 / rate)
+    return estimator(p, *args, x0, lags, cfg["n_samples"], stream, icfg, threads=threads)
+
+
+def simulate_kernel(cfg, threads):
+    """Empirical memory kernel at one conditioning value."""
+    return _estimate(empirical_kernel, cfg, cfg["x0"], threads)
+
+
+def reduce_kernel(cfg, est):
+    """The kernel next to its closed-form approximation, with fitted and
+    theoretical decay rates."""
+    p = params_from_config(cfg)
+    approx = approx_kernel(p, est.lags, est.x0)
+    rate = kernel_decay_rate(p, est.x0)
     summary = [
-        ("fitted_decay_rate", fitted),
+        ("fitted_decay_rate", fit_decay_rate(est.lags, est.values, s_max=2.0 / rate)),
         ("theoretical_decay_rate", -rate),
         ("amplitude_s0", est.values[0]),
         ("amplitude_s0_stderr", est.stderr[0]),
         ("amplitude_s0_theory", float(approx[0])),
     ]
-    write_csv(
-        out_path,
-        config_comments(cfg) + summary,
-        ["s", "empirical", "stderr", "approx"],
-        [lags, est.values, est.stderr, approx],
-    )
-    return EXIT_OK
+    return [(None, config_comments(cfg) + summary, ["s", "empirical", "stderr", "approx"],
+             [est.lags, est.values, est.stderr, approx])]
 
 
-def run_kernel_matrix(cfg, out_path, threads=1) -> int:
+def simulate_kernel_matrix(cfg, threads):
     """Block kernel matrix for the two conditioning cases |cos(omega x0)| = 1
-    and cos(omega x0) = 0; one file per case."""
-    p = params_from_config(cfg)
+    and cos(omega x0) = 0, by label."""
     cg_map = build_cg_map([[1.0, 0.0]])
-    for label, x0 in conditioning_points(p.omega).items():
-        lags = default_lag_grid(p, x0, n_lags=cfg["n_lags"], efolds=cfg["lag_efolds"])
-        icfg = IntegratorConfig(dt=cfg["dt"], t_final=lags[-1])
-        stream = NoiseStream(cfg["master_seed"], 0)
-        est = empirical_kernel_matrix(
-            p, cg_map, x0, lags, cfg["n_samples"], stream, icfg, threads=threads
-        )
-        m11 = est.values[:, 0, 0]
-        m12 = est.values[:, 0, 1]
-        m21 = est.values[:, 1, 0]
-        m22 = est.values[:, 1, 1]
+    return {label: _estimate(empirical_kernel_matrix, cfg, x0, threads, cg_map)
+            for label, x0 in conditioning_points(cfg["omega"]).items()}
+
+
+def reduce_kernel_matrix(cfg, estimates):
+    """One file per conditioning case."""
+    files = []
+    for label, est in estimates.items():
+        m11, m12, m21, m22 = (est.values[:, j, k] for j in (0, 1) for k in (0, 1))
         with np.errstate(divide="ignore"):
             log_abs_m12 = np.log(np.abs(m12))
         summary = [
-            ("x0", x0),
+            ("x0", est.x0),
             ("log_abs_m12_s0", float(log_abs_m12[0])),
             ("log_abs_m12_end", float(log_abs_m12[-1])),
         ]
-        write_csv(
-            _with_suffix(out_path, label),
-            config_comments(cfg) + summary,
-            ["s", "m11", "m12", "m21", "m22", "log_abs_m12"],
-            [lags, m11, m12, m21, m22, log_abs_m12],
-        )
-    return EXIT_OK
+        files.append((label, config_comments(cfg) + summary,
+                      ["s", "m11", "m12", "m21", "m22", "log_abs_m12"],
+                      [est.lags, m11, m12, m21, m22, log_abs_m12]))
+    return files
 
 
-def run_mean_trajectory(cfg, out_path, threads=1) -> int:
+def simulate_mean_trajectory(cfg, threads):
     """Relaxation of the mean observable: unthermostatted ensemble of the full
     dynamics (unresolved coordinate drawn from its conditional law) next to
     each requested reduced model integrated as a deterministic flow from the
@@ -162,7 +194,7 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
     scalar recurrences beside its engine call (see
     :func:`integrate_flow_batch`).  A model that blows up is truncated and
     flagged while the others go on; a blowup of the full system raises,
-    naming its stream."""
+    naming its stream.  Returns each block's (times, full_x, model_runs)."""
     p = params_from_config(cfg)
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
@@ -173,66 +205,70 @@ def run_mean_trajectory(cfg, out_path, threads=1) -> int:
         streams = [NoiseStream(seed, i) for i in range(a, b)]
         y0 = conditional_y_sample(p, x0, streams)
         x0s = np.stack([np.full(b - a, x0), y0], axis=-1)
-        _, full_x, runs = integrate_flow_batch(
-            p, scalar_models if a == 0 else [], x0s, x0, icfg, streams
-        )
-        return full_x, runs
+        return integrate_flow_batch(p, scalar_models if a == 0 else [], x0s, x0, icfg, streams)
 
-    blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
-    full = np.concatenate([x for x, _ in blocks], axis=0)
-    times = icfg.record_steps() * icfg.dt
+    return map_stream_blocks(worker, cfg["n_samples"], threads=threads)
+
+
+def reduce_mean_trajectory(cfg, blocks):
+    """The full ensemble's mean and stderr, and each model's column and
+    time to half, flagging the models that blew up."""
+    times, _, runs = blocks[0]
+    full = np.concatenate([x for _, x, _ in blocks], axis=0)
     full_mean, full_stderr = mean_stderr(full)
 
     header = ["t", "full_mean", "full_stderr"]
     columns = [times, full_mean, full_stderr]
     summary = [("time_to_half_full", time_to_half(times, full_mean))]
     flags = []
-    for kind, (values, step) in zip(cfg["models"], blocks[0][1]):
+    for kind, (values, step) in zip(cfg["models"], runs):
         if step is not None:
             flags.append((f"blowup_{kind}_step", step))
         header.append(kind)
         columns.append(values)
         summary.append((f"time_to_half_{kind}", time_to_half(times[: len(values)], values)))
-
-    write_csv(out_path, config_comments(cfg) + flags + summary, header, columns)
-    return EXIT_BLOWUP if flags else EXIT_OK
+    return [(None, config_comments(cfg) + flags + summary, header, columns)]
 
 
-def run_ensemble(cfg, out_path, threads=1) -> int:
+def simulate_ensemble(cfg, threads):
     """Thermostatted relaxation at several temperatures: the full dynamics and
     the two thermostattable reduced models share per-stream Brownian
     increments (common random numbers), and every beta shares them too, so
-    each stream block is integrated once for all betas.  One file per beta."""
+    each stream block is integrated once for all betas.  Each block gives
+    times and (beta, stream, time) arrays of full, approx and nomem."""
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
-    betas = cfg["beta_list"]
-    # The beta of p is never read: integrate_crn_batch runs every beta in betas.
+    # The beta of p is never read: integrate_crn_batch runs every beta in beta_list.
     p = params_from_config(cfg)
     y0 = p.tau * math.sin(p.omega * x0)
     scalar_models = [EffectiveModel(MEMORY_CORRECTED, p), EffectiveModel(MEMORY_FREE, p)]
 
     def worker(a, b):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
-        _, full_x, model_recs = integrate_crn_batch(
-            p, scalar_models, (x0, y0), x0, icfg, streams, betas
+        times, full_x, model_recs = integrate_crn_batch(
+            p, scalar_models, (x0, y0), x0, icfg, streams, cfg["beta_list"]
         )
-        return full_x, model_recs[0], model_recs[1]
+        return times, full_x, *model_recs
 
-    # Each block gives (beta, stream, time) arrays of full, approx and nomem.
-    # Streams are joined one beta and column at a time, so only one joined
-    # copy is held on top of the blocks.
-    blocks = map_stream_blocks(worker, cfg["n_samples"], threads=threads)
-    times = icfg.record_steps() * icfg.dt
+    return map_stream_blocks(worker, cfg["n_samples"], threads=threads)
 
-    for k, beta in enumerate(betas):
+
+def reduce_ensemble(cfg, blocks):
+    """One file per beta."""
+    block_times, *parts = zip(*blocks)
+    times = block_times[0]
+    files = []
+    for k, beta in enumerate(cfg["beta_list"]):
+        # Streams are joined one beta and column at a time, so only one joined
+        # copy is held on top of the blocks.
         cols = {}
-        for name, parts in zip(("full", "approx", "nomem"), zip(*blocks)):
-            data = parts[0][k] if len(parts) == 1 else np.concatenate([b[k] for b in parts])
+        for name, part in zip(("full", "approx", "nomem"), parts):
+            data = part[0][k] if len(part) == 1 else np.concatenate([b[k] for b in part])
             cols[f"{name}_mean"], cols[f"{name}_stderr"] = mean_stderr(data)
 
         summary = [
-            ("initial_amplitude", abs(x0)),
+            ("initial_amplitude", abs(cfg["x0"])),
             ("rms_approx_vs_full", rms_deviation(cols["approx_mean"], cols["full_mean"])),
             ("rms_nomem_vs_full", rms_deviation(cols["nomem_mean"], cols["full_mean"])),
             ("time_to_half_full", time_to_half(times, cols["full_mean"])),
@@ -241,22 +277,18 @@ def run_ensemble(cfg, out_path, threads=1) -> int:
         ]
         meta = dict(cfg)
         meta["beta"] = beta
-        header = ["t"] + list(cols)
-        write_csv(
-            _with_suffix(out_path, beta_label(beta)),
-            config_comments(meta) + summary,
-            header,
-            [times] + list(cols.values()),
-        )
-    return EXIT_OK
+        files.append((beta_label(beta), config_comments(meta) + summary,
+                      ["t"] + list(cols), [times] + list(cols.values())))
+    return files
 
 
-def run_stationary(cfg, out_path, threads=1) -> int:
+def simulate_stationary(cfg, threads):
     """Invariant-measure check: ensembles started from exact equilibrium draws
-    are integrated forward and pooled.  A long coarse-step phase collects
-    resolved-coordinate statistics (its soft mode is insensitive to the step),
+    are integrated forward.  A long coarse-step phase collects
+    resolved-coordinate samples (its soft mode is insensitive to the step),
     and a short fine-step phase collects the stiff valley residual, whose
-    variance an explicit integrator inflates at coarse steps."""
+    variance an explicit integrator inflates at coarse steps.  Returns each
+    block's (x samples, residuals)."""
     p = params_from_config(cfg)
     seed = cfg["master_seed"]
     n = cfg["n_samples"]
@@ -291,6 +323,14 @@ def run_stationary(cfg, out_path, threads=1) -> int:
 
     blocks = map_stream_blocks(worker, n, threads=threads)
     raise_earliest_blowup(r for _, r in blocks)
+    return blocks
+
+
+def reduce_stationary(cfg, blocks):
+    """The pooled x histogram against the Gibbs marginal, with the sample
+    variances of x and of the valley residual against their targets."""
+    p = params_from_config(cfg)
+    sd_x = math.sqrt(1.0 / (p.beta * p.mu))
     x_samples = np.concatenate([x for x, _ in blocks], axis=0).ravel()
     residuals = np.concatenate([r for _, r in blocks], axis=0).ravel()
 
@@ -300,7 +340,9 @@ def run_stationary(cfg, out_path, threads=1) -> int:
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
     density = counts / (x_samples.size * width)
-    ref = np.exp(-0.5 * np.square(centers / sd_x)) / (sd_x * math.sqrt(2.0 * math.pi))
+    # Far out the square overflows to inf, and the density is then exactly 0.
+    with np.errstate(over="ignore"):
+        ref = np.exp(-0.5 * np.square(centers / sd_x)) / (sd_x * math.sqrt(2.0 * math.pi))
 
     summary = [
         ("x_mean", float(x_samples.mean())),
@@ -311,20 +353,15 @@ def run_stationary(cfg, out_path, threads=1) -> int:
         ("y_residual_variance_target", 1.0 / (p.beta * p.lam)),
         ("y_residual_n_samples", residuals.size),
     ]
-    write_csv(
-        out_path,
-        config_comments(cfg) + summary,
-        ["bin_center", "x_density", "gaussian_density"],
-        [centers, density, ref],
-    )
-    return EXIT_OK
+    return [(None, config_comments(cfg) + summary,
+             ["bin_center", "x_density", "gaussian_density"], [centers, density, ref])]
 
 
 RUNNERS = {
-    "landscape": run_landscape,
-    "kernel": run_kernel,
-    "kernel-matrix": run_kernel_matrix,
-    "mean-trajectory": run_mean_trajectory,
-    "ensemble": run_ensemble,
-    "stationary": run_stationary,
+    "landscape": partial(run, simulate_landscape, reduce_landscape),
+    "kernel": partial(run, simulate_kernel, reduce_kernel),
+    "kernel-matrix": partial(run, simulate_kernel_matrix, reduce_kernel_matrix),
+    "mean-trajectory": partial(run, simulate_mean_trajectory, reduce_mean_trajectory),
+    "ensemble": partial(run, simulate_ensemble, reduce_ensemble),
+    "stationary": partial(run, simulate_stationary, reduce_stationary),
 }

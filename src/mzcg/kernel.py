@@ -248,7 +248,11 @@ def default_lag_grid(p: BenchmarkParams, x0, n_lags=60, efolds=5.0) -> np.ndarra
     return np.concatenate([[0.0], np.geomspace(s_max / 100.0, s_max, n_lags - 1)])
 
 
-def fit_decay_rate(lags, values, s_max=None, floor_ratio=1e-3) -> float:
+# Values below this fraction of the lag-0 magnitude are left out of the fit.
+FIT_FLOOR_RATIO = 1e-3
+
+
+def fit_decay_rate(lags, values, s_max=None, floor_ratio=FIT_FLOOR_RATIO) -> float:
     """Least-squares slope of log |values| against lag, over lags up to
     ``s_max`` and values above ``floor_ratio`` of the lag-zero magnitude.
     Returns the fitted (negative) rate."""

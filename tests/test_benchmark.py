@@ -41,6 +41,11 @@ class TestParams:
         with pytest.warns(UserWarning, match="separation"):
             BenchmarkParams(mu=10.0, lam=20.0, tau=2.0, omega=10.0, beta=1.0)
 
+    def test_weak_separation_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="separation") as seen:
+            BenchmarkParams(mu=10.0, lam=20.0, tau=2.0, omega=10.0, beta=1.0)
+        assert seen[0].filename == __file__
+
 
 class TestPotential:
     def test_origin_is_zero(self):

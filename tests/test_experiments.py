@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,9 @@ import mzcg
 from mzcg.cli import main
 from mzcg.config import EXPERIMENTS, KEYS, ConfigError, resolve
 from mzcg.csvio import format_value, read_csv, write_csv
-from mzcg.experiments import time_to_half
+from mzcg.experiments import RUNNERS, run, time_to_half
 from mzcg.kernel import fit_decay_rate
+from mzcg.sde import NumericalBlowupError
 
 
 # Numbers near the edges of the floats, where derived scales overflow.
@@ -28,6 +31,19 @@ VALUES = st.one_of(
     st.integers().map(str),
     st.text(max_size=8),
 )
+
+
+# A tiny run of each experiment.  From it, any one key set to any edge value
+# gives a run that is refused or ends within a second, so none is left out.
+TINY = {
+    "landscape": ["grid_points=3"],
+    "kernel": ["n_samples=3", "n_lags=3", "lag_efolds=0.5"],
+    "kernel-matrix": ["n_samples=3", "n_lags=3", "lag_efolds=0.1"],
+    "mean-trajectory": ["n_samples=3", "dt=0.001", "t_final=0.01"],
+    "ensemble": ["n_samples=3", "dt=0.001", "t_final=0.01"],
+    "stationary": ["n_samples=3", "dt_main=0.001", "t_main=0.01", "dt_resid=0.0001",
+                   "t_resid=0.001"],
+}
 
 
 def set_pairs(experiment):
@@ -110,6 +126,26 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             resolve("kernel", config_path=tmp_path / "absent.cfg")
+
+
+class TestDriver:
+    def test_full_system_blowup_writes_its_file_then_raises(self, tmp_path):
+        cfg = resolve("ensemble", set_pairs=("n_samples=4", "dt=0.2", "t_final=20"))
+        out = tmp_path / "ens.csv"
+        with pytest.raises(NumericalBlowupError) as info:
+            RUNNERS["ensemble"](cfg, out)
+        meta, header, _ = read_csv(out)
+        assert header == []
+        assert (meta["blowup_step"], meta["blowup_stream"], meta["blowup_beta"]) == (
+            str(info.value.step), str(info.value.stream_id), f"{info.value.beta:g}")
+
+    def test_labels_name_files_and_blowup_comments_give_exit_3(self, tmp_path):
+        files = [(None, [("a", 1)], ["v"], [np.ones(2)]),
+                 ("x", [("blowup_m_step", 4)], ["v"], [np.ones(1)])]
+        out = tmp_path / "o.csv"
+        assert run(lambda cfg, threads: None, lambda cfg, raw: files, {}, out) == 3
+        assert read_csv(tmp_path / "o_x.csv")[0] == {"blowup_m_step": "4"}
+        assert run(lambda cfg, threads: None, lambda cfg, raw: files[:1], {}, out) == 0
 
 
 class TestCsvIO:
@@ -273,6 +309,14 @@ class TestStationaryExperiment:
         width = data[1, 0] - data[0, 0]
         assert (data[:, 1] * width).sum() == pytest.approx(1.0, abs=0.02)
         assert float(meta["x_variance_target"]) == pytest.approx(0.5)
+
+    def test_far_reference_density_is_zero_without_warning(self, tmp_path):
+        # The bins lie so far out that the reference Gaussian's square overflows.
+        out = tmp_path / "st.csv"
+        res = run_cli(["stationary", "--out", str(out), "--set", "hist_halfwidth=1e200",
+                       "--set", "n_samples=3", "--set", "t_main=0.01", "--set", "t_resid=0.01"])
+        assert res.exit_code == 0 and res.stderr == ""
+        assert (read_csv(out)[2][:, 2] == 0.0).all()
 
     @pytest.mark.parametrize("t_main, expected, dt_main", [
         # Ids name each case by its t_main.  Two blocks of 256 streams.  The residual phase (streams 512..1023)
@@ -477,6 +521,24 @@ class TestCLIContract:
                       "--set", "n_samples=3"], id="repeated-beta"),
         pytest.param(["mean-trajectory", "--set", "models=memory-free,memory-free",
                       "--set", "t_final=0.01", "--set", "n_samples=3"], id="repeated-model"),
+        # Derived values that overflow: the valley's phase omega x0, the drift
+        # constants tau^2 omega^2 and lambda tau omega, and the landscape's potential.
+        pytest.param(["ensemble", "--set", "x0=1e308"], id="omega-x0-overflow"),
+        pytest.param(["ensemble", "--set", "tau=1e200"], id="tau2-omega2-overflow"),
+        pytest.param(["mean-trajectory", "--set", "omega=1e308"], id="drift-constants-overflow"),
+        pytest.param(["landscape", "--set", "x_min=-1e300", "--set", "x_max=1e300",
+                      "--set", "grid_points=3"], id="potential-overflow"),
+        # A histogram beyond physical memory.
+        pytest.param(["stationary", "--set", "bins=9007199254740993", "--set", "t_main=0.01",
+                      "--set", "t_resid=0.01"], id="bins-exceed-memory"),
+        # Kernels that vanish in floating point: the lag-0 product underflows,
+        # or the Gibbs spread of the samples is lost against tau.
+        pytest.param(["kernel", "--set", "tau=1e-200"], id="kernel-underflows"),
+        pytest.param(["kernel", "--set", "beta=1e300", "--set", "n_samples=20",
+                      "--set", "n_lags=5"], id="kernel-spread-lost"),
+        # Two lags end the grid at s_max / 100, here below one step.
+        pytest.param(["kernel", "--set", "n_lags=2", "--set", "lag_efolds=4"],
+                     id="two-lags-below-one-step"),
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])
@@ -484,6 +546,24 @@ class TestCLIContract:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(EXPERIMENTS).flatmap(lambda e: st.tuples(
+        st.just(e), st.sampled_from(sorted(KEYS[e])), st.sampled_from(EDGE_VALUES))))
+    def test_runs_on_edge_values_end_as_the_contract_says(self, case):
+        # Exit 0 silently, or exit 2 or 3 with one line; never a traceback or a
+        # warning, except the documented lam/mu advisory.
+        experiment, key, value = case
+        args = [experiment]
+        for pair in TINY[experiment] + [f"{key}={value}"]:
+            args += ["--set", pair]
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            res = run_cli(args + ["--out", os.path.join(tmp, "o.csv")])
+        assert res.exit_code in (0, 2, 3), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert len(res.stderr.splitlines()) == (0 if res.exit_code == 0 else 1)
+        assert [str(w.message) for w in seen if "lam/mu" not in str(w.message)] == []
 
     @pytest.mark.parametrize("args, where", [
         (["ensemble", "--set", "x0=1e200", "--set", "t_final=0.01", "--set", "n_samples=3"],
