@@ -110,29 +110,41 @@ def valley_coupling(p: BenchmarkParams, h, out=None):
     arguments); a non-finite argument gives nan without raising.
 
     ``out``, three float arrays of one shape that ``h`` broadcasts to and
-    that share no memory with ``h``, receives the last three values, from the
-    same operations in the same order with 0-d constants and no temporary;
-    tau^2 omega^2 is still returned as a Python float."""
+    that share no memory with ``h``, receives the last three values from
+    :func:`bind_valley_coupling`; tau^2 omega^2 is still returned as a Python
+    float."""
     t2w2 = p.tau * p.tau * p.omega * p.omega
     if out is not None:
-        omega, one, t2w2_0d, _ = p._coupling_constants
-        c2, factor, s2 = out
-        mul, add = np.multiply, np.add
-        mul(omega, h, s2)
-        np.tan(s2, s2)  # t
-        mul(s2, s2, c2)
-        add(one, c2, c2)
-        np.divide(one, c2, c2)
-        mul(t2w2_0d, c2, factor)
-        add(one, factor, factor)
-        add(s2, s2, s2)
-        mul(s2, c2, s2)
-        return t2w2, c2, factor, s2
+        bind_valley_coupling(p, out)(h)
+        return (t2w2,) + tuple(out)
     t = np.tan(p.omega * h)
     if type(h) is float:
         t = float(t)
     c2 = 1.0 / (1.0 + t * t)
     return t2w2, c2, 1.0 + t2w2 * c2, 2.0 * t * c2
+
+
+def bind_valley_coupling(p: BenchmarkParams, out):
+    """The last three values of :func:`valley_coupling` as a function of
+    ``h`` alone that writes them into ``out=(c2, factor, s2)``, from the
+    operations, in the order, of the allocating call, with 0-d constants and
+    no temporary; ``out`` is as in :func:`valley_coupling`."""
+    omega, one, t2w2, _ = p._coupling_constants
+    c2, factor, s2 = out
+    mul, add, div, tan = np.multiply, np.add, np.divide, np.tan
+
+    def coupling(h):
+        mul(omega, h, s2)
+        tan(s2, s2)  # t
+        mul(s2, s2, c2)
+        add(one, c2, c2)
+        div(one, c2, c2)
+        mul(t2w2, c2, factor)
+        add(one, factor, factor)
+        add(s2, s2, s2)
+        mul(s2, c2, s2)
+
+    return coupling
 
 
 def conditional_y_sample(p: BenchmarkParams, x, streams):

@@ -32,7 +32,7 @@ import numpy as np
 from .benchmark import BenchmarkParams
 from .kernel import FIT_FLOOR_RATIO, conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
-from .sde import IntegratorConfig
+from .sde import NORMAL_BOUND, IntegratorConfig
 
 EXPERIMENTS = (
     "landscape",
@@ -260,7 +260,8 @@ def _reciprocal(v):
 
 def _check_derived(experiment, cfg):
     """Check what the runner derives: each scale it divides by is finite and
-    positive, each constant it steps or tabulates with is finite, each first
+    positive, each constant it steps or tabulates with is finite (with the
+    valley's phase at the widest ``stationary`` start draw), each first
     positive kernel lag squares to a normal float, each integration window
     passes IntegratorConfig's rule (1 to 2**53 steps), and the scalar kernel
     passes :func:`_check_kernel_resolution`."""
@@ -294,6 +295,11 @@ def _check_derived(experiment, cfg):
         except OverflowError:  # bins beyond the floats: the width rounds to 0
             width = 0.0
         scales["histogram bin width"] = width
+        if math.isfinite(var_x):
+            # The valley's phase omega x at the widest equilibrium start draw,
+            # sd_x times a normal of at most NORMAL_BOUND in magnitude.
+            finite["omega times the widest start draw"] = (
+                cfg["omega"] * (math.sqrt(var_x) * NORMAL_BOUND))
     if experiment in ("kernel", "kernel-matrix"):
         points = ([cfg["x0"]] if experiment == "kernel"
                   else conditioning_points(cfg["omega"]).values())

@@ -22,10 +22,12 @@ with b = :func:`drift` and sigma = :func:`diffusion`.  The noise-induced term
 (1/beta) (sigma^2)' makes the Gibbs marginal exp(-beta mu h^2 / 2) invariant
 (zero probability flux); for ``memory-corrected`` it equals the ``div_term``
 of :func:`mzcg.kernel.memory_integral_closed_form`, and for ``memory-free`` it
-vanishes.  :func:`thermostatted_coefficients` is the one definition of these
-coefficients.  Unthermostatted runs integrate dh = b(h) dt and consume no
-noise.  Whether that flow should also carry ``div_term`` (nonzero at finite
-beta) is not settled by the model's derivation, so it is left out.
+vanishes.  :func:`bind_coefficients` is the one definition of these
+coefficients, as a function of h that the engine binds once per march and
+calls on every step; :func:`thermostatted_coefficients` binds it for one
+call.  Unthermostatted runs integrate dh = b(h) dt and consume no noise.
+Whether that flow should also carry ``div_term`` (nonzero at finite beta) is
+not settled by the model's derivation, so it is left out.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmark import BenchmarkParams, valley_coupling
+from .benchmark import BenchmarkParams, bind_valley_coupling, valley_coupling
 
 MEMORY_CORRECTED = "memory-corrected"
 MEMORY_FREE = "memory-free"
@@ -111,7 +113,31 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, wo
     of the shape of ``h`` broadcast against ``beta``, with 0-d constants and
     no temporary of that shape; ``work``, an array of that shape, is the
     scratch of ``memory-corrected``.  Each is a new array when not given,
-    and none may share memory with ``h``.  Returns ``out``.
+    and none may share memory with ``h``.  Returns ``out``.  The formula is
+    the function of :func:`bind_coefficients`, bound for this one call.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(h), np.shape(beta))
+        out = (np.empty(shape), np.empty(shape))
+    bind_coefficients(model, out, beta, work)(h)
+    return out
+
+
+def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
+    """:func:`thermostatted_coefficients` of ``model`` at ``beta`` as a
+    function of ``h`` alone, which writes b and sigma into ``out=(b, sigma)``
+    with the bits of that call and returns nothing.
+
+    Binding does once what every evaluation at one ``beta`` shares: it
+    resolves the model's kind, its 0-d constants and its buffers, binds the
+    valley coupling to them (:func:`~mzcg.benchmark.bind_valley_coupling`),
+    forms the ``memory-corrected`` beta factor ((1/beta) tau^2 omega^2)
+    omega, before it meets the sine, so that an array of betas gives each
+    row the bits of a scalar-beta call, and writes ``memory-free``'s
+    constant sigma, which its function then leaves alone.  The engine binds
+    each model once per march and calls the function on every step.
+    ``out``, ``work`` and ``h`` are as in :func:`thermostatted_coefficients`,
+    and nothing else may write ``sigma`` between calls.
     """
     p = model.params
     if model.kind == NAIVE_MEMORY:
@@ -120,28 +146,32 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, wo
         )
     if beta is None:
         beta = p.beta
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(h), np.shape(beta))
-        out = (np.empty(shape), np.empty(shape))
     b, sigma = out
     omega, one, t2w2, neg_mu = p._coupling_constants
     mul, div = np.multiply, np.divide
     if model.kind == MEMORY_FREE:
-        mul(neg_mu, h, b)
         sigma.fill(1.0)
-        return out
+
+        def coefficients(h):
+            mul(neg_mu, h, b)
+
+        return coefficients
     if work is None:
         work = np.empty_like(b)
-    # cos^2 goes to work, the slowing factor (denom) to sigma and the sine to
-    # b.  ((1/beta) t2w2) omega is formed before it meets the sine, so an
-    # array of betas gives each row the bits of a scalar-beta call.
-    valley_coupling(p, h, out=(work, sigma, b))
-    mul(mul(mul(div(one, beta), t2w2), omega), b, b)
-    np.square(sigma, work)
-    div(b, work, b)  # the noise-induced drift
-    mul(neg_mu, h, work)
-    div(work, sigma, work)
-    np.add(work, b, b)
-    div(one, sigma, sigma)
-    np.sqrt(sigma, sigma)
-    return out
+    # cos^2 goes to work, the slowing factor (denom) to sigma and the sine to b.
+    coupling = bind_valley_coupling(p, (work, sigma, b))
+    noise_factor = mul(mul(div(one, beta), t2w2), omega)
+    square, add, sqrt = np.square, np.add, np.sqrt
+
+    def coefficients(h):
+        coupling(h)
+        mul(noise_factor, b, b)
+        square(sigma, work)
+        div(b, work, b)  # the noise-induced drift
+        mul(neg_mu, h, work)
+        div(work, sigma, work)
+        add(work, b, b)
+        div(one, sigma, sigma)
+        sqrt(sigma, sigma)
+
+    return coefficients

@@ -26,10 +26,15 @@ the experiments run, a step costs ufunc calls more than arithmetic, so
 ``_march`` makes as few calls as it can and allocates no array of the
 batch's width: every plane, the full system's and each reduced model's,
 writes its drift and its noise term into two buffers shaped like the state,
-and one update steps them all (see its docstring).  The full system's drift
-is built from the one definition of the benchmark's orthogonal drift,
+and one update steps them all (see its docstring).  Each model's
+coefficient function is bound once per march
+(:func:`models.bind_coefficients`).  The full system's drift is built from
+the one definition of the benchmark's orthogonal drift,
 :func:`~mzcg.benchmark.orthogonal_drift_xy`, plus its conditional average
-(-mu x, 0); the kernel's RK4 march steps the same function.
+(-mu x, 0); the kernel's RK4 march steps the same function.  Records are
+gathered step-major in one buffer of about NOISE_GROUP_BYTES and move into
+the caller's arrays, whose record axis is last, a block at a time: a record
+written alone there would touch a new cache line per element.
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
@@ -70,7 +75,8 @@ NOISE_CHUNK = 4096
 
 # Bytes of one group of streams' pairs in _draw_noise: small enough that the
 # group's words, their transform and their copy into the step-major chunk
-# stay in the L2 cache (see ROADMAP for the measurements).
+# stay in the L2 cache (see ROADMAP for the measurements).  _march's record
+# buffer takes the same budget.
 NOISE_GROUP_BYTES = 1 << 20
 
 # The one Philox generator of the process, which every NoiseStream seeks to
@@ -84,6 +90,12 @@ _philox_lock = threading.Lock()
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 # Half of the 2**-53 spacing of the uniforms: centres each one in its cell.
 _HALF_SPACING = np.array(2.0**-54)
+# The largest double below 1, at which the centred uniforms are clamped: the
+# top word's centre, 1 - 2**-54, rounds to 1, whose ndtri is inf.
+_BELOW_ONE = np.array(1.0 - 2.0**-53)
+# No normal that a NoiseStream draws exceeds this in magnitude: |ndtri(2**-54)|,
+# the lowest centred uniform's, is above ndtri(1 - 2**-53), the highest's.
+NORMAL_BOUND = float(-ndtri(2.0**-54))
 
 # The worker of the running map_stream_blocks call.  Workers are closures,
 # which cannot be pickled; forked children inherit this instead.
@@ -159,9 +171,12 @@ class NoiseStream:
         words of Philox(key=...) from there.  The draw seeks the shared
         generator to this key and counter (Philox makes 4 words per counter
         value, so it discards up to 2 words first) and turns each word w into
-        ndtri(((w >> 11) + 0.5) * 2**-53), computed in place as numpy's
-        (w >> 11) * 2**-53 plus 2**-54: scaling by a power of two commutes
-        with rounding, so the bits are the same and no temporary is made.
+        ndtri(min(((w >> 11) + 0.5) * 2**-53, 1 - 2**-53)), computed in place
+        as numpy's (w >> 11) * 2**-53 plus 2**-54, then the clamp: scaling by
+        a power of two commutes with rounding, so the bits are the same and no
+        temporary is made.  The clamp moves only the top word, w >> 11 =
+        2**53 - 1, whose centre rounds to 1 (an infinite normal) and goes to
+        1 - 2**-53 instead; every other centre rounds to at most that.
         """
         global _philox, _uniform
         if out is None:
@@ -186,6 +201,7 @@ class NoiseStream:
             _uniform(out=out)
         self.position += count
         np.add(out, _HALF_SPACING, out)
+        np.minimum(out, _BELOW_ONE, out=out)
         ndtri(out, out=out)
         return out.reshape(count, 2)
 
@@ -292,10 +308,14 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     share the noise drawn once per stream and chunk.  The full system
     consumes each stream's increment pair, every model its first component.
 
-    After each recorded step ``dst[..., pos] = src`` for each (src, dst) of
-    ``records``.  ``package(times, k)`` turns the first k records into the
-    caller's return value; a blowup raises at its step, carrying that value
-    for the records taken before it as ``recorded``.
+    Record ``pos`` of each (src, dst) of ``records`` is ``src`` after its
+    step, and it ends up in ``dst[..., pos]``: it is copied into row
+    ``pos % block`` of a step-major buffer of about NOISE_GROUP_BYTES, and a
+    block of rows moves into ``dst`` in one blocked copy before the next
+    record reuses its rows, at the end, and before a blowup raises.
+    ``package(times, k)`` turns the first k records into the caller's return
+    value; a blowup raises at its step, carrying that value for the records
+    taken before it as ``recorded``.
 
     A step costs ufunc calls more than arithmetic, so it makes few, and
     allocates no array of the batch's width.  Every plane writes its drift
@@ -303,10 +323,12 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     shaped like the state.  The full system's drift -grad V, which is
     :func:`~mzcg.benchmark.orthogonal_drift_xy` plus its conditional average
     (-mu x, 0), goes to the x and y planes, and the thermostat's amp * xi to
-    theirs in the noise term; each model's coefficients
-    (:func:`models.thermostatted_coefficients` into the model's planes, or
-    :func:`models.drift` copied there) go to its own.  One update then serves
-    every plane: ``g *= dt``, the state gains ``g``, then the noise term.
+    theirs in the noise term.  Each model's drift goes to its plane of ``g``
+    (from its :func:`models.bind_coefficients` function, bound once per
+    march, or :func:`models.drift` copied there), and its sigma times the
+    first component of amp * xi to its plane of the noise term.  One update
+    then serves every plane: ``g *= dt``, the state gains ``g``, then the
+    noise term.
     Each element sees the operations, in the order, of a separate step per
     plane.  Every constant is a 0-d array made once (a ufunc takes one for
     less per call than a Python float, with the same bits).  The blowup test
@@ -318,8 +340,26 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     rec_idx = cfg.record_steps()
     times = rec_idx * cfg.dt
     rec_steps = rec_idx.tolist() + [-1]
-    for src, dst in records:
-        dst[..., 0] = src
+    # Records per block: as many as NOISE_GROUP_BYTES holds.
+    width = sum(src.size for src, _ in records)
+    block = max(1, min(len(rec_idx), NOISE_GROUP_BYTES // (8 * max(1, width))))
+    taken = [(np.empty((block,) + src.shape), src, dst) for src, dst in records]
+
+    def flush(stop):
+        """Move the block of records that ends before ``stop`` into place."""
+        start = stop - 1 - (stop - 1) % block
+        for buf, _, dst in taken:
+            dst[..., start:stop] = np.moveaxis(buf[:stop - start], 0, -1)
+
+    def take(pos):
+        """Buffer record ``pos``, first moving a full buffer into place."""
+        row = pos % block
+        if row == 0 and pos:
+            flush(pos)
+        for buf, src, _ in taken:
+            buf[row] = src
+
+    take(0)
     rec_pos = 1
 
     dt = np.array(cfg.dt)
@@ -346,8 +386,12 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
         # full system); az, its first component, is what the models take.
         daz = noise_term[::len(state) - 1] if full else np.empty((2,) + state.shape[1:])
         az = daz[0]
+        # Each model's noise multiplier, kept apart from its noise term so
+        # that a constant one is written once, when the model is bound.
+        sigma = np.empty_like(nh)
         work = np.empty(state.shape[1:])
-        planes = list(zip(stepped, h, gh, nh))
+        planes = [(models.bind_coefficients(model, (b, s), beta, work), hm)
+                  for model, hm, b, s in zip(stepped, h, gh, sigma)]
     else:
         planes = list(zip(stepped, h, gh))
     # The blowup test reads the live state through this view; a copy would
@@ -378,10 +422,10 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                     mul(neg_mu, x, c)
                     add(gx, c, gx)
                 if thermostat:
-                    for model, hm, b, sigma in planes:
-                        models.thermostatted_coefficients(model, hm, beta, (b, sigma), work)
+                    for coefficients, hm in planes:
+                        coefficients(hm)
                     if planes:
-                        mul(nh, az, nh)
+                        mul(sigma, az, nh)
                 else:
                     for model, hm, b in planes:
                         np.copyto(b, models.drift(model, hm))
@@ -397,14 +441,15 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 if not np.dot(flat, flat) < BLOWUP_SQUARED and not (
                     np.abs(state).max() < BLOWUP_LIMIT
                 ):
+                    flush(rec_pos)
                     raise _blowup_error(
                         step, state, beta, streams, package(times[:rec_pos], rec_pos)
                     )
                 if step == rec_steps[rec_pos]:
-                    for src, dst in records:
-                        dst[..., rec_pos] = src
+                    take(rec_pos)
                     rec_pos += 1
 
+    flush(rec_pos)
     return package(times, rec_pos)
 
 

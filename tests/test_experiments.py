@@ -528,6 +528,10 @@ class TestCLIContract:
         pytest.param(["mean-trajectory", "--set", "omega=1e308"], id="drift-constants-overflow"),
         pytest.param(["landscape", "--set", "x_min=-1e300", "--set", "x_max=1e300",
                       "--set", "grid_points=3"], id="potential-overflow"),
+        # omega times the widest equilibrium start draw overflows; tau = 0
+        # leaves every drift constant finite.
+        pytest.param(["stationary", "--set", "tau=0", "--set", "omega=1e308",
+                      "--set", "n_samples=100"], id="start-phase-overflow"),
         # A histogram beyond physical memory.
         pytest.param(["stationary", "--set", "bins=9007199254740993", "--set", "t_main=0.01",
                       "--set", "t_resid=0.01"], id="bins-exceed-memory"),

@@ -15,6 +15,7 @@ from mzcg.models import (
     NAIVE_MEMORY,
     EffectiveModel,
     UnsupportedModelError,
+    bind_coefficients,
     diffusion,
     drift,
     thermostatted_coefficients,
@@ -207,6 +208,35 @@ class TestInPlaceCoefficients:
         for coefficients in (got, allocated):
             assert same_bits(coefficients[0], np.broadcast_to(b, shape))
             assert same_bits(coefficients[1], np.broadcast_to(sigma, shape))
+
+    @pytest.mark.parametrize("kind", [MEMORY_CORRECTED, MEMORY_FREE])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h=st.lists(st.floats(), min_size=1, max_size=20),
+        beta=st.one_of(
+            st.floats(1e-3, 1e3), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)
+        ),
+    )
+    def test_bound_function_equals_thermostatted_coefficients_bitwise(self, kind, h, beta):
+        # Bound once, as the engine binds each model per march, and called on
+        # two arguments in turn: each call has the bits of its own
+        # thermostatted_coefficients call.
+        model = EffectiveModel(kind, P)
+        h = np.concatenate([np.array(h, dtype=float), EDGE_H])
+        if isinstance(beta, list):
+            beta = np.array(beta).reshape(-1, 1)
+        shape = np.broadcast_shapes(h.shape, np.shape(beta))
+        out = (np.empty(shape), np.empty(shape))
+        coefficients = bind_coefficients(model, out, beta, np.empty(shape))
+        with np.errstate(all="ignore"):
+            for arg in (h, h[::-1] * 0.5):
+                assert coefficients(arg) is None
+                b, sigma = thermostatted_coefficients(model, arg, beta)
+                assert same_bits(out[0], b) and same_bits(out[1], sigma)
+
+    def test_naive_memory_cannot_be_bound(self):
+        with pytest.raises(UnsupportedModelError):
+            bind_coefficients(EffectiveModel(NAIVE_MEMORY, P), (np.empty(1), np.empty(1)))
 
     @settings(max_examples=100, deadline=None)
     @given(h=st.lists(st.floats(), max_size=20))

@@ -145,6 +145,19 @@ class TestNoiseStream:
         k = (words >> np.uint64(11)).astype(np.float64)
         assert np.array_equal((k + 0.5) * 2.0**-53, k * 2.0**-53 + 2.0**-54)
 
+    def test_top_word_gives_a_finite_normal(self):
+        # numpy's largest uniform, (2**53 - 1) * 2**-53, has the centre
+        # 1 - 2**-54, which rounds to 1, whose ndtri is inf; the clamp takes
+        # it to the largest double below 1, and leaves the next word's centre.
+        NoiseStream(0, 0).pairs(1)  # makes the shared generator to patch
+        top, next_ = 2**53 - 1, 2**53 - 2
+        for k, want in [(top, 1.0 - 2.0**-53), (next_, next_ * 2.0**-53 + 2.0**-54)]:
+            with mock.patch.object(sde, "_uniform", lambda out: out.fill(k * 2.0**-53)):
+                z = NoiseStream(0, 0).pairs(2)
+            assert np.all(np.isfinite(z))
+            assert np.all(z == ndtri(want))
+        assert abs(ndtri(1.0 - 2.0**-53)) < sde.NORMAL_BOUND == -ndtri(2.0**-54)
+
 
 def _group(span):
     """The number of streams _draw_noise draws per group at ``span``."""
@@ -617,6 +630,81 @@ class TestModelPlanes:
         )
         assert rec[:, 1:, 0].tobytes() == xs[0].tobytes()
         assert rec[:, 1:, 1].tobytes() == ys[0].tobytes()
+
+
+def _record_block_runs(engine, stride, n_rec, block):
+    """``engine``'s records over a run of ``n_rec`` records at ``stride``,
+    with the record buffer patched to hold ``block`` records, and the same
+    records taken one at a time, each as the last record of a run that ends
+    at its step; both in the layout of the engine's return value."""
+    n, dt = 3, 1e-3
+    x0s = np.stack([np.linspace(-0.4, 0.5, n), np.linspace(0.3, -0.2, n)], axis=-1)
+    model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+    betas = {"crn-1": 1.0, "crn-3": (1.0, 10.0, 100.0)}.get(engine)
+    # Doubles per record: x and y, x alone, or x and each model's h per beta.
+    width = {"full": 2 * n, "flow": n}.get(engine, 3 * np.size(betas) * n)
+
+    def run(n_steps, stride):
+        cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride)
+        assert cfg.n_steps == n_steps
+        streams = [NoiseStream(5, i) for i in range(n)]
+        if engine == "full":
+            # (n, n_rec, 2) with the record axis last, as the others have it.
+            return integrate_full_batch(P, x0s, cfg, streams)[1].transpose(0, 2, 1)
+        if engine == "flow":
+            return integrate_flow_batch(P, model_list, x0s, 0.2, cfg, streams)[1]
+        _, full_x, recs = integrate_crn_batch(P, model_list, x0s[0], 0.2, cfg, streams, betas)
+        return np.stack([full_x] + recs)
+
+    # The last record falls between strides when stride > 1.
+    n_steps = (n_rec - 2) * stride + max(1, stride // 2)
+    steps = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride).record_steps()
+    assert len(steps) == n_rec
+    with mock.patch.object(sde, "NOISE_GROUP_BYTES", 8 * width * block):
+        records = run(n_steps, stride)
+    reference = [run(max(k, 1), max(k, 1))[..., -1 if k else 0] for k in steps]
+    return records, np.stack(reference, axis=-1)
+
+
+class TestRecordBlocks:
+    """Records move into place a block of NOISE_GROUP_BYTES at a time; every
+    front end's records must be those of a run recorded step by step."""
+
+    @pytest.mark.parametrize("engine", ["full", "crn-1", "crn-3", "flow"])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("n_rec", [3, 4, 5, 11])
+    def test_records_across_block_boundaries_equal_per_step_records(self, engine, stride, n_rec):
+        # A block of 4 records: 3 is below one block, 4 at it, 5 and 11 above
+        # it, with a partial block at the end.
+        records, reference = _record_block_runs(engine, stride, n_rec, 4)
+        assert records.shape == reference.shape
+        assert records.tobytes() == reference.tobytes()
+
+    def test_blowup_inside_a_block_carries_the_per_step_prefix(self):
+        # dt = 0.2 blows the full system up at a step that is not a multiple
+        # of the 5-record block, so the prefix ends inside a block.
+        cfg = IntegratorConfig(dt=0.2, t_final=20.0)
+        x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3)
+        model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+
+        def blowup(block):
+            width = 3 * 3 * 4  # doubles per record: x and each h, per beta and stream
+            with mock.patch.object(sde, "NOISE_GROUP_BYTES", 8 * width * block), \
+                    pytest.raises(NumericalBlowupError) as err:
+                integrate_crn_batch(P, model_list, (x0, y0), x0, cfg,
+                                    [NoiseStream(2, i) for i in range(4)], (1.0, 10.0, 100.0))
+            return err.value
+
+        per_step, blocked = blowup(1), blowup(5)
+        assert blocked.step == per_step.step and blocked.step % 5 != 0
+        assert (blocked.stream_id, blocked.beta) == (per_step.stream_id, per_step.beta)
+        times, full_x, model_recs = blocked.recorded
+        want_times, want_x, want_recs = per_step.recorded
+        assert full_x.shape[-1] == blocked.step
+        assert np.array_equal(times, want_times)
+        assert full_x.tobytes() == want_x.tobytes()
+        for got, want in zip(model_recs, want_recs):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestFlowBatch:
