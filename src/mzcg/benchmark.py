@@ -62,8 +62,8 @@ class BenchmarkParams:
     @cached_property
     def _coupling_constants(self):
         """omega, 1, tau^2 omega^2 and -mu, the constants of
-        :func:`valley_coupling` and of the reduced models when they write into
-        caller buffers, as read-only 0-d float64 arrays made once."""
+        :func:`bind_valley_coupling` and of the reduced models' bound
+        coefficients, as read-only 0-d float64 arrays made once."""
         constants = tuple(np.array(v) for v in (
             self.omega, 1.0, self.tau * self.tau * self.omega * self.omega, -self.mu))
         for c in constants:
@@ -95,7 +95,7 @@ def effective_potential_grad(p: BenchmarkParams, h):
     return p.mu * np.asarray(h, dtype=float)
 
 
-def valley_coupling(p: BenchmarkParams, h, out=None):
+def valley_coupling(p: BenchmarkParams, h):
     """The valley coupling tau^2 omega^2 cos^2(omega h) seen by the resolved
     coordinate at ``h``, as (tau^2 omega^2, cos^2(omega h), 1 + tau^2 omega^2
     cos^2(omega h), sin(2 omega h)): its two factors, which callers group as
@@ -108,15 +108,9 @@ def valley_coupling(p: BenchmarkParams, h, out=None):
     floats with the bits of a one-element array, so t comes from ``np.tan``
     there too (``math.tan`` differs from it in the last bit for some
     arguments); a non-finite argument gives nan without raising.
-
-    ``out``, three float arrays of one shape that ``h`` broadcasts to and
-    that share no memory with ``h``, receives the last three values from
-    :func:`bind_valley_coupling`; tau^2 omega^2 is still returned as a Python
-    float."""
+    :func:`bind_valley_coupling` writes the last three values into caller
+    buffers instead."""
     t2w2 = p.tau * p.tau * p.omega * p.omega
-    if out is not None:
-        bind_valley_coupling(p, out)(h)
-        return (t2w2,) + tuple(out)
     t = np.tan(p.omega * h)
     if type(h) is float:
         t = float(t)
@@ -128,7 +122,9 @@ def bind_valley_coupling(p: BenchmarkParams, out):
     """The last three values of :func:`valley_coupling` as a function of
     ``h`` alone that writes them into ``out=(c2, factor, s2)``, from the
     operations, in the order, of the allocating call, with 0-d constants and
-    no temporary; ``out`` is as in :func:`valley_coupling`."""
+    no temporary: the one in-place form of the coupling, which the reduced
+    models bind once per march.  ``out`` holds three float arrays of one
+    shape that ``h`` broadcasts to and that share no memory with ``h``."""
     omega, one, t2w2, _ = p._coupling_constants
     c2, factor, s2 = out
     mul, add, div, tan = np.multiply, np.add, np.divide, np.tan

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .benchmark import BenchmarkParams
-from .kernel import FIT_FLOOR_RATIO, conditioning_points, kernel_decay_rate
+from .kernel import FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
 from .sde import NORMAL_BOUND, IntegratorConfig
 
@@ -263,8 +263,9 @@ def _check_derived(experiment, cfg):
     positive, each constant it steps or tabulates with is finite (with the
     valley's phase at the widest ``stationary`` start draw), each first
     positive kernel lag squares to a normal float, each integration window
-    passes IntegratorConfig's rule (1 to 2**53 steps), and the scalar kernel
-    passes :func:`_check_kernel_resolution`."""
+    passes IntegratorConfig's rule (1 to 2**53 steps), the scalar kernel
+    passes :func:`_check_kernel_resolution`, and its first positive lag lies
+    in the window of its decay fit, FIT_WINDOW_EFOLDS decay times."""
     scales, finite, lags, windows = {}, {}, {}, []
     if experiment == "landscape":
         x_edge = max(abs(cfg["x_min"]), abs(cfg["x_max"]))
@@ -316,6 +317,8 @@ def _check_derived(experiment, cfg):
                 # Two lags are 0 and s_max / 100: the grid then ends there.
                 horizon = s_max if cfg["n_lags"] > 2 else s_max / 100.0
                 windows.append((f"lag horizon at x0={x0:g}", horizon, "dt"))
+                # The first positive lag, and the window of kernel's decay fit.
+                fit = (s_max / 100.0, FIT_WINDOW_EFOLDS / rate)
     else:
         windows = [(t, cfg[t], dt) for t, dt in
                    (("t_final", "dt"), ("t_main", "dt_main"), ("t_resid", "dt_resid"))
@@ -337,6 +340,13 @@ def _check_derived(experiment, cfg):
             IntegratorConfig(cfg[dt], horizon)
         except ValueError as err:
             raise ConfigError(f"{name} = {horizon:g} with {dt} = {cfg[dt]:g}: {err}") from err
+    # kernel fits the decay over lag 0 and the lags in its window, with
+    # fit_decay_rate's allowance; kernel-matrix fits nothing.
+    if experiment == "kernel" and not fit[0] <= fit[1] * (1.0 + 1e-12):
+        raise ConfigError(
+            f"lag_efolds = {cfg['lag_efolds']} puts the first positive lag beyond the decay "
+            f"fit's window of {FIT_WINDOW_EFOLDS:g} decay times; use at most "
+            f"{100 * FIT_WINDOW_EFOLDS:g}")
 
 
 def _check_kernel_resolution(cfg):
@@ -363,12 +373,6 @@ def _check_kernel_resolution(cfg):
             f"= {amp * amp:g} is below {least:g}, so the kernel rounds to 0; use a larger tau")
 
 
-def _n_records(t_final, dt, stride):
-    """Length of ``IntegratorConfig(dt, t_final, stride).record_steps()``,
-    without building it."""
-    return -(-IntegratorConfig(dt, t_final).n_steps // stride) + 1
-
-
 def _array_bytes(experiment, cfg):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
     kernels' per-lag samples, the landscape's grid, the stationary
@@ -379,14 +383,15 @@ def _array_bytes(experiment, cfg):
     if experiment in ("kernel", "kernel-matrix"):
         return 2 * cfg["n_lags"] * cfg["n_samples"] * 8, "fewer n_samples or n_lags"
     if experiment == "stationary":
-        records = (_n_records(cfg["t_main"], cfg["dt_main"], cfg["stride_main"])
-                   + _n_records(cfg["t_resid"], cfg["dt_resid"], cfg["stride_resid"]))
+        records = sum(IntegratorConfig(cfg[dt], cfg[t], cfg[stride]).n_records
+                      for t, dt, stride in (("t_main", "dt_main", "stride_main"),
+                                            ("t_resid", "dt_resid", "stride_resid")))
         series = 2 * cfg["n_samples"] * records * 8
         histogram = 5 * (cfg["bins"] + 1) * 8
         if histogram > series:
             return series + histogram, "fewer bins"
         return series + histogram, "a larger stride_main or stride_resid"
-    records = _n_records(cfg["t_final"], cfg["dt"], cfg["record_stride"])
+    records = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"]).n_records
     if experiment == "ensemble":
         series = 3 * len(cfg["beta_list"]) * cfg["n_samples"]
     else:

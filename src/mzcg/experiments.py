@@ -27,6 +27,7 @@ from .config import beta_label, params_from_config
 from .csvio import write_csv
 from .geometry import build_cg_map
 from .kernel import (
+    FIT_WINDOW_EFOLDS,
     approx_kernel,
     conditioning_points,
     default_lag_grid,
@@ -150,7 +151,8 @@ def reduce_kernel(cfg, est):
     approx = approx_kernel(p, est.lags, est.x0)
     rate = kernel_decay_rate(p, est.x0)
     summary = [
-        ("fitted_decay_rate", fit_decay_rate(est.lags, est.values, s_max=2.0 / rate)),
+        ("fitted_decay_rate",
+         fit_decay_rate(est.lags, est.values, s_max=FIT_WINDOW_EFOLDS / rate)),
         ("theoretical_decay_rate", -rate),
         ("amplitude_s0", est.values[0]),
         ("amplitude_s0_stderr", est.stderr[0]),

@@ -250,6 +250,9 @@ def default_lag_grid(p: BenchmarkParams, x0, n_lags=60, efolds=5.0) -> np.ndarra
 
 # Values below this fraction of the lag-0 magnitude are left out of the fit.
 FIT_FLOOR_RATIO = 1e-3
+# The kernel experiment fits the decay over lags up to this many decay times
+# of the approximate kernel.
+FIT_WINDOW_EFOLDS = 2.0
 
 
 def fit_decay_rate(lags, values, s_max=None, floor_ratio=FIT_FLOOR_RATIO) -> float:

@@ -94,7 +94,7 @@ def diffusion(model: EffectiveModel, h):
     return np.sqrt(1.0 / valley_coupling(p, h)[2])
 
 
-def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, work=None):
+def thermostatted_coefficients(model: EffectiveModel, h, beta=None):
     """Ito coefficients (b, sigma) of the thermostatted model at ``h``:
     b = drift(h) + (1/beta) d(sigma^2)/dh and sigma = diffusion(h), with
     drift(h) and sigma equal bit for bit to what those functions return.
@@ -104,29 +104,24 @@ def thermostatted_coefficients(model: EffectiveModel, h, beta=None, out=None, wo
 
     For ``memory-corrected``, sigma^2 = 1 / (1 + tau^2 omega^2 cos^2(omega h))
     and the noise-induced term is (1/beta) tau^2 omega^3 sin(2 omega h)
-    / (1 + tau^2 omega^2 cos^2(omega h))^2; both come from one
-    :func:`~mzcg.benchmark.valley_coupling` call, whose one tangent gives
-    cos^2(omega h) and sin(2 omega h).  ``memory-free`` has constant sigma and
-    no such term.
+    / (1 + tau^2 omega^2 cos^2(omega h))^2; both come from one evaluation of
+    the valley coupling, whose one tangent gives cos^2(omega h) and
+    sin(2 omega h).  ``memory-free`` has constant sigma and no such term.
 
-    The coefficients are written into ``out=(b, sigma)``, two float arrays
-    of the shape of ``h`` broadcast against ``beta``, with 0-d constants and
-    no temporary of that shape; ``work``, an array of that shape, is the
-    scratch of ``memory-corrected``.  Each is a new array when not given,
-    and none may share memory with ``h``.  Returns ``out``.  The formula is
-    the function of :func:`bind_coefficients`, bound for this one call.
+    Returns two new arrays of the shape of ``h`` broadcast against ``beta``,
+    from :func:`bind_coefficients` bound for this one call.
     """
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(h), np.shape(beta))
-        out = (np.empty(shape), np.empty(shape))
-    bind_coefficients(model, out, beta, work)(h)
+    shape = np.broadcast_shapes(np.shape(h), np.shape(beta))
+    out = (np.empty(shape), np.empty(shape))
+    bind_coefficients(model, out, beta)(h)
     return out
 
 
 def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
     """:func:`thermostatted_coefficients` of ``model`` at ``beta`` as a
     function of ``h`` alone, which writes b and sigma into ``out=(b, sigma)``
-    with the bits of that call and returns nothing.
+    with the bits of that call and returns nothing.  The engine binds each
+    model once per march and calls the function on every step.
 
     Binding does once what every evaluation at one ``beta`` shares: it
     resolves the model's kind, its 0-d constants and its buffers, binds the
@@ -134,10 +129,13 @@ def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
     forms the ``memory-corrected`` beta factor ((1/beta) tau^2 omega^2)
     omega, before it meets the sine, so that an array of betas gives each
     row the bits of a scalar-beta call, and writes ``memory-free``'s
-    constant sigma, which its function then leaves alone.  The engine binds
-    each model once per march and calls the function on every step.
-    ``out``, ``work`` and ``h`` are as in :func:`thermostatted_coefficients`,
-    and nothing else may write ``sigma`` between calls.
+    constant sigma, which its function then leaves alone.  ``naive-memory``
+    raises :class:`UnsupportedModelError` here, before any step.
+
+    ``out`` holds two float arrays of the shape of ``h`` broadcast against
+    ``beta``, and ``work``, of that shape, is ``memory-corrected``'s scratch
+    (new when not given); none may share memory with ``h``, and nothing else
+    may write ``sigma`` between calls.
     """
     p = model.params
     if model.kind == NAIVE_MEMORY:

@@ -234,6 +234,11 @@ class IntegratorConfig:
     def n_steps(self) -> int:
         return max(1, int(round(self.t_final / self.dt)))
 
+    @property
+    def n_records(self) -> int:
+        """The length of :meth:`record_steps`, without building it."""
+        return -(-self.n_steps // self.record_stride) + 1
+
     def record_steps(self) -> np.ndarray:
         """Step indices at which the state is recorded (0 and n_steps always)."""
         idx = np.arange(0, self.n_steps + 1, self.record_stride)
@@ -466,7 +471,7 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
         raise ValueError("thermostatted runs need one stream per trajectory")
     state = np.empty((2, 1, n))
     state[:, 0] = x0s.T
-    recorded = np.empty((n, len(cfg.record_steps()), 2))
+    recorded = np.empty((n, cfg.n_records, 2))
     return _march(
         p, cfg, state, True, (), np.array([[p.beta]]) if thermostat else None,
         streams, [(state, recorded.transpose(2, 0, 1)[:, None])],
@@ -482,19 +487,18 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     noise-induced drift, and noise term
     ``diffusion(model, h) * sqrt(2 dt / beta) * xi`` with ``xi`` the scalar
     view of each stream, so runs share the resolved-component increments of
-    :func:`integrate_full_batch` at equal stream addresses.
+    :func:`integrate_full_batch` at equal stream addresses; ``naive-memory``
+    raises :class:`~mzcg.models.UnsupportedModelError` before any step.
     Unthermostatted runs step ``drift`` alone.
     Returns (times, recorded) with recorded of shape (n, n_rec).
     """
-    if thermostat:
-        models.diffusion(model, 0.0)  # rejects models with no noise closure
     h0s = np.asarray(h0s, dtype=float)
     n = h0s.shape[0]
     if thermostat and (streams is None or len(streams) != n):
         raise ValueError("thermostatted runs need one stream per trajectory")
     state = np.empty((1, 1, n))
     state[0, 0] = h0s
-    recorded = np.empty((n, len(cfg.record_steps())))
+    recorded = np.empty((n, cfg.n_records))
     return _march(
         p, cfg, state, False, [model],
         np.array([[p.beta]]) if thermostat else None, streams,
@@ -514,6 +518,8 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     and every block matches a one-beta call bit for bit.
 
     All trajectories start from the same ``xy0`` (full) and ``h0`` (models).
+    ``naive-memory`` raises :class:`~mzcg.models.UnsupportedModelError`
+    before any step.
     Returns (times, full_x, model_recs) where full_x has shape (n, n_rec),
     with a leading beta axis when ``beta`` is a sequence, and model_recs is
     one same-shaped array per model.
@@ -521,15 +527,13 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     beta = np.asarray(p.beta if beta is None else beta, dtype=float)
     if beta.ndim > 1 or not np.all(beta > 0.0):
         raise ValueError("beta must be one positive value or a 1-D sequence of them")
-    for model in scalar_models:
-        models.diffusion(model, 0.0)
     column = beta.reshape(-1, 1)
     x0, y0 = np.asarray(xy0, dtype=float)
     state = np.empty((len(scalar_models) + 2, len(column), len(streams)))
     state[0] = x0
     state[1:-1] = float(h0)
     state[-1] = y0
-    out = np.empty((len(scalar_models) + 1,) + state.shape[1:] + (len(cfg.record_steps()),))
+    out = np.empty((len(scalar_models) + 1,) + state.shape[1:] + (cfg.n_records,))
     rows = 0 if beta.ndim == 0 else slice(None)
 
     def package(times, k):
@@ -586,7 +590,7 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
     x0s = np.asarray(x0s, dtype=float)
     state = np.empty((2, 1, x0s.shape[0]))
     state[:, 0] = x0s.T
-    full_x = np.empty((x0s.shape[0], len(cfg.record_steps())))
+    full_x = np.empty((x0s.shape[0], cfg.n_records))
     return _march(
         p, cfg, state, True, (), None, streams, [(state[0], full_x[None])],
         lambda times, k: (times, full_x[:, :k], runs),

@@ -16,16 +16,6 @@ SPECIAL = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324,
 
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL))
 float_columns = arrays(np.float64, st.integers(0, 12), elements=floats)
-text = st.text(alphabet=st.sampled_from(["a", "1", ",", '"', " ", "\n", "\r", "#", "é"]),
-               max_size=6)
-other_columns = st.one_of(
-    st.lists(st.one_of(st.none(), floats), max_size=12),
-    arrays(np.int64, st.integers(0, 12)),
-    arrays(np.bool_, st.integers(0, 12)),
-    arrays(np.float32, st.integers(0, 12)),
-    st.lists(st.integers(-10**20, 10**20), max_size=12),
-    st.lists(text, max_size=12),
-)
 
 
 def reference_write_csv(path, comments, header, columns):
@@ -55,12 +45,6 @@ def written_bytes(writer, columns):
 @settings(deadline=None)
 @given(st.lists(float_columns, max_size=5))
 def test_float_columns_match_reference_writer(columns):
-    assert written_bytes(write_csv, columns) == written_bytes(reference_write_csv, columns)
-
-
-@settings(deadline=None)
-@given(st.lists(st.one_of(float_columns, other_columns), max_size=5))
-def test_mixed_columns_match_reference_writer(columns):
     assert written_bytes(write_csv, columns) == written_bytes(reference_write_csv, columns)
 
 

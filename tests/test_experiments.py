@@ -543,6 +543,10 @@ class TestCLIContract:
         # Two lags end the grid at s_max / 100, here below one step.
         pytest.param(["kernel", "--set", "n_lags=2", "--set", "lag_efolds=4"],
                      id="two-lags-below-one-step"),
+        # The first positive lag, lag_efolds / 100 decay times, lies beyond
+        # the decay fit's window of 2 decay times.
+        pytest.param(["kernel", "--set", "lag_efolds=200.0001", "--set", "n_samples=4",
+                      "--set", "n_lags=3"], id="first-lag-beyond-fit-window"),
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])
@@ -550,6 +554,14 @@ class TestCLIContract:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    def test_first_lag_on_the_fit_window_edge_runs(self, tmp_path):
+        # lag_efolds = 200 puts the first positive lag at 2 decay times, the
+        # last lag the decay fit takes.
+        res = run_cli(["kernel", "--set", "lag_efolds=200", "--set", "n_samples=4",
+                       "--set", "n_lags=3", "--out", str(tmp_path / "o.csv")])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(EXPERIMENTS).flatmap(lambda e: st.tuples(

@@ -22,6 +22,7 @@ from mzcg.models import (
     MEMORY_FREE,
     NAIVE_MEMORY,
     EffectiveModel,
+    UnsupportedModelError,
     diffusion,
     drift,
 )
@@ -222,6 +223,17 @@ class TestIntegratorConfig:
         cfg = IntegratorConfig(dt=0.1, t_final=1.0, record_stride=3)
         assert cfg.record_steps()[0] == 0
         assert cfg.record_steps()[-1] == cfg.n_steps
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_steps=st.integers(1, 10**5), stride=st.integers(1, 2 * 10**5))
+    @example(n_steps=1, stride=1)
+    @example(n_steps=6, stride=3)
+    @example(n_steps=7, stride=3)
+    @example(n_steps=7, stride=8)
+    def test_n_records_is_the_length_of_record_steps(self, n_steps, stride):
+        cfg = IntegratorConfig(dt=1.0, t_final=float(n_steps), record_stride=stride)
+        assert cfg.n_steps == n_steps
+        assert cfg.n_records == len(cfg.record_steps())
 
 
 class TestTrajectory:
@@ -451,6 +463,17 @@ class TestSimulateScalar:
 
         with pytest.raises(UnsupportedModelError):
             simulate_scalar(EffectiveModel(NAIVE_MEMORY, P), P, 0.1, cfg, NoiseStream(1, 0))
+
+    def test_crn_batch_refuses_naive_memory_before_any_step(self):
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
+        model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(NAIVE_MEMORY, P)]
+        streams = [NoiseStream(1, i) for i in range(3)]
+        with mock.patch.object(sde, "_draw_noise") as draw, \
+                mock.patch.object(sde, "orthogonal_drift_xy") as full_drift:
+            with pytest.raises(UnsupportedModelError):
+                integrate_crn_batch(P, model_list, (0.1, 0.2), 0.1, cfg, streams, (1.0, 10.0))
+        draw.assert_not_called()
+        full_drift.assert_not_called()
 
     def test_scalar_noise_is_resolved_component_of_full_noise(self):
         # Identical stream address: the reduced model and the full system
