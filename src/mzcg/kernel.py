@@ -12,7 +12,7 @@ from math import ceil, pi
 import numpy as np
 
 from . import benchmark
-from .benchmark import BenchmarkParams, orthogonal_drift_xy, valley_coupling
+from .benchmark import BenchmarkParams, bind_orthogonal_drift, valley_coupling
 from .geometry import CGMap
 from .sde import (
     BLOWUP_LIMIT,
@@ -101,9 +101,11 @@ def _rk4_march(p, x, y, span, dt):
     RK4, using equal substeps no longer than ``dt`` (landing exactly).
 
     The state marches as one stacked (2, n) array.  The four slopes, the
-    stage input and the drift's scratch are allocated once per call, and the
-    stage arithmetic runs in place with 0-d constants, in the operation order
-    of ``x + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with stage inputs
+    stage input and the drift's scratch are allocated once per call, with
+    the orthogonal drift bound once per slope
+    (:func:`~mzcg.benchmark.bind_orthogonal_drift`), and the stage
+    arithmetic runs in place with 0-d constants, in the operation order of
+    ``x + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with stage inputs
     ``x + (h / 2) * k``.  Returns new arrays (x, y).
     """
     n_sub = max(1, ceil(span / dt - 1e-12))
@@ -111,19 +113,21 @@ def _rk4_march(p, x, y, span, dt):
     z = np.stack((x, y))
     k1, k2, k3, k4, t = (np.empty_like(z) for _ in range(5))
     cos = np.empty_like(z[0])
+    slope1 = bind_orthogonal_drift(p, z[0], z[1], k1, cos)
+    slope2, slope3, slope4 = (bind_orthogonal_drift(p, t[0], t[1], k, cos) for k in (k2, k3, k4))
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
     add, mul = np.add, np.multiply
     for _ in range(n_sub):
-        orthogonal_drift_xy(p, z[0], z[1], k1, cos)
+        slope1()
         mul(half_h, k1, t)
         add(z, t, t)
-        orthogonal_drift_xy(p, t[0], t[1], k2, cos)
+        slope2()
         mul(half_h, k2, t)
         add(z, t, t)
-        orthogonal_drift_xy(p, t[0], t[1], k3, cos)
+        slope3()
         mul(full_h, k3, t)
         add(z, t, t)
-        orthogonal_drift_xy(p, t[0], t[1], k4, cos)
+        slope4()
         add(k2, k3, t)
         mul(two, t, t)
         add(k1, t, t)
@@ -141,10 +145,8 @@ def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig) -> 
     y = np.array([y0], dtype=float)
     rec_idx = cfg.record_steps()
     recorded = np.empty((len(rec_idx), 2))
-    rec_pos = 0
-    if rec_idx[0] == 0:
-        recorded[0] = (x[0], y[0])
-        rec_pos = 1
+    recorded[0] = (x[0], y[0])
+    rec_pos = 1
     for step in range(1, cfg.n_steps + 1):
         x, y = _rk4_march(p, x, y, cfg.dt, cfg.dt)
         if not max(abs(x[0]), abs(y[0])) < BLOWUP_LIMIT:
@@ -152,7 +154,7 @@ def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig) -> 
                 step,
                 trajectory=Trajectory(rec_idx[:rec_pos] * cfg.dt, recorded[:rec_pos]),
             )
-        if rec_pos < len(rec_idx) and step == rec_idx[rec_pos]:
+        if step == rec_idx[rec_pos]:
             recorded[rec_pos] = (x[0], y[0])
             rec_pos += 1
     return Trajectory(rec_idx * cfg.dt, recorded)

@@ -25,7 +25,9 @@ of :func:`mzcg.kernel.memory_integral_closed_form`, and for ``memory-free`` it
 vanishes.  :func:`bind_coefficients` is the one definition of these
 coefficients, as a function of h that the engine binds once per march and
 calls on every step; :func:`thermostatted_coefficients` binds it for one
-call.  Unthermostatted runs integrate dh = b(h) dt and consume no noise.
+call.  Unthermostatted runs integrate dh = b(h) dt and consume no noise;
+the deterministic flows step b as :func:`bind_float_drift` binds it on
+Python floats.
 Whether that flow should also carry ``div_term`` (nonzero at finite beta) is
 not settled by the model's derivation, so it is left out.
 """
@@ -63,18 +65,53 @@ class EffectiveModel:
 def drift(model: EffectiveModel, h):
     """Deterministic drift b(h) of the reduced model; pure in ``h``.
 
-    A Python float ``h`` is evaluated in Python floats, which is what the
-    deterministic model flows step; it gives the bits of a one-element array,
-    and nan, not an exception, where the array would hold nan."""
+    A Python float ``h`` goes through :func:`bind_float_drift`, bound for
+    this one call."""
+    if type(h) is float:
+        return bind_float_drift(model)(h)
     p = model.params
-    if type(h) is not float:
-        h = np.asarray(h, dtype=float)
+    h = np.asarray(h, dtype=float)
     if model.kind == MEMORY_FREE:
         return -p.mu * h
     t2w2, c2, factor, s2 = valley_coupling(p, h)
     if model.kind == MEMORY_CORRECTED:
         return -p.mu * h / factor
     return (p.lam * t2w2 * c2 - 1.0) * (p.mu * h) + (p.lam / p.beta) * t2w2 * p.omega * s2
+
+
+def bind_float_drift(model: EffectiveModel):
+    """:func:`drift` of ``model`` as a function of one Python float ``h``,
+    evaluated in Python floats: the deterministic model flows bind it once
+    per model and call it on every step.  Binding resolves the kind and the
+    constants that every evaluation shares (-mu, omega, tau^2 omega^2, ...),
+    formed as the array formula groups them, so a value has the bits of a
+    one-element array, and nan, not an exception, where the array would
+    hold nan.  The coupling is :func:`~mzcg.benchmark.valley_coupling`'s
+    float path written out: t = tan(omega h) comes from ``np.tan``, as
+    there."""
+    p = model.params
+    neg_mu = -p.mu
+    if model.kind == MEMORY_FREE:
+        def memory_free(h):
+            return neg_mu * h
+
+        return memory_free
+    omega, t2w2, tan = p.omega, p.tau * p.tau * p.omega * p.omega, np.tan
+    if model.kind == MEMORY_CORRECTED:
+        def memory_corrected(h):
+            t = float(tan(omega * h))
+            return neg_mu * h / (1.0 + t2w2 * (1.0 / (1.0 + t * t)))
+
+        return memory_corrected
+    mu, lam_t2w2 = p.mu, p.lam * t2w2
+    noise_factor = (p.lam / p.beta) * t2w2 * omega
+
+    def naive_memory(h):
+        t = float(tan(omega * h))
+        c2 = 1.0 / (1.0 + t * t)
+        return (lam_t2w2 * c2 - 1.0) * (mu * h) + noise_factor * (2.0 * t * c2)
+
+    return naive_memory
 
 
 def diffusion(model: EffectiveModel, h):
@@ -127,10 +164,11 @@ def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
     resolves the model's kind, its 0-d constants and its buffers, binds the
     valley coupling to them (:func:`~mzcg.benchmark.bind_valley_coupling`),
     forms the ``memory-corrected`` beta factor ((1/beta) tau^2 omega^2)
-    omega, before it meets the sine, so that an array of betas gives each
-    row the bits of a scalar-beta call, and writes ``memory-free``'s
-    constant sigma, which its function then leaves alone.  ``naive-memory``
-    raises :class:`UnsupportedModelError` here, before any step.
+    omega at the shape of ``b``, before it meets the sine, so that an array
+    of betas gives each row the bits of a scalar-beta call, and writes
+    ``memory-free``'s constant sigma, which its function then leaves alone.
+    ``naive-memory`` raises :class:`UnsupportedModelError` here, before any
+    step.
 
     ``out`` holds two float arrays of the shape of ``h`` broadcast against
     ``beta``, and ``work``, of that shape, is ``memory-corrected``'s scratch
@@ -158,7 +196,8 @@ def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
         work = np.empty_like(b)
     # cos^2 goes to work, the slowing factor (denom) to sigma and the sine to b.
     coupling = bind_valley_coupling(p, (work, sigma, b))
-    noise_factor = mul(mul(div(one, beta), t2w2), omega)
+    # At the batch's shape, so that no step multiplies by a broadcast column.
+    noise_factor = np.full_like(b, mul(mul(div(one, beta), t2w2), omega))
     square, add, sqrt = np.square, np.add, np.sqrt
 
     def coefficients(h):

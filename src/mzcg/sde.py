@@ -28,20 +28,22 @@ batch's width: every plane, the full system's and each reduced model's,
 writes its drift and its noise term into two buffers shaped like the state,
 and one update steps them all (see its docstring).  Each model's
 coefficient function is bound once per march
-(:func:`models.bind_coefficients`).  The full system's drift is built from
-the one definition of the benchmark's orthogonal drift,
-:func:`~mzcg.benchmark.orthogonal_drift_xy`, plus its conditional average
-(-mu x, 0); the kernel's RK4 march steps the same function.  Records are
-gathered step-major in one buffer of about NOISE_GROUP_BYTES and move into
-the caller's arrays, whose record axis is last, a block at a time: a record
-written alone there would touch a new cache line per element.
+(:func:`models.bind_coefficients`), and so is the full system's drift: the
+one definition of the benchmark's orthogonal drift,
+:func:`~mzcg.benchmark.bind_orthogonal_drift`, bound to the x and y planes,
+plus its conditional average (-mu x, 0); the kernel's RK4 march binds the
+same function.  Records are gathered step-major in one buffer of about
+NOISE_GROUP_BYTES and move into the caller's arrays, whose record axis is
+last, a block at a time: a record written alone there would touch a new
+cache line per element.
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
-floats (``_flow``), which costs far less than a one-row engine step and
-has the bits of a one-row ``integrate_scalar_batch`` call.  A model that leaves
-range ends there, keeping its blowup step and its records before it, while
-the full system and the other models go on.
+floats (``_flow``) on its drift bound once (:func:`models.bind_float_drift`),
+which costs far less than a one-row engine step and has the bits of a
+one-row ``integrate_scalar_batch`` call.  A model that leaves range ends
+there, keeping its blowup step and its records before it, while the full
+system and the other models go on.
 
 ``map_stream_blocks`` splits an ensemble into one stream block per worker and
 runs them in forked processes: the per-step loop holds the interpreter lock,
@@ -59,7 +61,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from . import models
-from .benchmark import orthogonal_drift_xy
+from .benchmark import bind_orthogonal_drift
 
 # Any coordinate beyond this magnitude (or non-finite) counts as a blowup.
 BLOWUP_LIMIT = 1e12
@@ -325,19 +327,21 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     A step costs ufunc calls more than arithmetic, so it makes few, and
     allocates no array of the batch's width.  Every plane writes its drift
     into one buffer ``g`` and its noise into one buffer ``noise_term``, both
-    shaped like the state.  The full system's drift -grad V, which is
-    :func:`~mzcg.benchmark.orthogonal_drift_xy` plus its conditional average
-    (-mu x, 0), goes to the x and y planes, and the thermostat's amp * xi to
-    theirs in the noise term.  Each model's drift goes to its plane of ``g``
-    (from its :func:`models.bind_coefficients` function, bound once per
-    march, or :func:`models.drift` copied there), and its sigma times the
+    shaped like the state.  The full system's drift -grad V, the orthogonal
+    drift plus its conditional average (-mu x, 0), goes to the x and y
+    planes, from :func:`~mzcg.benchmark.bind_orthogonal_drift` bound to them
+    once per march, and the thermostat's amp * xi to theirs in the noise
+    term.  Each model's drift goes to its plane of ``g`` (from its
+    :func:`models.bind_coefficients` function, bound once per march, or
+    :func:`models.drift` copied there), and its sigma times the
     first component of amp * xi to its plane of the noise term.  One update
     then serves every plane: ``g *= dt``, the state gains ``g``, then the
     noise term.
     Each element sees the operations, in the order, of a separate step per
     plane.  Every constant is a 0-d array made once (a ufunc takes one for
     less per call than a Python float, with the same bits).  The blowup test
-    is one dot product of the state with itself; only when the sum of squares
+    is one dot product of the state with itself, through the state's bound
+    ``dot``, which skips ``np.dot``'s dispatch; only when the sum of squares
     reaches BLOWUP_SQUARED (or is not finite) does the exact test of every
     entry decide, so the decision is always that of the exact test.
     """
@@ -376,11 +380,9 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     h, gh = state[h_planes], g[h_planes]
     if full:
         x, y = state[0], state[-1]
-        # The drift's x and y planes as one pair, made once rather than
-        # unpacked from a view of both on every step.
         gx = g[0]
-        gxy = (gx, g[-1])
         c = np.empty_like(x)
+        orthogonal_drift = bind_orthogonal_drift(p, x, y, (gx, g[-1]), c)
         neg_mu = p._coupling_constants[3]
     if thermostat:
         amp = np.sqrt(2.0 * dt / beta)
@@ -404,6 +406,8 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     flat = state.ravel()
     if not np.may_share_memory(flat, state):
         raise ValueError("the state must be one contiguous array")
+    # The bound method skips np.dot's dispatch for the same BLAS ddot.
+    sum_of_squares = flat.dot
 
     # In-place ufuncs take their output positionally: the out= keyword adds a
     # per-call cost that shows on narrow batches, such as one-row models.
@@ -423,7 +427,7 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                     mul(amp, noise[j], daz)
                 if full:
                     # -grad V: the orthogonal drift plus (-mu x, 0).
-                    orthogonal_drift_xy(p, x, y, gxy, c)
+                    orthogonal_drift()
                     mul(neg_mu, x, c)
                     add(gx, c, gx)
                 if thermostat:
@@ -443,7 +447,7 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 # The sum of squares is at least each rounded square, so passing
                 # it means every |entry| < BLOWUP_LIMIT; nan, inf and overflowing
                 # squares fail it and fall through to the exact test.
-                if not np.dot(flat, flat) < BLOWUP_SQUARED and not (
+                if not sum_of_squares(flat) < BLOWUP_SQUARED and not (
                     np.abs(state).max() < BLOWUP_LIMIT
                 ):
                     flush(rec_pos)
@@ -548,7 +552,10 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
 
 def _flow(model, h, cfg):
     """The unthermostatted reduced model from ``h`` as a recurrence in Python
-    floats, with the bits of a one-row :func:`integrate_scalar_batch` call.
+    floats, with the bits of a one-row :func:`integrate_scalar_batch` call:
+    each step is h + b(h) dt, with b the model's drift bound once
+    (:func:`models.bind_float_drift`), so no step resolves the model's kind
+    or constants.
 
     Returns (values, blowup_step): the values recorded at
     ``cfg.record_steps()`` before the first step that leaves range, and that
@@ -558,10 +565,10 @@ def _flow(model, h, cfg):
     values = np.empty(len(rec_steps) - 1)
     h = values[0] = float(h)
     dt = cfg.dt
-    drift = models.drift
+    drift = models.bind_float_drift(model)
     rec_pos = 1
     for step in range(1, cfg.n_steps + 1):
-        h = h + drift(model, h) * dt
+        h = h + drift(h) * dt
         if not abs(h) < BLOWUP_LIMIT:
             return values[:rec_pos], step
         if step == rec_steps[rec_pos]:

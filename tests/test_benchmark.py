@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from mzcg.benchmark import (
     BenchmarkParams,
+    bind_orthogonal_drift,
     conditional_y_sample,
     effective_potential_grad,
     grad_potential,
     orthogonal_drift,
+    orthogonal_drift_xy,
     potential,
     valley_coupling,
 )
@@ -226,3 +228,81 @@ class TestValleyCoupling:
         with np.errstate(all="ignore"):
             _, c2, factor, s2 = valley_coupling(P, h)
         assert math.isnan(c2) and math.isnan(factor) and math.isnan(s2)
+
+
+def same_bits_or_nan(a, b):
+    """Elementwise: equal bits, or both nan."""
+    return (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+
+
+def fourteen_call_drift(p, x, y):
+    """The orthogonal drift in the operation order of its fourteen-call
+    in-place form, with the sine formed as ((u + u) w) tau, and the half sine
+    u w: the reference that pins the bits of the bound drift."""
+    u = x * (0.5 * p.omega)
+    u = np.tan(u)
+    w = u * u
+    cos = 1.0 - w
+    w = w + 1.0
+    w = 1.0 / w
+    cos = cos * w
+    half_sine = u * w
+    u = u + u
+    u = u * w
+    u = u * p.tau
+    gap = u - y
+    return np.stack((-(p.lam * p.tau * p.omega) * gap * cos, gap * p.lam)), half_sine
+
+
+P_KERNEL = BenchmarkParams(mu=2.0, lam=20.0, tau=0.2, omega=4.0, beta=1.0)
+
+
+def edge_points(p):
+    """x at and beside the half-angle pole pi/omega, beyond +-1e15 and
+    non-finite, each with y on the valley, off it, and non-finite."""
+    pole = math.pi / p.omega
+    xs = [pole, -pole, np.nextafter(pole, 0.0), np.nextafter(pole, 4.0), 3.0 * pole,
+          0.0, -0.0, 5e-324, 1e15, -1e15, 3e15, -7e16, 1e300, -1.7976931348623157e308,
+          math.inf, -math.inf, math.nan]
+    x = np.repeat(xs, 4)
+    with np.errstate(all="ignore"):
+        y = p.tau * np.sin(p.omega * x)
+    y = y + np.tile([0.0, 0.5, math.inf, math.nan], len(xs))
+    return x, y
+
+
+class TestBoundOrthogonalDrift:
+    """The bound drift writes sin(omega x) tau as (u w)(2 tau) in thirteen
+    calls; it keeps the bits of the fourteen-call ((u + u) w) tau."""
+
+    @pytest.mark.parametrize("p", [P, P_KERNEL])
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=16))
+    def test_matches_fourteen_call_order_bitwise(self, p, points):
+        edge_x, edge_y = edge_points(p)
+        x = np.concatenate([[a for a, _ in points], edge_x])
+        y = np.concatenate([[b for _, b in points], edge_y])
+        out, cos = np.full((2,) + x.shape, np.nan), np.full_like(x, np.nan)
+        with np.errstate(all="ignore"):
+            bind_orthogonal_drift(p, x, y, out, cos)()
+            want, half_sine = fourteen_call_drift(p, x, y)
+        # Doubling is exact, so ((u + u) w) tau and (u w)(2 tau) round the
+        # same product once each, unless u w is subnormal: its rounding then
+        # loses a bit that (u + u) w keeps.  Those x are left out.  (They
+        # keep the bits all the same, since u is then so small that w is
+        # exactly 1 and u w is exact, but that is a property of tan, not of
+        # the form.)
+        kept = ~((half_sine != 0.0) & (np.abs(half_sine) < np.finfo(float).tiny))
+        assert same_bits_or_nan(out, want)[:, kept].all()
+
+    def test_reads_the_live_arguments_and_matches_the_one_call_form(self):
+        x, y = edge_points(P)
+        out, cos = np.empty((2,) + x.shape), np.empty_like(x)
+        drift = bind_orthogonal_drift(P, x, y, out, cos)
+        with np.errstate(all="ignore"):
+            for shift in (0.0, 0.25):
+                x += shift
+                y -= shift
+                assert drift() is None
+                assert same_bits_or_nan(out, orthogonal_drift_xy(P, x, y)).all()
+                assert same_bits_or_nan(out, fourteen_call_drift(P, x, y)[0]).all()

@@ -16,6 +16,7 @@ from mzcg.models import (
     EffectiveModel,
     UnsupportedModelError,
     bind_coefficients,
+    bind_float_drift,
     diffusion,
     drift,
     thermostatted_coefficients,
@@ -86,6 +87,17 @@ def same_float(a, b):
     return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
 
 
+# Subnormal, tiny, signed-zero, blowup-limit and largest arguments.
+FLOAT_EXAMPLES = (5e-324, -2.2250738585072014e-308, 1e-300, -0.0, 1e12, 1.7976931348623157e308)
+
+
+def with_float_examples(test):
+    """``test`` with an ``@example(h=...)`` for each of FLOAT_EXAMPLES."""
+    for h in FLOAT_EXAMPLES:
+        test = example(h=h)(test)
+    return test
+
+
 class TestDriftOnFloats:
     """A Python float is evaluated in Python floats, as the model flows of
     ``mean-trajectory`` step it, with the bits of a one-element array."""
@@ -93,12 +105,7 @@ class TestDriftOnFloats:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @settings(max_examples=300, deadline=None)
     @given(h=st.floats(allow_nan=False, allow_infinity=False))
-    @example(h=5e-324)
-    @example(h=-2.2250738585072014e-308)
-    @example(h=1e-300)
-    @example(h=-0.0)
-    @example(h=1e12)
-    @example(h=1.7976931348623157e308)
+    @with_float_examples
     def test_float_matches_one_element_array_bitwise(self, kind, h):
         model = EffectiveModel(kind, P)
         with np.errstate(all="ignore"):
@@ -117,6 +124,33 @@ class TestDriftOnFloats:
             assert same_float(value, drift(model, np.array([h]))[0])
         if kind != MEMORY_FREE or math.isnan(h):
             assert math.isnan(value)
+
+
+# Bound once per model and params, as a model flow binds its drift, and
+# called on every example.
+BOUND_FLOAT_DRIFTS = {
+    (kind, beta): bind_float_drift(EffectiveModel(kind, params_with_beta(beta)))
+    for kind in MODEL_KINDS for beta in (1.0, 100.0)
+}
+
+
+class TestBoundFloatDrift:
+    """The drift that the model flows step, bound once, has the bits of
+    ``drift`` on Python floats and on a one-element array at every call."""
+
+    @pytest.mark.parametrize("beta", [1.0, 100.0])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.floats(allow_nan=False, allow_infinity=False))
+    @with_float_examples
+    def test_bound_drift_matches_drift_bitwise(self, kind, beta, h):
+        bound = BOUND_FLOAT_DRIFTS[kind, beta]
+        model = EffectiveModel(kind, params_with_beta(beta))
+        with np.errstate(all="ignore"):
+            value = bound(h)
+            assert type(value) is float
+            assert same_float(value, drift(model, h))
+            assert same_float(value, drift(model, np.array([h]))[0])
 
 
 class TestDiffusion:

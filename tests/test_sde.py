@@ -468,12 +468,13 @@ class TestSimulateScalar:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
         model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(NAIVE_MEMORY, P)]
         streams = [NoiseStream(1, i) for i in range(3)]
+        # The full system's drift is bound once per march and called per step.
         with mock.patch.object(sde, "_draw_noise") as draw, \
-                mock.patch.object(sde, "orthogonal_drift_xy") as full_drift:
+                mock.patch.object(sde, "bind_orthogonal_drift") as bind_drift:
             with pytest.raises(UnsupportedModelError):
                 integrate_crn_batch(P, model_list, (0.1, 0.2), 0.1, cfg, streams, (1.0, 10.0))
         draw.assert_not_called()
-        full_drift.assert_not_called()
+        bind_drift.return_value.assert_not_called()
 
     def test_scalar_noise_is_resolved_component_of_full_noise(self):
         # Identical stream address: the reduced model and the full system
