@@ -45,6 +45,7 @@ from .sde import (
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
+    join_streams,
     map_stream_blocks,
     mean_stderr,
     raise_earliest_blowup,
@@ -196,7 +197,8 @@ def simulate_mean_trajectory(cfg, threads):
     scalar recurrences beside its engine call (see
     :func:`integrate_flow_batch`).  A model that blows up is truncated and
     flagged while the others go on; a blowup of the full system raises,
-    naming its stream.  Returns each block's (times, full_x, model_runs)."""
+    naming its stream.  Returns each block's (times, full_x, model_runs),
+    with full_x stream-last: (record, stream)."""
     p = params_from_config(cfg)
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
@@ -207,7 +209,10 @@ def simulate_mean_trajectory(cfg, threads):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
         y0 = conditional_y_sample(p, x0, streams)
         x0s = np.stack([np.full(b - a, x0), y0], axis=-1)
-        return integrate_flow_batch(p, scalar_models if a == 0 else [], x0s, x0, icfg, streams)
+        times, full_x, runs = integrate_flow_batch(
+            p, scalar_models if a == 0 else [], x0s, x0, icfg, streams
+        )
+        return times, full_x.T, runs
 
     return map_stream_blocks(worker, cfg["n_samples"], threads=threads)
 
@@ -216,8 +221,7 @@ def reduce_mean_trajectory(cfg, blocks):
     """The full ensemble's mean and stderr, and each model's column and
     time to half, flagging the models that blew up."""
     times, _, runs = blocks[0]
-    full = np.concatenate([x for _, x, _ in blocks], axis=0)
-    full_mean, full_stderr = mean_stderr(full)
+    full_mean, full_stderr = mean_stderr(join_streams([x for _, x, _ in blocks]), axis=-1)
 
     header = ["t", "full_mean", "full_stderr"]
     columns = [times, full_mean, full_stderr]
@@ -237,7 +241,8 @@ def simulate_ensemble(cfg, threads):
     the two thermostattable reduced models share per-stream Brownian
     increments (common random numbers), and every beta shares them too, so
     each stream block is integrated once for all betas.  Each block gives
-    times and (beta, stream, time) arrays of full, approx and nomem."""
+    times and stream-last (record, beta, stream) arrays of full, approx and
+    nomem."""
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
@@ -251,7 +256,7 @@ def simulate_ensemble(cfg, threads):
         times, full_x, model_recs = integrate_crn_batch(
             p, scalar_models, (x0, y0), x0, icfg, streams, cfg["beta_list"]
         )
-        return times, full_x, *model_recs
+        return times, *(np.moveaxis(r, -1, 0) for r in (full_x, *model_recs))
 
     return map_stream_blocks(worker, cfg["n_samples"], threads=threads)
 
@@ -260,14 +265,17 @@ def reduce_ensemble(cfg, blocks):
     """One file per beta."""
     block_times, *parts = zip(*blocks)
     times = block_times[0]
+    # Each component's streams are joined in turn, so at most one joined copy
+    # is held on top of the blocks; one block needs none, being a view.
+    stats = {}
+    for name, part in zip(("full", "approx", "nomem"), parts):
+        data = join_streams(part)
+        stats[name] = [mean_stderr(data[:, k], axis=-1) for k in range(data.shape[1])]
     files = []
     for k, beta in enumerate(cfg["beta_list"]):
-        # Streams are joined one beta and column at a time, so only one joined
-        # copy is held on top of the blocks.
         cols = {}
-        for name, part in zip(("full", "approx", "nomem"), parts):
-            data = part[0][k] if len(part) == 1 else np.concatenate([b[k] for b in part])
-            cols[f"{name}_mean"], cols[f"{name}_stderr"] = mean_stderr(data)
+        for name, per_beta in stats.items():
+            cols[f"{name}_mean"], cols[f"{name}_stderr"] = per_beta[k]
 
         summary = [
             ("initial_amplitude", abs(cfg["x0"])),
@@ -311,7 +319,10 @@ def simulate_stationary(cfg, threads):
         streams = [NoiseStream(seed, i) for i in ids]
         _, rec = integrate_full_batch(p, equilibrium_start(streams), icfg, streams,
                                       thermostat=True)
-        return rec
+        # Stream-major, the order the reduction pools the samples in: from
+        # the record-major view, the residuals would come out column-major
+        # and pooling them would copy them again.
+        return np.ascontiguousarray(rec)
 
     def worker(a, b):
         # Both phases of a block in one worker, so a run forks one pool.

@@ -32,10 +32,11 @@ coefficient function is bound once per march
 one definition of the benchmark's orthogonal drift,
 :func:`~mzcg.benchmark.bind_orthogonal_drift`, bound to the x and y planes,
 plus its conditional average (-mu x, 0); the kernel's RK4 march binds the
-same function.  Records are gathered step-major in one buffer of about
-NOISE_GROUP_BYTES and move into the caller's arrays, whose record axis is
-last, a block at a time: a record written alone there would touch a new
-cache line per element.
+same function.  Records are record-major, laid out (record, plane, beta,
+stream): each is one contiguous row, copied from the state at its step.  The
+batch front ends return record-last views of them, and the stream
+statistics sum along their contiguous stream axis (:func:`join_streams`,
+:func:`mean_stderr`).
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
@@ -77,8 +78,7 @@ NOISE_CHUNK = 4096
 
 # Bytes of one group of streams' pairs in _draw_noise: small enough that the
 # group's words, their transform and their copy into the step-major chunk
-# stay in the L2 cache (see ROADMAP for the measurements).  _march's record
-# buffer takes the same budget.
+# stay in the L2 cache (see ROADMAP for the measurements).
 NOISE_GROUP_BYTES = 1 << 20
 
 # The one Philox generator of the process, which every NoiseStream seeks to
@@ -302,7 +302,7 @@ def _blowup_error(step, state, beta, streams, recorded):
     )
 
 
-def _march(p, cfg, state, full, stepped, beta, streams, records, package):
+def _march(p, cfg, state, full, stepped, beta, streams, record, package):
     """The one chunked Euler-Maruyama loop behind the batch integrators.
 
     ``state`` has shape (planes, n_beta, n_streams) and is stepped in place.
@@ -315,12 +315,9 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     share the noise drawn once per stream and chunk.  The full system
     consumes each stream's increment pair, every model its first component.
 
-    Record ``pos`` of each (src, dst) of ``records`` is ``src`` after its
-    step, and it ends up in ``dst[..., pos]``: it is copied into row
-    ``pos % block`` of a step-major buffer of about NOISE_GROUP_BYTES, and a
-    block of rows moves into ``dst`` in one blocked copy before the next
-    record reuses its rows, at the end, and before a blowup raises.
-    ``package(times, k)`` turns the first k records into the caller's return
+    Records are record-major: record ``pos`` is ``record``, a view of the
+    state, copied after its step into row ``pos`` of one array.
+    ``package(times, recs)`` turns the records into the caller's return
     value; a blowup raises at its step, carrying that value for the records
     taken before it as ``recorded``.
 
@@ -349,26 +346,8 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
     rec_idx = cfg.record_steps()
     times = rec_idx * cfg.dt
     rec_steps = rec_idx.tolist() + [-1]
-    # Records per block: as many as NOISE_GROUP_BYTES holds.
-    width = sum(src.size for src, _ in records)
-    block = max(1, min(len(rec_idx), NOISE_GROUP_BYTES // (8 * max(1, width))))
-    taken = [(np.empty((block,) + src.shape), src, dst) for src, dst in records]
-
-    def flush(stop):
-        """Move the block of records that ends before ``stop`` into place."""
-        start = stop - 1 - (stop - 1) % block
-        for buf, _, dst in taken:
-            dst[..., start:stop] = np.moveaxis(buf[:stop - start], 0, -1)
-
-    def take(pos):
-        """Buffer record ``pos``, first moving a full buffer into place."""
-        row = pos % block
-        if row == 0 and pos:
-            flush(pos)
-        for buf, src, _ in taken:
-            buf[row] = src
-
-    take(0)
+    out = np.empty((len(rec_idx),) + record.shape)
+    out[0] = record
     rec_pos = 1
 
     dt = np.array(cfg.dt)
@@ -450,16 +429,14 @@ def _march(p, cfg, state, full, stepped, beta, streams, records, package):
                 if not sum_of_squares(flat) < BLOWUP_SQUARED and not (
                     np.abs(state).max() < BLOWUP_LIMIT
                 ):
-                    flush(rec_pos)
                     raise _blowup_error(
-                        step, state, beta, streams, package(times[:rec_pos], rec_pos)
+                        step, state, beta, streams, package(times[:rec_pos], out[:rec_pos])
                     )
                 if step == rec_steps[rec_pos]:
-                    take(rec_pos)
+                    out[rec_pos] = record
                     rec_pos += 1
 
-    flush(rec_pos)
-    return package(times, rec_pos)
+    return package(times, out)
 
 
 def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
@@ -467,7 +444,8 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
 
     ``x0s`` has shape (n, 2); ``streams`` supplies one NoiseStream per row and
     may be omitted when ``thermostat`` is off (no noise is consumed then).
-    Returns (times, recorded) with recorded of shape (n, n_rec, 2).
+    Returns (times, recorded) with recorded of shape (n, n_rec, 2), a view
+    of the record-major records.
     """
     x0s = np.asarray(x0s, dtype=float)
     n = x0s.shape[0]
@@ -475,11 +453,9 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
         raise ValueError("thermostatted runs need one stream per trajectory")
     state = np.empty((2, 1, n))
     state[:, 0] = x0s.T
-    recorded = np.empty((n, cfg.n_records, 2))
     return _march(
         p, cfg, state, True, (), np.array([[p.beta]]) if thermostat else None,
-        streams, [(state, recorded.transpose(2, 0, 1)[:, None])],
-        lambda times, k: (times, recorded[:, :k]),
+        streams, state, lambda times, recs: (times, recs[:, :, 0].transpose(2, 0, 1)),
     )
 
 
@@ -494,7 +470,8 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     :func:`integrate_full_batch` at equal stream addresses; ``naive-memory``
     raises :class:`~mzcg.models.UnsupportedModelError` before any step.
     Unthermostatted runs step ``drift`` alone.
-    Returns (times, recorded) with recorded of shape (n, n_rec).
+    Returns (times, recorded) with recorded of shape (n, n_rec), a view of
+    the record-major records.
     """
     h0s = np.asarray(h0s, dtype=float)
     n = h0s.shape[0]
@@ -502,11 +479,10 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
         raise ValueError("thermostatted runs need one stream per trajectory")
     state = np.empty((1, 1, n))
     state[0, 0] = h0s
-    recorded = np.empty((n, cfg.n_records))
     return _march(
         p, cfg, state, False, [model],
         np.array([[p.beta]]) if thermostat else None, streams,
-        [(state, recorded[None, None])], lambda times, k: (times, recorded[:, :k]),
+        state, lambda times, recs: (times, recs[:, 0, 0].T),
     )
 
 
@@ -526,7 +502,8 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     before any step.
     Returns (times, full_x, model_recs) where full_x has shape (n, n_rec),
     with a leading beta axis when ``beta`` is a sequence, and model_recs is
-    one same-shaped array per model.
+    one same-shaped array per model: record-last views of the record-major
+    records, whose stream axis is contiguous.
     """
     beta = np.asarray(p.beta if beta is None else beta, dtype=float)
     if beta.ndim > 1 or not np.all(beta > 0.0):
@@ -537,17 +514,13 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     state[0] = x0
     state[1:-1] = float(h0)
     state[-1] = y0
-    out = np.empty((len(scalar_models) + 1,) + state.shape[1:] + (cfg.n_records,))
     rows = 0 if beta.ndim == 0 else slice(None)
 
-    def package(times, k):
-        recs = out[:, rows, :, :k]
+    def package(times, recs):
+        recs = np.moveaxis(recs, 0, -1)[:, rows]
         return times, recs[0], list(recs[1:])
 
-    return _march(
-        p, cfg, state, True, scalar_models, column, streams,
-        [(state[:-1], out)], package,
-    )
+    return _march(p, cfg, state, True, scalar_models, column, streams, state[:-1], package)
 
 
 def _flow(model, h, cfg):
@@ -588,19 +561,18 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
     the row's stream when ``streams`` (one per row, never drawn from) is
     given.
 
-    Returns (times, full_x, model_runs): full_x of shape (n, n_rec) records
-    the full system's x, and model_runs holds one (values, blowup_step) per
-    model, with values recorded up to the blowup and blowup_step None for a
-    model that ran to the end.
+    Returns (times, full_x, model_runs): full_x of shape (n, n_rec), a view
+    of the record-major records, holds the full system's x, and model_runs
+    holds one (values, blowup_step) per model, with values recorded up to
+    the blowup and blowup_step None for a model that ran to the end.
     """
     runs = [_flow(model, h0, cfg) for model in scalar_models]
     x0s = np.asarray(x0s, dtype=float)
     state = np.empty((2, 1, x0s.shape[0]))
     state[:, 0] = x0s.T
-    full_x = np.empty((x0s.shape[0], cfg.n_records))
     return _march(
-        p, cfg, state, True, (), None, streams, [(state[0], full_x[None])],
-        lambda times, k: (times, full_x[:, :k], runs),
+        p, cfg, state, True, (), None, streams, state[0],
+        lambda times, recs: (times, recs[:, 0].T, runs),
     )
 
 
@@ -643,10 +615,29 @@ def simulate_scalar(model, p, h0, cfg, stream, thermostat=True) -> Trajectory:
 def mean_stderr(samples, axis=0, factor=1.0):
     """``factor`` times the mean of ``samples`` along ``axis``, and its
     standard error ``(factor * std(ddof=1)) / sqrt(n)`` over the ``n``
-    samples: the one reduction of the ensembles and the kernel estimators."""
+    samples: the one reduction of the ensembles and the kernel estimators.
+    It makes the calls of ``samples.mean(axis)`` and ``samples.std(axis,
+    ddof=1)``, so it has their bits, but sums the samples once."""
     n = samples.shape[axis]
-    return (factor * samples.mean(axis=axis),
-            factor * samples.std(axis=axis, ddof=1) / np.sqrt(n))
+    mean = np.add.reduce(samples, axis=axis, keepdims=True)
+    mean /= n
+    dev = samples - mean
+    np.multiply(dev, dev, dev)
+    var = np.add.reduce(dev, axis=axis)
+    var /= n - 1
+    return factor * mean.squeeze(axis), factor * np.sqrt(var) / np.sqrt(n)
+
+
+def join_streams(pieces):
+    """The stream-last ``pieces`` joined along their last axis into one
+    array whose stream axis is contiguous, which numpy sums pairwise; a
+    strided one it sums a stream at a time.  So the stream statistics get
+    their bits from this layout, whatever layout the blocks arrive in.  One
+    piece that has it, such as a view of the engine's records, is returned
+    as it is."""
+    if len(pieces) == 1 and pieces[0].strides[-1] == pieces[0].itemsize:
+        return pieces[0]
+    return np.ascontiguousarray(np.concatenate(pieces, axis=-1))
 
 
 def raise_earliest_blowup(results):

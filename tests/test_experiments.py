@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -294,6 +295,68 @@ class TestEnsembleExperiment:
                               "approx_stderr", "nomem_mean", "nomem_stderr"]
             assert meta["beta"] == beta
             assert data[0, 1] == data[0, 3] == data[0, 5]  # common start
+
+
+# Runs whose stream count, 301, no block count above one used below divides.
+STREAMS_301 = {
+    "ensemble": ["n_samples=301", "dt=0.001", "t_final=0.05", "beta_list=1,10"],
+    "mean-trajectory": ["n_samples=301", "dt=0.001", "t_final=0.05",
+                        "models=memory-free,naive-memory"],
+}
+
+
+def _split_block(experiment, block, width, layout):
+    """The streams of one simulated ``block`` in blocks of ``width``, each
+    array put in ``layout`` and sent through pickle, as worker results are."""
+    blocks = []
+    for a in range(0, block[1].shape[-1], width):
+        def cut(x):
+            return layout(x[..., a:a + width])
+
+        if experiment == "ensemble":
+            part = (block[0], *map(cut, block[1:]))
+        else:
+            times, full_x, runs = block
+            part = (times, cut(full_x), runs if a == 0 else [])
+        blocks.append(pickle.loads(pickle.dumps(part)))
+    return blocks
+
+
+def _file_bytes(files):
+    return [(label, comments, header, [np.asarray(c).tobytes() for c in columns])
+            for label, comments, header, columns in files]
+
+
+class TestStreamStatistics:
+    """The stream statistics sum along a contiguous stream axis, so their
+    bits depend neither on how the streams are split into blocks nor on the
+    layout in which the blocks arrive."""
+
+    @pytest.mark.parametrize("experiment", sorted(STREAMS_301))
+    def test_blocks_of_any_width_and_layout_reduce_alike(self, experiment):
+        cfg = resolve(experiment, set_pairs=STREAMS_301[experiment])
+        simulate, reduce = RUNNERS[experiment].args
+        # One block, as --threads 1 gives it: views of the engine's records.
+        one = simulate(cfg, 1)
+        want = _file_bytes(reduce(cfg, one))
+        # A stream-first layout would make a sum along the streams add them
+        # one after another.
+        for layout in (np.asarray, np.asfortranarray):
+            for width in (1, 7, 8, 9, 127, 128, 129, 257):
+                blocks = _split_block(experiment, one[0], width, layout)
+                assert _file_bytes(reduce(cfg, blocks)) == want, (layout, width)
+
+    @pytest.mark.parametrize("experiment", sorted(STREAMS_301))
+    def test_files_byte_identical_at_any_block_count(self, experiment, tmp_path):
+        cfg = resolve(experiment, set_pairs=STREAMS_301[experiment])
+        outputs = []
+        for threads in (1, 2, 3, 8):
+            out = tmp_path / str(threads) / "o.csv"
+            out.parent.mkdir()
+            RUNNERS[experiment](cfg, out, threads=threads)
+            outputs.append({path.name: path.read_bytes() for path in out.parent.iterdir()})
+        assert len(outputs[0]) == (2 if experiment == "ensemble" else 1)
+        assert all(files == outputs[0] for files in outputs)
 
 
 class TestStationaryExperiment:

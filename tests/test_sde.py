@@ -329,7 +329,7 @@ class TestFullStepTanForm:
         cfg = IntegratorConfig(dt=self.DT, t_final=self.DT)
         with np.errstate(all="ignore"):
             try:
-                sde._march(P, cfg, state, True, (), None, None, [], lambda times, k: None)
+                sde._march(P, cfg, state, True, (), None, None, state, lambda times, recs: None)
             except NumericalBlowupError:
                 pass
         return state[0, 0, 0], state[1, 0, 0]
@@ -379,7 +379,7 @@ class TestFullStepTanForm:
         state = np.array([[[x, 0.1]], [[1.0, 1.0]]])
         cfg = IntegratorConfig(dt=1e-3, t_final=1e-3)
         with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError) as err:
-            sde._march(P, cfg, state, True, (), None, None, [], lambda times, k: None)
+            sde._march(P, cfg, state, True, (), None, None, state, lambda times, recs: None)
         assert err.value.step == 1
         assert np.isnan(state[:, 0, 0]).all() and np.isfinite(state[:, 0, 1]).all()
 
@@ -401,7 +401,7 @@ class TestBlowupDecision:
         cfg = IntegratorConfig(dt=1.0, t_final=1.0)
         with np.errstate(all="ignore"):
             try:
-                sde._march(P, cfg, state, False, (), None, None, [], lambda times, k: None)
+                sde._march(P, cfg, state, False, (), None, None, state, lambda times, recs: None)
             except NumericalBlowupError as err:
                 assert err.step == 1
                 return True
@@ -656,17 +656,15 @@ class TestModelPlanes:
         assert rec[:, 1:, 1].tobytes() == ys[0].tobytes()
 
 
-def _record_block_runs(engine, stride, n_rec, block):
+def _record_runs(engine, stride, n_rec):
     """``engine``'s records over a run of ``n_rec`` records at ``stride``,
-    with the record buffer patched to hold ``block`` records, and the same
-    records taken one at a time, each as the last record of a run that ends
-    at its step; both in the layout of the engine's return value."""
+    and the same records taken one at a time, each as the last record of a
+    run that ends at its step; both in the layout of the engine's return
+    value."""
     n, dt = 3, 1e-3
     x0s = np.stack([np.linspace(-0.4, 0.5, n), np.linspace(0.3, -0.2, n)], axis=-1)
     model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
     betas = {"crn-1": 1.0, "crn-3": (1.0, 10.0, 100.0)}.get(engine)
-    # Doubles per record: x and y, x alone, or x and each model's h per beta.
-    width = {"full": 2 * n, "flow": n}.get(engine, 3 * np.size(betas) * n)
 
     def run(n_steps, stride):
         cfg = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride)
@@ -675,6 +673,8 @@ def _record_block_runs(engine, stride, n_rec, block):
         if engine == "full":
             # (n, n_rec, 2) with the record axis last, as the others have it.
             return integrate_full_batch(P, x0s, cfg, streams)[1].transpose(0, 2, 1)
+        if engine == "scalar":
+            return integrate_scalar_batch(model_list[0], P, x0s[:, 0], cfg, streams)[1]
         if engine == "flow":
             return integrate_flow_batch(P, model_list, x0s, 0.2, cfg, streams)[1]
         _, full_x, recs = integrate_crn_batch(P, model_list, x0s[0], 0.2, cfg, streams, betas)
@@ -684,51 +684,47 @@ def _record_block_runs(engine, stride, n_rec, block):
     n_steps = (n_rec - 2) * stride + max(1, stride // 2)
     steps = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=stride).record_steps()
     assert len(steps) == n_rec
-    with mock.patch.object(sde, "NOISE_GROUP_BYTES", 8 * width * block):
-        records = run(n_steps, stride)
     reference = [run(max(k, 1), max(k, 1))[..., -1 if k else 0] for k in steps]
-    return records, np.stack(reference, axis=-1)
+    return run(n_steps, stride), np.stack(reference, axis=-1)
 
 
-class TestRecordBlocks:
-    """Records move into place a block of NOISE_GROUP_BYTES at a time; every
-    front end's records must be those of a run recorded step by step."""
+class TestRecordMajorRecords:
+    """Each record is one row of a record-major array, copied from the state
+    at its step; every front end's records, in the layout it returns, must
+    be those of a run that ends at that step."""
 
-    @pytest.mark.parametrize("engine", ["full", "crn-1", "crn-3", "flow"])
+    @pytest.mark.parametrize("engine", ["full", "scalar", "crn-1", "crn-3", "flow"])
     @pytest.mark.parametrize("stride", [1, 3, 7])
     @pytest.mark.parametrize("n_rec", [3, 4, 5, 11])
-    def test_records_across_block_boundaries_equal_per_step_records(self, engine, stride, n_rec):
-        # A block of 4 records: 3 is below one block, 4 at it, 5 and 11 above
-        # it, with a partial block at the end.
-        records, reference = _record_block_runs(engine, stride, n_rec, 4)
+    def test_records_equal_per_step_records(self, engine, stride, n_rec):
+        records, reference = _record_runs(engine, stride, n_rec)
         assert records.shape == reference.shape
         assert records.tobytes() == reference.tobytes()
 
-    def test_blowup_inside_a_block_carries_the_per_step_prefix(self):
-        # dt = 0.2 blows the full system up at a step that is not a multiple
-        # of the 5-record block, so the prefix ends inside a block.
-        cfg = IntegratorConfig(dt=0.2, t_final=20.0)
+    def test_blowup_carries_the_per_step_prefix(self):
+        # dt = 0.2 blows the full system up part of the way through the run;
+        # its prefix must hold each record as a run ending at its step has it.
+        dt = 0.2
         x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3)
         model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
 
-        def blowup(block):
-            width = 3 * 3 * 4  # doubles per record: x and each h, per beta and stream
-            with mock.patch.object(sde, "NOISE_GROUP_BYTES", 8 * width * block), \
-                    pytest.raises(NumericalBlowupError) as err:
-                integrate_crn_batch(P, model_list, (x0, y0), x0, cfg,
-                                    [NoiseStream(2, i) for i in range(4)], (1.0, 10.0, 100.0))
-            return err.value
+        def run(t_final):
+            return integrate_crn_batch(
+                P, model_list, (x0, y0), x0, IntegratorConfig(dt=dt, t_final=t_final),
+                [NoiseStream(2, i) for i in range(4)], (1.0, 10.0, 100.0),
+            )
 
-        per_step, blocked = blowup(1), blowup(5)
-        assert blocked.step == per_step.step and blocked.step % 5 != 0
-        assert (blocked.stream_id, blocked.beta) == (per_step.stream_id, per_step.beta)
-        times, full_x, model_recs = blocked.recorded
-        want_times, want_x, want_recs = per_step.recorded
-        assert full_x.shape[-1] == blocked.step
-        assert np.array_equal(times, want_times)
-        assert full_x.tobytes() == want_x.tobytes()
-        for got, want in zip(model_recs, want_recs):
-            assert got.tobytes() == want.tobytes()
+        with pytest.raises(NumericalBlowupError) as err:
+            run(20.0)
+        times, full_x, model_recs = err.value.recorded
+        assert 1 < err.value.step < 100
+        assert full_x.shape[-1] == len(times) == err.value.step
+        got = np.stack([full_x, *model_recs])
+        for k in range(1, err.value.step):
+            want_times, want_x, want_recs = run(k * dt)
+            assert times[k] == want_times[-1]
+            assert got[..., k].tobytes() == np.stack([want_x, *want_recs])[..., -1].tobytes()
+        assert np.all(got[..., 0] == np.array([x0, x0, x0])[:, None, None])
 
 
 class TestFlowBatch:
@@ -880,6 +876,25 @@ class TestEnsembleMean:
         mean, stderr = mean_stderr(samples, axis=1, factor=beta)
         assert np.array_equal(mean, beta * samples.mean(axis=1))
         assert np.array_equal(stderr, beta * samples.std(axis=1, ddof=1) / np.sqrt(33))
+        # One component of record-major records, (record, beta, stream): a
+        # view that is not C-contiguous, reduced along its contiguous stream
+        # axis, with more streams than numpy's pairwise block of 128.
+        records = np.random.default_rng(5).normal(size=(6, 3, 2, 257))
+        rows = records[:, 1]
+        assert not rows.flags.c_contiguous and rows.strides[-1] == rows.itemsize
+        mean, stderr = mean_stderr(rows, axis=-1, factor=beta)
+        assert np.array_equal(mean, beta * rows.mean(axis=-1))
+        assert np.array_equal(stderr, beta * rows.std(axis=-1, ddof=1) / np.sqrt(257))
+
+    def test_join_streams_gives_a_contiguous_stream_axis(self):
+        records = np.random.default_rng(6).normal(size=(5, 3, 2, 20))
+        rows = records[:, 1]
+        assert sde.join_streams([rows]) is rows
+        for pieces in ([np.asfortranarray(rows)], [rows[..., :7], rows[..., 7:]],
+                       [np.asfortranarray(rows[..., :1]), rows[..., 1:]]):
+            joined = sde.join_streams(pieces)
+            assert joined.flags.c_contiguous
+            assert np.array_equal(joined, rows)
 
 
 # The engines of the partition sweep; each returns its outputs stream axis first.

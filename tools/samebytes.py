@@ -1,0 +1,147 @@
+"""Compare the CLI outputs of two source trees on one fixed run set.
+
+    python tools/samebytes.py BASE HEAD
+
+BASE and HEAD are directories that each hold a ``src/mzcg`` package, such as
+two checkouts of the repository.  Every run of ``RUNS`` is made under each
+tree's ``src/`` (as ``python -m mzcg.cli``, in a fresh directory, with a
+relative ``--out``) at each of ``THREADS``, and the script reports every
+output file, exit code and stderr line that differs between the trees.  For
+an output CSV it names the comment keys and body columns that differ.  The
+report goes to stdout as Markdown; the exit code is 0 when nothing differs
+and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (name, arguments): small runs that cover every experiment and its blowup
+# path, each at the default seed, 1.
+RUNS = [
+    ("landscape", ["landscape", "--set", "grid_points=41"]),
+    ("kernel", ["kernel", "--set", "n_samples=200", "--set", "n_lags=24"]),
+    ("kernel-matrix", ["kernel-matrix", "--set", "n_samples=128", "--set", "n_lags=12"]),
+    ("mean-trajectory", ["mean-trajectory", "--set", "dt=0.001", "--set", "t_final=0.5",
+                         "--set", "n_samples=300"]),
+    ("ensemble-desk", ["ensemble", "--desk-scale", "--set", "t_final=0.25"]),
+    ("ensemble", ["ensemble", "--set", "dt=0.001", "--set", "t_final=0.2",
+                  "--set", "n_samples=300", "--set", "beta_list=1,10"]),
+    ("stationary", ["stationary", "--set", "n_samples=16", "--set", "t_main=0.3",
+                    "--set", "t_resid=0.05"]),
+    ("ensemble-blowup", ["ensemble", "--set", "n_samples=4", "--set", "dt=0.2",
+                         "--set", "t_final=20"]),
+    ("stationary-blowup", ["stationary", "--set", "dt_main=0.2", "--set", "n_samples=4"]),
+    ("mean-trajectory-blowup", ["mean-trajectory", "--set", "n_samples=4", "--set", "dt=0.2",
+                                "--set", "t_final=20"]),
+    ("kernel-blowup", ["kernel", "--set", "omega=1e-100", "--set", "n_samples=4"]),
+]
+THREADS = (1, 2)
+
+
+def tree_env(tree):
+    """The environment that imports mzcg from ``tree``'s ``src/``."""
+    return dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
+
+
+def check_import(tree):
+    """Exit unless ``tree_env(tree)`` imports mzcg from ``tree`` itself, not
+    from an installed copy."""
+    src = Path(tree, "src").resolve()
+    res = subprocess.run([sys.executable, "-c", "import mzcg; print(mzcg.__file__)"],
+                         env=tree_env(tree), capture_output=True, text=True)
+    if res.returncode != 0 or src not in Path(res.stdout.strip()).resolve().parents:
+        sys.exit(f"samebytes: mzcg does not import from {src}: {res.stdout}{res.stderr}")
+
+
+def run(tree, args, threads, workdir):
+    """Run the CLI from ``tree``'s ``src/`` in ``workdir``; return the exit
+    code, the stderr lines and each output file's bytes by name."""
+    workdir.mkdir(parents=True)
+    res = subprocess.run(
+        [sys.executable, "-m", "mzcg.cli", *args, "--threads", str(threads),
+         "--out", "out.csv"],
+        cwd=workdir, env=tree_env(tree), capture_output=True, text=True,
+    )
+    files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+    return res.returncode, res.stderr.splitlines(), files
+
+
+def split_csv(data):
+    """A CSV of ``write_csv``'s form as (comments by key, header, columns)."""
+    comments, header, rows = {}, None, []
+    for line in data.decode("utf-8").splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            comments[key] = value
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line.split(","))
+    header = header or []
+    columns = {name: [row[j] if j < len(row) else "" for row in rows]
+               for j, name in enumerate(header)}
+    return comments, header, columns
+
+
+def describe(base, head):
+    """The differences between two versions of one output CSV, one per line."""
+    (bc, bh, bcols), (hc, hh, hcols) = split_csv(base), split_csv(head)
+    lines = []
+    keys = [k for k in dict.fromkeys([*bc, *hc]) if bc.get(k) != hc.get(k)]
+    if keys:
+        lines.append("comments: " + ", ".join(f"`{k}`" for k in keys))
+    if bh != hh:
+        lines.append(f"header: `{','.join(bh)}` -> `{','.join(hh)}`")
+    else:
+        for name in bh:
+            b, h = bcols[name], hcols[name]
+            if b != h:
+                moved = sum(x != y for x, y in zip(b, h)) + abs(len(b) - len(h))
+                lines.append(f"column `{name}`: {moved} of {max(len(b), len(h))} rows")
+    return lines or ["bytes differ outside comments, header and columns"]
+
+
+def compare(base, head):
+    """Every difference between the trees over the run set, as report lines."""
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in RUNS:
+            for threads in THREADS:
+                where = f"{name} --threads {threads}"
+                b_code, b_err, b_files = run(base, args, threads, Path(tmp, "base", where))
+                h_code, h_err, h_files = run(head, args, threads, Path(tmp, "head", where))
+                if b_code != h_code:
+                    found.append(f"- {where}: exit code {b_code} -> {h_code}")
+                if b_err != h_err:
+                    found.append(f"- {where}: stderr")
+                    found += [f"  - base: `{line}`" for line in b_err if line not in h_err]
+                    found += [f"  - head: `{line}`" for line in h_err if line not in b_err]
+                for fname in sorted(set(b_files) | set(h_files)):
+                    b, h = b_files.get(fname), h_files.get(fname)
+                    if b is None or h is None:
+                        found.append(f"- {where}: `{fname}` only in {'head' if b is None else 'base'}")
+                    elif b != h:
+                        found.append(f"- {where}: `{fname}`")
+                        found += [f"  - {line}" for line in describe(b, h)]
+    return found
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    base, head = argv
+    for tree in argv:
+        check_import(tree)
+    found = compare(base, head)
+    print(f"## Same bytes: {len(RUNS)} runs at --threads {', '.join(map(str, THREADS))}\n")
+    print("\n".join(found) if found else "No file, exit code or stderr line differs.")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
