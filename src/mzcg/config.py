@@ -377,7 +377,14 @@ def _array_bytes(experiment, cfg):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
     kernels' per-lag samples, the landscape's grid, the stationary
     histogram's edges, counts, centres and two densities), and what shrinks
-    the larger part of them."""
+    the larger part of them.
+
+    ``ensemble`` and ``mean-trajectory`` count every record of every stream.
+    A run of one stream block never holds them all: it reduces a record
+    block at a time and keeps only the statistics.  Several blocks do hold
+    them, in the workers and as the parent's pieces.  The resolved
+    configuration does not know the worker count, so the bound stays that of
+    several blocks."""
     if experiment == "landscape":
         return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
     if experiment in ("kernel", "kernel-matrix"):

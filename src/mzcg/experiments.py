@@ -1,8 +1,14 @@
 """The experiments behind the CLI, each as two phases that one driver runs.
 
-``simulate_<name>(cfg, threads)`` integrates and returns the raw records; a
-blowup of the full system (or of a kernel sample) raises
-:class:`NumericalBlowupError`.  ``reduce_<name>(cfg, raw)`` returns the
+``simulate_<name>(cfg, threads)`` integrates and returns what its reduction
+needs; a blowup of the full system (or of a kernel sample) raises
+:class:`NumericalBlowupError`.  For ``ensemble`` and ``mean-trajectory`` that
+is the stream statistics of the records, never the records themselves: one
+stream block of every stream reduces them a record block at a time as the
+engine records them, so it holds one record block and the statistics, while
+several blocks each return every record of their streams and the parent
+reduces those pieces a joined record block at a time
+(:func:`~mzcg.sde.join_statistics`).  ``reduce_<name>(cfg, raw)`` returns the
 output files, each as ``(label, comments, header, columns)``: label None
 names the output path itself, any other label is joined onto its stem.  The
 comments echo the resolved configuration, then flags and summary statistics.
@@ -45,10 +51,10 @@ from .sde import (
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
-    join_streams,
+    join_statistics,
     map_stream_blocks,
-    mean_stderr,
     raise_earliest_blowup,
+    stream_statistics,
 )
 
 EXIT_OK = 0
@@ -189,6 +195,24 @@ def reduce_kernel_matrix(cfg, estimates):
     return files
 
 
+def _stream_statistics(blocks):
+    """The times and the stream statistics of ``map_stream_blocks``' blocks,
+    each ``(times, records, ...)``: the one block of every stream has reduced
+    its records already, while several blocks' records, one (record, ...,
+    stream) array per component, are reduced here (:func:`join_statistics`)."""
+    times, stats = blocks[0][:2]
+    if len(blocks) > 1:
+        stats = join_statistics([block[1] for block in blocks])
+    return times, stats
+
+
+def _record_sink(icfg, components):
+    """A fresh statistics array, shaped (2, record) + ``components``, and the
+    engine sink that fills it from stream-complete record blocks."""
+    stats = np.empty((2, icfg.n_records) + components)
+    return stats, partial(stream_statistics, stats)
+
+
 def simulate_mean_trajectory(cfg, threads):
     """Relaxation of the mean observable: unthermostatted ensemble of the full
     dynamics (unresolved coordinate drawn from its conditional law) next to
@@ -197,11 +221,12 @@ def simulate_mean_trajectory(cfg, threads):
     scalar recurrences beside its engine call (see
     :func:`integrate_flow_batch`).  A model that blows up is truncated and
     flagged while the others go on; a blowup of the full system raises,
-    naming its stream.  Returns each block's (times, full_x, model_runs),
-    with full_x stream-last: (record, stream)."""
+    naming its stream.  Returns the times, the full ensemble's statistics
+    (see :func:`stream_statistics`; one component, x) and the model runs."""
     p = params_from_config(cfg)
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
+    n = cfg["n_samples"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
     scalar_models = [EffectiveModel(kind, p) for kind in cfg["models"]]
 
@@ -209,20 +234,23 @@ def simulate_mean_trajectory(cfg, threads):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
         y0 = conditional_y_sample(p, x0, streams)
         x0s = np.stack([np.full(b - a, x0), y0], axis=-1)
-        times, full_x, runs = integrate_flow_batch(
-            p, scalar_models if a == 0 else [], x0s, x0, icfg, streams
-        )
-        return times, full_x.T, runs
+        models = scalar_models if a == 0 else []
+        if b - a < n:
+            times, full_x, runs = integrate_flow_batch(p, models, x0s, x0, icfg, streams)
+            return times, [full_x.T], runs
+        stats, sink = _record_sink(icfg, (1,))
+        times, _, runs = integrate_flow_batch(p, models, x0s, x0, icfg, streams, sink)
+        return times, stats, runs
 
-    return map_stream_blocks(worker, cfg["n_samples"], threads=threads)
+    blocks = map_stream_blocks(worker, n, threads=threads)
+    return *_stream_statistics(blocks), blocks[0][2]
 
 
-def reduce_mean_trajectory(cfg, blocks):
+def reduce_mean_trajectory(cfg, raw):
     """The full ensemble's mean and stderr, and each model's column and
     time to half, flagging the models that blew up."""
-    times, _, runs = blocks[0]
-    full_mean, full_stderr = mean_stderr(join_streams([x for _, x, _ in blocks]), axis=-1)
-
+    times, stats, runs = raw
+    full_mean, full_stderr = stats[:, :, 0]
     header = ["t", "full_mean", "full_stderr"]
     columns = [times, full_mean, full_stderr]
     summary = [("time_to_half_full", time_to_half(times, full_mean))]
@@ -240,11 +268,12 @@ def simulate_ensemble(cfg, threads):
     """Thermostatted relaxation at several temperatures: the full dynamics and
     the two thermostattable reduced models share per-stream Brownian
     increments (common random numbers), and every beta shares them too, so
-    each stream block is integrated once for all betas.  Each block gives
-    times and stream-last (record, beta, stream) arrays of full, approx and
-    nomem."""
+    each stream block is integrated once for all betas.  Returns the times
+    and the statistics of full, approx and nomem at each beta (see
+    :func:`stream_statistics`)."""
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
+    n = cfg["n_samples"]
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
     # The beta of p is never read: integrate_crn_batch runs every beta in beta_list.
     p = params_from_config(cfg)
@@ -253,29 +282,24 @@ def simulate_ensemble(cfg, threads):
 
     def worker(a, b):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
-        times, full_x, model_recs = integrate_crn_batch(
-            p, scalar_models, (x0, y0), x0, icfg, streams, cfg["beta_list"]
-        )
-        return times, *(np.moveaxis(r, -1, 0) for r in (full_x, *model_recs))
+        args = (p, scalar_models, (x0, y0), x0, icfg, streams, cfg["beta_list"])
+        if b - a < n:
+            times, full_x, model_recs = integrate_crn_batch(*args)
+            return times, [np.moveaxis(r, -1, 0) for r in (full_x, *model_recs)]
+        stats, sink = _record_sink(icfg, (1 + len(scalar_models), len(cfg["beta_list"])))
+        return integrate_crn_batch(*args, sink=sink)[0], stats
 
-    return map_stream_blocks(worker, cfg["n_samples"], threads=threads)
+    return _stream_statistics(map_stream_blocks(worker, n, threads=threads))
 
 
-def reduce_ensemble(cfg, blocks):
+def reduce_ensemble(cfg, raw):
     """One file per beta."""
-    block_times, *parts = zip(*blocks)
-    times = block_times[0]
-    # Each component's streams are joined in turn, so at most one joined copy
-    # is held on top of the blocks; one block needs none, being a view.
-    stats = {}
-    for name, part in zip(("full", "approx", "nomem"), parts):
-        data = join_streams(part)
-        stats[name] = [mean_stderr(data[:, k], axis=-1) for k in range(data.shape[1])]
+    times, stats = raw
     files = []
     for k, beta in enumerate(cfg["beta_list"]):
         cols = {}
-        for name, per_beta in stats.items():
-            cols[f"{name}_mean"], cols[f"{name}_stderr"] = per_beta[k]
+        for c, name in enumerate(("full", "approx", "nomem")):
+            cols[f"{name}_mean"], cols[f"{name}_stderr"] = stats[:, :, c, k]
 
         summary = [
             ("initial_amplitude", abs(cfg["x0"])),

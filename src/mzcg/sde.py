@@ -34,9 +34,12 @@ one definition of the benchmark's orthogonal drift,
 plus its conditional average (-mu x, 0); the kernel's RK4 march binds the
 same function.  Records are record-major, laid out (record, plane, beta,
 stream): each is one contiguous row, copied from the state at its step.  The
-batch front ends return record-last views of them, and the stream
-statistics sum along their contiguous stream axis (:func:`join_streams`,
-:func:`mean_stderr`).
+batch front ends return record-last views of them.  Given a sink, the engine
+instead keeps one record block of about RECORD_BLOCK_BYTES and hands it to
+the sink each time it fills, so a run of every stream can reduce its stream
+statistics as it goes (:func:`stream_statistics`) and never holds every
+record; records split into stream blocks are reduced the same way, a joined
+record block at a time (:func:`join_statistics`).
 
 ``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
 and each deterministic reduced model beside it as a recurrence in Python
@@ -53,9 +56,11 @@ so threads would not overlap.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import Philox
@@ -80,6 +85,11 @@ NOISE_CHUNK = 4096
 # group's words, their transform and their copy into the step-major chunk
 # stay in the L2 cache (see ROADMAP for the measurements).
 NOISE_GROUP_BYTES = 1 << 20
+
+# Bytes of the record block that _march hands to its sink, and of the joined
+# block that join_statistics reduces: small enough that the block and its
+# reduction's temporaries stay in the L2 cache, as NOISE_GROUP_BYTES does.
+RECORD_BLOCK_BYTES = 1 << 20
 
 # The one Philox generator of the process, which every NoiseStream seeks to
 # its own key and counter before it draws: far cheaper than a new Philox per
@@ -302,7 +312,12 @@ def _blowup_error(step, state, beta, streams, recorded):
     )
 
 
-def _march(p, cfg, state, full, stepped, beta, streams, record, package):
+def _block_rows(record_bytes):
+    """Records of ``record_bytes`` each in one record block."""
+    return max(1, RECORD_BLOCK_BYTES // record_bytes)
+
+
+def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=None):
     """The one chunked Euler-Maruyama loop behind the batch integrators.
 
     ``state`` has shape (planes, n_beta, n_streams) and is stepped in place.
@@ -319,7 +334,11 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package):
     state, copied after its step into row ``pos`` of one array.
     ``package(times, recs)`` turns the records into the caller's return
     value; a blowup raises at its step, carrying that value for the records
-    taken before it as ``recorded``.
+    taken before it as ``recorded``.  With a ``sink``, the records go into
+    one reused block of about RECORD_BLOCK_BYTES instead, and
+    ``sink(start, block)`` receives it, records ``start`` on, each time it
+    fills, at the end and before a blowup raises; the sink must copy what it
+    keeps, and ``recs`` is None.
 
     A step costs ufunc calls more than arithmetic, so it makes few, and
     allocates no array of the batch's width.  Every plane writes its drift
@@ -346,9 +365,18 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package):
     rec_idx = cfg.record_steps()
     times = rec_idx * cfg.dt
     rec_steps = rec_idx.tolist() + [-1]
-    out = np.empty((len(rec_idx),) + record.shape)
+    rows = len(rec_idx) if sink is None else min(len(rec_idx), _block_rows(record.nbytes))
+    out = np.empty((rows,) + record.shape)
     out[0] = record
-    rec_pos = 1
+    # Records taken, and the record in row 0 of ``out``.
+    rec_pos, start = 1, 0
+
+    def package_taken():
+        """The package of the records taken, handed to the sink first."""
+        if sink is None:
+            return package(times[:rec_pos], out[:rec_pos])
+        sink(start, out[:rec_pos - start])
+        return package(times[:rec_pos], None)
 
     dt = np.array(cfg.dt)
     thermostat = beta is not None
@@ -429,14 +457,15 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package):
                 if not sum_of_squares(flat) < BLOWUP_SQUARED and not (
                     np.abs(state).max() < BLOWUP_LIMIT
                 ):
-                    raise _blowup_error(
-                        step, state, beta, streams, package(times[:rec_pos], out[:rec_pos])
-                    )
+                    raise _blowup_error(step, state, beta, streams, package_taken())
                 if step == rec_steps[rec_pos]:
-                    out[rec_pos] = record
+                    if rec_pos - start == rows:
+                        sink(start, out)
+                        start = rec_pos
+                    out[rec_pos - start] = record
                     rec_pos += 1
 
-    return package(times, out)
+    return package_taken()
 
 
 def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
@@ -486,7 +515,7 @@ def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
     )
 
 
-def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
+def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None, sink=None):
     """Integrate the full 2D dynamics and several reduced scalar models side by
     side under common random numbers: per stream and step, the full system
     consumes the increment pair while every scalar model consumes its first
@@ -503,7 +532,10 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     Returns (times, full_x, model_recs) where full_x has shape (n, n_rec),
     with a leading beta axis when ``beta`` is a sequence, and model_recs is
     one same-shaped array per model: record-last views of the record-major
-    records, whose stream axis is contiguous.
+    records, whose stream axis is contiguous.  With a ``sink``, the records
+    go to it instead, a block at a time (see :func:`_march`), laid out
+    (record, component, beta, stream) with component x then each model, and
+    full_x and model_recs are None.
     """
     beta = np.asarray(p.beta if beta is None else beta, dtype=float)
     if beta.ndim > 1 or not np.all(beta > 0.0):
@@ -517,10 +549,13 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None):
     rows = 0 if beta.ndim == 0 else slice(None)
 
     def package(times, recs):
+        if recs is None:
+            return times, None, None
         recs = np.moveaxis(recs, 0, -1)[:, rows]
         return times, recs[0], list(recs[1:])
 
-    return _march(p, cfg, state, True, scalar_models, column, streams, state[:-1], package)
+    return _march(p, cfg, state, True, scalar_models, column, streams, state[:-1], package,
+                  sink)
 
 
 def _flow(model, h, cfg):
@@ -550,7 +585,7 @@ def _flow(model, h, cfg):
     return values, None
 
 
-def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
+def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None, sink=None):
     """Unthermostatted full 2D dynamics for a batch of starts ``x0s`` (shape
     (n, 2)), and beside them each reduced scalar model as a deterministic
     flow from ``h0``.
@@ -564,7 +599,9 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
     Returns (times, full_x, model_runs): full_x of shape (n, n_rec), a view
     of the record-major records, holds the full system's x, and model_runs
     holds one (values, blowup_step) per model, with values recorded up to
-    the blowup and blowup_step None for a model that ran to the end.
+    the blowup and blowup_step None for a model that ran to the end.  With a
+    ``sink``, the full system's records go to it instead, a block at a time
+    (see :func:`_march`), laid out (record, 1, stream), and full_x is None.
     """
     runs = [_flow(model, h0, cfg) for model in scalar_models]
     x0s = np.asarray(x0s, dtype=float)
@@ -572,7 +609,7 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None):
     state[:, 0] = x0s.T
     return _march(
         p, cfg, state, True, (), None, streams, state[0],
-        lambda times, recs: (times, recs[:, 0].T, runs),
+        lambda times, recs: (times, None if recs is None else recs[:, 0].T, runs), sink,
     )
 
 
@@ -628,16 +665,37 @@ def mean_stderr(samples, axis=0, factor=1.0):
     return factor * mean.squeeze(axis), factor * np.sqrt(var) / np.sqrt(n)
 
 
-def join_streams(pieces):
-    """The stream-last ``pieces`` joined along their last axis into one
-    array whose stream axis is contiguous, which numpy sums pairwise; a
-    strided one it sums a stream at a time.  So the stream statistics get
-    their bits from this layout, whatever layout the blocks arrive in.  One
-    piece that has it, such as a view of the engine's records, is returned
-    as it is."""
-    if len(pieces) == 1 and pieces[0].strides[-1] == pieces[0].itemsize:
-        return pieces[0]
-    return np.ascontiguousarray(np.concatenate(pieces, axis=-1))
+def stream_statistics(stats, start, block):
+    """Reduce a stream-complete record ``block``, laid out (record,
+    component, ..., stream), into rows ``start`` on of ``stats``, shaped
+    (2, record, component, ...): each row's mean over the streams, then its
+    standard error.  One :func:`mean_stderr` call sums every row along its
+    contiguous stream axis, pairwise, so a row's bits do not depend on the
+    block around it, nor on how the records were cut into blocks.  Its
+    arguments are those of a :func:`_march` sink after ``stats``."""
+    stats[:, start:start + len(block)] = mean_stderr(block, axis=-1)
+
+
+def join_statistics(pieces):
+    """The stream statistics, as :func:`stream_statistics` lays them out,
+    of records split into stream blocks: ``pieces[j]`` holds stream block
+    j's components in order, each laid out (record, ..., stream).  The
+    pieces are joined a record block of about RECORD_BLOCK_BYTES at a time
+    into one stream-complete block, whatever layout they arrive in, so no
+    joined copy of every record is made."""
+    first = pieces[0][0]
+    bounds = list(accumulate([0] + [comps[0].shape[-1] for comps in pieces]))
+    shape = (len(pieces[0]),) + first.shape[1:-1] + (bounds[-1],)
+    n_rec = len(first)
+    block = np.empty((min(n_rec, _block_rows(8 * math.prod(shape))),) + shape)
+    stats = np.empty((2, n_rec) + shape[:-1])
+    for start in range(0, n_rec, len(block)):
+        part = block[:n_rec - start]
+        for comps, a, b in zip(pieces, bounds, bounds[1:]):
+            for c, comp in enumerate(comps):
+                part[:, c, ..., a:b] = comp[start:start + len(part)]
+        stream_statistics(stats, start, part)
+    return stats
 
 
 def raise_earliest_blowup(results):

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzcg
+from mzcg import sde
 from mzcg.cli import main
 from mzcg.config import EXPERIMENTS, KEYS, ConfigError, resolve
 from mzcg.csvio import format_value, read_csv, write_csv
 from mzcg.experiments import RUNNERS, run, time_to_half
 from mzcg.kernel import fit_decay_rate
-from mzcg.sde import NumericalBlowupError
+from mzcg.sde import IntegratorConfig, NumericalBlowupError
 
 
 # Numbers near the edges of the floats, where derived scales overflow.
@@ -305,21 +307,22 @@ STREAMS_301 = {
 }
 
 
-def _split_block(experiment, block, width, layout):
-    """The streams of one simulated ``block`` in blocks of ``width``, each
-    array put in ``layout`` and sent through pickle, as worker results are."""
-    blocks = []
-    for a in range(0, block[1].shape[-1], width):
-        def cut(x):
-            return layout(x[..., a:a + width])
+def _in_blocks(width, layout):
+    """A ``map_stream_blocks`` that runs the worker serially on blocks of
+    ``width`` streams, each result's arrays put in ``layout`` and sent
+    through pickle, as worker results are."""
+    def arrange(x):
+        if isinstance(x, np.ndarray):
+            return layout(x)
+        if isinstance(x, (list, tuple)):
+            return type(x)(map(arrange, x))
+        return x
 
-        if experiment == "ensemble":
-            part = (block[0], *map(cut, block[1:]))
-        else:
-            times, full_x, runs = block
-            part = (times, cut(full_x), runs if a == 0 else [])
-        blocks.append(pickle.loads(pickle.dumps(part)))
-    return blocks
+    def in_blocks(worker, n_items, threads=1):
+        return [pickle.loads(pickle.dumps(arrange(worker(a, min(a + width, n_items)))))
+                for a in range(0, n_items, width)]
+
+    return in_blocks
 
 
 def _file_bytes(files):
@@ -327,36 +330,78 @@ def _file_bytes(files):
             for label, comments, header, columns in files]
 
 
+def _files_at(experiment, cfg, threads, out_dir):
+    out = out_dir / str(threads) / "o.csv"
+    out.parent.mkdir(parents=True)
+    RUNNERS[experiment](cfg, out, threads=threads)
+    return {path.name: path.read_bytes() for path in out.parent.iterdir()}
+
+
 class TestStreamStatistics:
     """The stream statistics sum along a contiguous stream axis, so their
-    bits depend neither on how the streams are split into blocks nor on the
-    layout in which the blocks arrive."""
+    bits depend neither on how the streams are split into blocks, nor on the
+    layout in which the blocks arrive, nor on how the records are cut into
+    record blocks: one block of every stream reduces its records as the
+    engine records them, several are joined a record block at a time."""
 
     @pytest.mark.parametrize("experiment", sorted(STREAMS_301))
-    def test_blocks_of_any_width_and_layout_reduce_alike(self, experiment):
+    def test_blocks_of_any_width_and_layout_reduce_alike(self, experiment, monkeypatch):
         cfg = resolve(experiment, set_pairs=STREAMS_301[experiment])
         simulate, reduce = RUNNERS[experiment].args
-        # One block, as --threads 1 gives it: views of the engine's records.
-        one = simulate(cfg, 1)
-        want = _file_bytes(reduce(cfg, one))
+        # One block, as --threads 1 gives it: reduced by the engine's sink.
+        want = _file_bytes(reduce(cfg, simulate(cfg, 1)))
         # A stream-first layout would make a sum along the streams add them
         # one after another.
         for layout in (np.asarray, np.asfortranarray):
             for width in (1, 7, 8, 9, 127, 128, 129, 257):
-                blocks = _split_block(experiment, one[0], width, layout)
-                assert _file_bytes(reduce(cfg, blocks)) == want, (layout, width)
+                monkeypatch.setattr(mzcg.experiments, "map_stream_blocks",
+                                    _in_blocks(width, layout))
+                assert _file_bytes(reduce(cfg, simulate(cfg, 1))) == want, (layout, width)
 
-    @pytest.mark.parametrize("experiment", sorted(STREAMS_301))
-    def test_files_byte_identical_at_any_block_count(self, experiment, tmp_path):
-        cfg = resolve(experiment, set_pairs=STREAMS_301[experiment])
-        outputs = []
-        for threads in (1, 2, 3, 8):
-            out = tmp_path / str(threads) / "o.csv"
-            out.parent.mkdir()
-            RUNNERS[experiment](cfg, out, threads=threads)
-            outputs.append({path.name: path.read_bytes() for path in out.parent.iterdir()})
+    @pytest.mark.parametrize("experiment, block_records", [
+        *(pytest.param(name, None, id=name) for name in sorted(STREAMS_301)),
+        *(pytest.param(name, k, id=f"{name}-{k}-record-blocks")
+          for name in sorted(STREAMS_301) for k in (1, 3)),
+    ])
+    def test_files_byte_identical_at_any_block_count(
+        self, experiment, block_records, tmp_path, monkeypatch
+    ):
+        if block_records is None:
+            cfg = resolve(experiment, set_pairs=STREAMS_301[experiment])
+            outputs = [_files_at(experiment, cfg, threads, tmp_path) for threads in (1, 2, 3, 8)]
+        else:
+            # 26 records, which blocks of 3 do not divide; the budget holds
+            # block_records records of every stream, in the engine's one
+            # block and in the joined blocks of several.
+            cfg = resolve(experiment, set_pairs=STREAMS_301[experiment] + ["record_stride=2"])
+            assert IntegratorConfig(cfg["dt"], cfg["t_final"], 2).n_records == 26
+            components = 3 * len(cfg["beta_list"]) if experiment == "ensemble" else 1
+            outputs = [_files_at(experiment, cfg, 1, tmp_path / "default")]
+            monkeypatch.setattr(sde, "RECORD_BLOCK_BYTES",
+                                block_records * 8 * components * cfg["n_samples"])
+            outputs += [_files_at(experiment, cfg, threads, tmp_path) for threads in (1, 2, 3)]
         assert len(outputs[0]) == (2 if experiment == "ensemble" else 1)
         assert all(files == outputs[0] for files in outputs)
+
+    def test_one_block_never_holds_every_record(self):
+        # numpy reports its buffers to tracemalloc.  The one block of every
+        # stream hands each record block of about RECORD_BLOCK_BYTES to the
+        # statistics as it fills, so what it holds at once is the noise
+        # chunk (3.3 MB here), the statistics (1.4 MB) and a record block
+        # with its reduction's temporaries, not the 36 MB of records.
+        cfg = resolve("ensemble", set_pairs=["n_samples=50", "t_final=1", "record_stride=1"],
+                      desk_scale=True)
+        n_records = IntegratorConfig(cfg["dt"], cfg["t_final"], 1).n_records
+        record_bytes = 8 * 3 * len(cfg["beta_list"]) * cfg["n_samples"] * n_records
+        assert record_bytes > 30 * 2**20
+        simulate, _ = RUNNERS["ensemble"].args
+        tracemalloc.start()
+        try:
+            simulate(cfg, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < record_bytes / 2
 
 
 class TestStationaryExperiment:
@@ -433,21 +478,40 @@ class TestCLIContract:
         assert run_cli(args + ["--out", str(c), "--threads", "3"]).exit_code == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
-    def test_thermostatted_threads_byte_identical(self, tmp_path):
+    @staticmethod
+    def four_usable_cpus(monkeypatch):
+        """Let --threads 4 run four stream blocks on any machine (it is
+        capped at the usable CPUs); returns the block counts run."""
+        monkeypatch.setattr(mzcg.cli, "_usable_cpus", lambda: 4)
+        counts = []
+
+        def counted(worker, n_items, threads=1):
+            blocks = sde.map_stream_blocks(worker, n_items, threads)
+            counts.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(mzcg.experiments, "map_stream_blocks", counted)
+        return counts
+
+    def test_thermostatted_threads_byte_identical(self, tmp_path, monkeypatch):
+        blocks = self.four_usable_cpus(monkeypatch)
         args = ["ensemble", "--set", "dt=0.001", "--set", "t_final=0.05",
                 "--set", "n_samples=300", "--set", "beta_list=1"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(args + ["--out", str(a), "--threads", "1"]).exit_code == 0
         assert run_cli(args + ["--out", str(b), "--threads", "4"]).exit_code == 0
+        assert blocks == [1, 4]
         assert (tmp_path / "a_beta1.csv").read_bytes() == (tmp_path / "b_beta1.csv").read_bytes()
 
-    def test_thermostatted_threads_byte_identical_several_betas(self, tmp_path):
-        # Two stream blocks, each integrating both betas in one batch.
+    def test_thermostatted_threads_byte_identical_several_betas(self, tmp_path, monkeypatch):
+        # Four stream blocks, each integrating both betas in one batch.
+        blocks = self.four_usable_cpus(monkeypatch)
         args = ["ensemble", "--set", "dt=0.001", "--set", "t_final=0.05",
                 "--set", "n_samples=300", "--set", "beta_list=1,10"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(args + ["--out", str(a), "--threads", "1"]).exit_code == 0
         assert run_cli(args + ["--out", str(b), "--threads", "4"]).exit_code == 0
+        assert blocks == [1, 4]
         for beta in ("1", "10"):
             assert (tmp_path / f"a_beta{beta}.csv").read_bytes() == (
                 tmp_path / f"b_beta{beta}.csv"

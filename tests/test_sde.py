@@ -727,6 +727,76 @@ class TestRecordMajorRecords:
         assert np.all(got[..., 0] == np.array([x0, x0, x0])[:, None, None])
 
 
+class TestRecordSink:
+    """With a sink, the engine hands over its records a block at a time:
+    the records of the same call without one, in order, every record before
+    a blowup included."""
+
+    MODELS = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+
+    def crn(self, cfg, sink=None):
+        x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3)
+        return integrate_crn_batch(
+            P, self.MODELS, (x0, y0), x0, cfg, [NoiseStream(2, i) for i in range(4)],
+            (1.0, 10.0, 100.0), sink=sink,
+        )
+
+    @staticmethod
+    def collector(block_records, record_bytes):
+        """A sink that copies each block it gets, patched to take
+        ``block_records`` records of ``record_bytes`` at a time."""
+        blocks = []
+
+        def sink(start, block):
+            assert start == sum(map(len, blocks))
+            assert 0 < len(block) <= block_records
+            blocks.append(block.copy())
+
+        budget = mock.patch.object(sde, "RECORD_BLOCK_BYTES", block_records * record_bytes)
+        return blocks, sink, budget
+
+    @pytest.mark.parametrize("block_records", [1, 3, 7])
+    def test_blocks_hold_the_records_of_a_call_without_a_sink(self, block_records):
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, record_stride=1)
+        times, full_x, model_recs = self.crn(cfg)
+        blocks, sink, budget = self.collector(block_records, 3 * 3 * 4 * 8)
+        with budget:
+            sunk_times, none_x, none_recs = self.crn(cfg, sink)
+        assert none_x is None and none_recs is None
+        assert sunk_times.tobytes() == times.tobytes()
+        want = np.moveaxis(np.stack([full_x, *model_recs]), -1, 0)
+        assert len(blocks) == -(-len(times) // block_records)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    def test_blowup_hands_over_every_record_before_its_step(self):
+        # dt = 0.2 blows the full system up after several blocks of 3.
+        cfg = IntegratorConfig(dt=0.2, t_final=20.0)
+        with pytest.raises(NumericalBlowupError) as plain:
+            self.crn(cfg)
+        blocks, sink, budget = self.collector(3, 3 * 3 * 4 * 8)
+        with budget, pytest.raises(NumericalBlowupError) as sunk:
+            self.crn(cfg, sink)
+        times, full_x, model_recs = plain.value.recorded
+        assert (sunk.value.step, sunk.value.stream_id, sunk.value.beta) == (
+            plain.value.step, plain.value.stream_id, plain.value.beta)
+        assert len(times) == plain.value.step > 3 * 3
+        assert sunk.value.recorded[0].tobytes() == times.tobytes()
+        want = np.moveaxis(np.stack([full_x, *model_recs]), -1, 0)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+    def test_flow_batch_hands_over_the_full_records(self):
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, record_stride=2)
+        x0s = np.stack([np.linspace(-0.4, 0.5, 5), np.linspace(0.3, -0.2, 5)], axis=-1)
+        times, full_x, runs = integrate_flow_batch(P, self.MODELS, x0s, 0.2, cfg)
+        blocks, sink, budget = self.collector(4, 5 * 8)
+        with budget:
+            _, none_x, sunk_runs = integrate_flow_batch(P, self.MODELS, x0s, 0.2, cfg, sink=sink)
+        assert none_x is None
+        assert np.concatenate(blocks).tobytes() == full_x.T[:, None].tobytes()
+        for (values, step), (sunk_values, sunk_step) in zip(runs, sunk_runs):
+            assert step == sunk_step and values.tobytes() == sunk_values.tobytes()
+
+
 class TestFlowBatch:
     """The unthermostatted full system with the reduced models as planes of
     one engine call, as ``mean-trajectory`` runs it."""
@@ -886,15 +956,36 @@ class TestEnsembleMean:
         assert np.array_equal(mean, beta * rows.mean(axis=-1))
         assert np.array_equal(stderr, beta * rows.std(axis=-1, ddof=1) / np.sqrt(257))
 
-    def test_join_streams_gives_a_contiguous_stream_axis(self):
-        records = np.random.default_rng(6).normal(size=(5, 3, 2, 20))
-        rows = records[:, 1]
-        assert sde.join_streams([rows]) is rows
-        for pieces in ([np.asfortranarray(rows)], [rows[..., :7], rows[..., 7:]],
-                       [np.asfortranarray(rows[..., :1]), rows[..., 1:]]):
-            joined = sde.join_streams(pieces)
-            assert joined.flags.c_contiguous
-            assert np.array_equal(joined, rows)
+    def test_stream_statistics_of_a_block_are_those_of_each_row(self):
+        # One call over a (record, component, beta, stream) block has the
+        # bits of a call per (component, beta) on its record-major view,
+        # with more streams than numpy's pairwise block of 128.
+        records = np.random.default_rng(6).normal(size=(7, 3, 2, 257))
+        stats = np.full((2, 9, 3, 2), np.nan)
+        sde.stream_statistics(stats, 2, records)
+        assert np.isnan(stats[:, :2]).all()
+        for c in range(3):
+            for k in range(2):
+                mean, stderr = mean_stderr(records[:, c, k], axis=-1)
+                assert stats[0, 2:, c, k].tobytes() == mean.tobytes()
+                assert stats[1, 2:, c, k].tobytes() == stderr.tobytes()
+
+    @pytest.mark.parametrize("block_records", [1, 3, 4, 64])
+    def test_join_statistics_of_pieces_in_any_layout(self, block_records):
+        # Stream blocks of 7, 1 and 12 streams, components in any layout,
+        # joined a record block at a time: the statistics of the whole.
+        records = np.random.default_rng(7).normal(size=(10, 3, 2, 20))
+        want = np.empty((2, 10, 3, 2))
+        sde.stream_statistics(want, 0, records)
+        pieces = [[layout(records[:, c, :, a:b]) for c in range(3)]
+                  for layout, (a, b) in zip((np.asarray, np.asfortranarray, np.asarray),
+                                            ((0, 7), (7, 8), (8, 20)))]
+        with mock.patch.object(sde, "RECORD_BLOCK_BYTES", block_records * records[0].nbytes):
+            got = sde.join_statistics(pieces)
+        assert got.tobytes() == want.tobytes()
+        # One component without a beta axis, as mean-trajectory has it.
+        got = sde.join_statistics([[records[:, 0, 0, :9]], [records[:, 0, 0, 9:]]])
+        assert got.tobytes() == want[:, :, :1, 0].tobytes()
 
 
 # The engines of the partition sweep; each returns its outputs stream axis first.

@@ -9,7 +9,9 @@ relative ``--out``) at each of ``THREADS``, and the script reports every
 output file, exit code and stderr line that differs between the trees.  For
 an output CSV it names the comment keys and body columns that differ.  The
 report goes to stdout as Markdown; the exit code is 0 when nothing differs
-and 1 otherwise.
+and 1 otherwise.  The report also gives each run's peak resident set on
+both trees, from the run's own rusage (that of its process, or of a worker
+process it waited for, if larger); the memory never changes the exit code.
 """
 
 from __future__ import annotations
@@ -60,15 +62,24 @@ def check_import(tree):
 
 def run(tree, args, threads, workdir):
     """Run the CLI from ``tree``'s ``src/`` in ``workdir``; return the exit
-    code, the stderr lines and each output file's bytes by name."""
+    code, the stderr lines, each output file's bytes by name and the peak
+    resident set in MiB.  The run is reaped with ``os.wait4``, whose rusage
+    is this run's alone: ``RUSAGE_CHILDREN`` keeps a maximum over every
+    child reaped so far."""
     workdir.mkdir(parents=True)
-    res = subprocess.run(
-        [sys.executable, "-m", "mzcg.cli", *args, "--threads", str(threads),
-         "--out", "out.csv"],
-        cwd=workdir, env=tree_env(tree), capture_output=True, text=True,
-    )
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mzcg.cli", *args, "--threads", str(threads),
+             "--out", "out.csv"],
+            cwd=workdir, env=tree_env(tree), stdout=subprocess.DEVNULL, stderr=err,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode()
     files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
-    return res.returncode, res.stderr.splitlines(), files
+    # Linux gives ru_maxrss in KiB.
+    return proc.returncode, stderr.splitlines(), files, usage.ru_maxrss / 1024.0
 
 
 def split_csv(data):
@@ -107,14 +118,17 @@ def describe(base, head):
 
 
 def compare(base, head):
-    """Every difference between the trees over the run set, as report lines."""
-    found = []
+    """Every difference between the trees over the run set, as report lines,
+    and the runs' peak memory, as the rows of a Markdown table."""
+    found, memory = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in RUNS:
             for threads in THREADS:
                 where = f"{name} --threads {threads}"
-                b_code, b_err, b_files = run(base, args, threads, Path(tmp, "base", where))
-                h_code, h_err, h_files = run(head, args, threads, Path(tmp, "head", where))
+                b_code, b_err, b_files, b_rss = run(base, args, threads, Path(tmp, "base", where))
+                h_code, h_err, h_files, h_rss = run(head, args, threads, Path(tmp, "head", where))
+                memory.append(f"| {name} | {threads} | {b_rss:.1f} | {h_rss:.1f} "
+                              f"| {h_rss - b_rss:+.1f} |")
                 if b_code != h_code:
                     found.append(f"- {where}: exit code {b_code} -> {h_code}")
                 if b_err != h_err:
@@ -128,7 +142,7 @@ def compare(base, head):
                     elif b != h:
                         found.append(f"- {where}: `{fname}`")
                         found += [f"  - {line}" for line in describe(b, h)]
-    return found
+    return found, memory
 
 
 def main(argv):
@@ -137,9 +151,13 @@ def main(argv):
     base, head = argv
     for tree in argv:
         check_import(tree)
-    found = compare(base, head)
+    found, memory = compare(base, head)
     print(f"## Same bytes: {len(RUNS)} runs at --threads {', '.join(map(str, THREADS))}\n")
     print("\n".join(found) if found else "No file, exit code or stderr line differs.")
+    print("\n### Peak resident set (MiB; informational, never a failure)\n")
+    print("| run | --threads | base | head | head - base |")
+    print("|---|---|---|---|---|")
+    print("\n".join(memory))
     return 1 if found else 0
 
 
