@@ -61,6 +61,17 @@ class BenchmarkParams:
         return constants
 
     @cached_property
+    def _flow_constants(self):
+        """tau omega^2, tau and lam, the constants of
+        :func:`bind_orthogonal_flow`, as read-only 0-d float64 arrays made
+        once."""
+        constants = tuple(np.array(v) for v in (
+            self.tau * self.omega * self.omega, self.tau, self.lam))
+        for c in constants:
+            c.flags.writeable = False
+        return constants
+
+    @cached_property
     def _coupling_constants(self):
         """omega, 1, tau^2 omega^2 and -mu, the constants of
         :func:`bind_valley_coupling` and of the reduced models' bound
@@ -181,9 +192,11 @@ def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos):
     """:func:`orthogonal_drift_xy` at the live values of ``x`` and ``y`` as a
     function of no argument that writes the drift into ``out`` and returns
     nothing: the one definition of the orthogonal drift, which the engine
-    binds once per march and the RK4 march once per stage buffer.  ``out``
-    and ``cos`` are as there, and neither may share memory with ``x`` or
-    ``y``.
+    binds once per march and the two-dimensional RK4 march of
+    ``orthogonal_trajectory`` once per stage buffer.  The kernel sampler
+    takes its lag-0 drift from here and steps its samples on the invariant
+    curves of :func:`orthogonal_invariant` instead.  ``out`` and ``cos`` are
+    as there, and neither may share memory with ``x`` or ``y``.
 
     With u = tan(omega x / 2) and w = 1 / (1 + u^2), cos(omega x) =
     (1 - u^2) w and sin(omega x) = 2 u w, which meets tau as (u w)(2 tau):
@@ -220,3 +233,84 @@ def orthogonal_drift(p: BenchmarkParams, x, y):
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     dx, dy = orthogonal_drift_xy(p, x.reshape(-1), y.reshape(-1))
     return np.stack((dx, dy), axis=-1).reshape(x.shape + (2,))
+
+
+# Along a characteristic of the orthogonal dynamics, theta = omega x and y
+# move with one valley gap g = tau sin(theta) - y: theta' = -lam tau omega^2 g
+# cos(theta) and y' = lam g.  So d(theta)/dy = -tau omega^2 cos(theta), and
+# since d atanh(sin(theta))/d(theta) = 1/cos(theta), the sum
+# atanh(sin(omega x)) + tau omega^2 y is constant along every characteristic.
+# theta never crosses a crest, where cos(theta) = 0 holds it still, so with
+# z = I - tau omega^2 y for the invariant I, sin(omega x) = tanh(z) and
+# cos(omega x) = s sech(z), s the sign of cos(omega x0): y alone follows the
+# one-dimensional flow y' = lam (tau tanh(z) - y).  Its stiffest rate, at
+# the valley floor, is lam (1 + tau^2 omega^2 cos^2(theta)), as in two
+# dimensions.
+
+
+def _curve_phase(p: BenchmarkParams, x0):
+    """atanh(sin(omega x0)), the x part of the invariant; infinite where
+    sin(omega x0) rounds to +-1."""
+    with np.errstate(divide="ignore"):
+        return np.arctanh(np.sin(p.omega * x0))
+
+
+def orthogonal_invariant(p: BenchmarkParams, x0, y):
+    """The invariant atanh(sin(omega x0)) + tau omega^2 y of the orthogonal
+    dynamics at (x0, y), for a scalar ``x0`` and an array ``y``.  At a crest,
+    where sin(omega x0) rounds to +-1, it is infinite, and the curves of
+    :func:`bind_orthogonal_flow` and :func:`orthogonal_flow_point` hold x at
+    x0, as the two-dimensional march does: its x increments there are below
+    half an ulp."""
+    tw2 = p._flow_constants[0]
+    return _curve_phase(p, x0) + tw2 * y
+
+
+def bind_orthogonal_flow(p: BenchmarkParams, y, inv, out):
+    """The slope lam (tau tanh(inv - tau omega^2 y) - y) of y on the
+    invariant curves ``inv`` of :func:`orthogonal_invariant`, at the live
+    values of ``y``, as a function of no argument that writes it into
+    ``out`` and returns nothing: the y component of the orthogonal drift
+    with x recovered from the invariant, in six in-place ufunc calls with
+    0-d constants and no temporary.  ``y``, ``inv`` and ``out`` are float
+    arrays of one shape, and ``out`` shares no memory with the others."""
+    tw2, tau, lam = p._flow_constants
+    mul, sub, tanh = np.multiply, np.subtract, np.tanh
+
+    def slope():
+        mul(tw2, y, out)
+        sub(inv, out, out)  # z
+        tanh(out, out)  # sin(omega x)
+        mul(tau, out, out)
+        sub(out, y, out)  # the valley gap
+        mul(lam, out, out)
+
+    return slope
+
+
+def orthogonal_flow_point(p: BenchmarkParams, x0, y, inv):
+    """x and the orthogonal drift at ``y`` on the curves ``inv`` of the
+    characteristics from the scalar ``x0``, as (x, drift) with the drift's
+    components stacked along the last axis, as :func:`orthogonal_drift`
+    gives them.
+
+    With z = inv - tau omega^2 y, the drift takes sin(omega x) = tanh(z) and
+    cos(omega x) = s sech(z), s the sign of cos(omega x0), and x is
+    (c pi + s asin(tanh(z))) / omega with c = round(omega x0 / pi).  Where x
+    cannot move (a crest, with an infinite invariant, or omega = 0) x stays
+    at x0 and the drift is :func:`orthogonal_drift` at (x0, y), whose
+    cos(omega x0) has the size of a rounding error at a crest."""
+    theta0 = p.omega * x0
+    if p.omega == 0.0 or np.isinf(_curve_phase(p, x0)):
+        x = np.full_like(y, x0)
+        return x, orthogonal_drift(p, x, y)
+    tw2, tau, lam = p._flow_constants
+    s = np.copysign(1.0, np.cos(theta0))
+    z = inv - tw2 * y
+    sin = np.tanh(z)
+    with np.errstate(over="ignore"):
+        cos = s / np.cosh(z)
+    gap = tau * sin - y
+    x = (np.rint(theta0 / np.pi) * np.pi + s * np.arcsin(sin)) / p.omega
+    neg_lto = p._drift_constants[4]  # -(lam tau omega)
+    return x, np.stack((neg_lto * gap * cos, lam * gap), axis=-1)

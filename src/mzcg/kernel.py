@@ -12,7 +12,12 @@ from math import ceil, pi
 import numpy as np
 
 from . import benchmark
-from .benchmark import BenchmarkParams, bind_orthogonal_drift, valley_coupling
+from .benchmark import (
+    BenchmarkParams,
+    bind_orthogonal_drift,
+    bind_orthogonal_flow,
+    valley_coupling,
+)
 from .geometry import CGMap
 from .sde import (
     BLOWUP_LIMIT,
@@ -96,25 +101,20 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
     return drift_term, div_term
 
 
-def _rk4_march(p, x, y, span, dt):
-    """Advance a batch of orthogonal-dynamics states by ``span`` with classical
-    RK4, using equal substeps no longer than ``dt`` (landing exactly).
-
-    The state marches as one stacked (2, n) array.  The four slopes, the
-    stage input and the drift's scratch are allocated once per call, with
-    the orthogonal drift bound once per slope
-    (:func:`~mzcg.benchmark.bind_orthogonal_drift`), and the stage
-    arithmetic runs in place with 0-d constants, in the operation order of
-    ``x + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with stage inputs
-    ``x + (h / 2) * k``.  Returns new arrays (x, y).
-    """
+def _rk4(z, bind, span, dt):
+    """Advance the float array ``z`` in place by ``span`` with classical RK4,
+    using equal substeps no longer than ``dt`` (landing exactly), and return
+    it.  ``bind(state, k)`` gives a function of no argument that writes the
+    slope at the live values of ``state`` into ``k``; it is called once per
+    slope buffer.  The four slopes and the stage input are allocated once
+    per call, and the stage arithmetic runs in place with 0-d constants, in
+    the operation order of ``z + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with
+    stage inputs ``z + (h / 2) * k``."""
     n_sub = max(1, ceil(span / dt - 1e-12))
     h = span / n_sub
-    z = np.stack((x, y))
     k1, k2, k3, k4, t = (np.empty_like(z) for _ in range(5))
-    cos = np.empty_like(z[0])
-    slope1 = bind_orthogonal_drift(p, z[0], z[1], k1, cos)
-    slope2, slope3, slope4 = (bind_orthogonal_drift(p, t[0], t[1], k, cos) for k in (k2, k3, k4))
+    slope1 = bind(z, k1)
+    slope2, slope3, slope4 = (bind(t, k) for k in (k2, k3, k4))
     half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
     add, mul = np.add, np.multiply
     for _ in range(n_sub):
@@ -134,6 +134,27 @@ def _rk4_march(p, x, y, span, dt):
         add(t, k4, t)
         mul(sixth_h, t, t)
         add(z, t, z)
+    return z
+
+
+def _rk4_march(p, y, inv, span, dt):
+    """Advance the y of a batch of samples on the invariant curves ``inv`` of
+    the orthogonal dynamics (:func:`~mzcg.benchmark.orthogonal_invariant`) by
+    ``span`` with :func:`_rk4`, its slope
+    :func:`~mzcg.benchmark.bind_orthogonal_flow`.  Returns a new array."""
+    return _rk4(np.array(y, dtype=float),
+                lambda state, k: bind_orthogonal_flow(p, state, inv, k), span, dt)
+
+
+def _rk4_march_xy(p, x, y, span, dt):
+    """Advance a batch of orthogonal-dynamics states (x, y) by ``span`` with
+    :func:`_rk4`, marching them as one stacked (2, n) array with the slope
+    :func:`~mzcg.benchmark.bind_orthogonal_drift`, which shares one cosine
+    scratch: the two-dimensional march of :func:`orthogonal_trajectory`.
+    Returns new arrays (x, y)."""
+    z = np.stack((x, y))
+    cos = np.empty_like(z[0])
+    z = _rk4(z, lambda state, k: bind_orthogonal_drift(p, state[0], state[1], k, cos), span, dt)
     return z[0], z[1]
 
 
@@ -148,7 +169,7 @@ def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig) -> 
     recorded[0] = (x[0], y[0])
     rec_pos = 1
     for step in range(1, cfg.n_steps + 1):
-        x, y = _rk4_march(p, x, y, cfg.dt, cfg.dt)
+        x, y = _rk4_march_xy(p, x, y, cfg.dt, cfg.dt)
         if not max(abs(x[0]), abs(y[0])) < BLOWUP_LIMIT:
             raise NumericalBlowupError(
                 step,
@@ -164,9 +185,15 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
     """Fluctuation-drift vectors along sampled orthogonal characteristics.
 
     Sample ``i`` starts at (x0, y0_i) with y0_i drawn from the conditional law
-    of the unresolved mode on stream ``stream.stream_id + i``, and is marched
-    between consecutive lags with RK4 substeps of at most ``cfg.dt``.  Returns
-    an array of shape (n_lags, n_samples, 2).
+    of the unresolved mode on stream ``stream.stream_id + i``.  Its lag-0
+    drift is :func:`~mzcg.benchmark.orthogonal_drift` at that start.  Each
+    sample then stays on one invariant curve of the orthogonal dynamics
+    (:func:`~mzcg.benchmark.orthogonal_invariant`), so only its y is marched
+    between consecutive lags, with RK4 substeps of at most ``cfg.dt``
+    (:func:`_rk4_march`), and each later lag's x and drift come from the
+    curve (:func:`~mzcg.benchmark.orthogonal_flow_point`).  A sample whose x
+    or y at a lag is out of range or not finite raises a blowup at that lag,
+    naming its stream.  Returns an array of shape (n_lags, n_samples, 2).
     """
     lags = np.asarray(lags, dtype=float)
     _check_lags(lags)
@@ -176,19 +203,22 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
         raise ValueError("n_samples must be >= 2")
 
     def worker(a, b):
+        def check(li, x, y):
+            ok = np.maximum(np.abs(x), np.abs(y)) < BLOWUP_LIMIT
+            if not ok.all():
+                raise NumericalBlowupError(li, stream_id=stream.stream_id + a + int(np.argmin(ok)))
+
         subs = [NoiseStream(stream.master_seed, stream.stream_id + i) for i in range(a, b)]
         y = benchmark.conditional_y_sample(p, x0, subs)
         x = np.full(b - a, float(x0))
         out = np.empty((len(lags), b - a, 2))
-        prev = 0.0
-        for li, s in enumerate(lags):
-            if s > prev:
-                x, y = _rk4_march(p, x, y, s - prev, cfg.dt)
-                prev = s
-            ok = np.maximum(np.abs(x), np.abs(y)) < BLOWUP_LIMIT
-            if not ok.all():
-                raise NumericalBlowupError(li, stream_id=stream.stream_id + a + int(np.argmin(ok)))
-            out[li] = benchmark.orthogonal_drift(p, x, y)
+        check(0, x, y)
+        out[0] = benchmark.orthogonal_drift(p, x, y)
+        inv = benchmark.orthogonal_invariant(p, x0, y)
+        for li in range(1, len(lags)):
+            y = _rk4_march(p, y, inv, lags[li] - lags[li - 1], cfg.dt)
+            x, out[li] = benchmark.orthogonal_flow_point(p, x0, y, inv)
+            check(li, x, y)
         return out
 
     return np.concatenate(map_stream_blocks(worker, n_samples, threads=threads), axis=1)
@@ -201,7 +231,10 @@ def empirical_kernel(
 
     For each sample the resolved component of the fluctuation drift is
     evaluated along an orthogonal characteristic at every lag; the kernel is
-    beta times the sample mean of its product with the lag-zero value.
+    beta times the sample mean of its product with the lag-zero value.  The
+    characteristics are stepped as the one-dimensional flow of y on their
+    invariant curves (:func:`_sample_orthogonal_drifts`); lag 0 takes the
+    two-dimensional drift at each start.
     """
     lags = np.asarray(lags, dtype=float)
     drifts = _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads)

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from mzcg.benchmark import (
     BenchmarkParams,
     bind_orthogonal_drift,
+    bind_orthogonal_flow,
     conditional_y_sample,
     effective_potential_grad,
     grad_potential,
     orthogonal_drift,
     orthogonal_drift_xy,
+    orthogonal_flow_point,
+    orthogonal_invariant,
     potential,
     valley_coupling,
 )
@@ -306,3 +309,66 @@ class TestBoundOrthogonalDrift:
                 assert drift() is None
                 assert same_bits_or_nan(out, orthogonal_drift_xy(P, x, y)).all()
                 assert same_bits_or_nan(out, fourteen_call_drift(P, x, y)[0]).all()
+
+
+def flow_points(p, x0, n=200):
+    """y on and off the valley at x0, and the invariant curves through them."""
+    rng = np.random.default_rng(11)
+    y = p.tau * np.sin(p.omega * x0) + rng.normal(scale=0.5, size=n)
+    return y, orthogonal_invariant(p, x0, y)
+
+
+class TestOrthogonalFlow:
+    """The one-dimensional flow of y on the invariant curves of the
+    orthogonal dynamics is the two-dimensional drift at the x that the
+    invariant recovers."""
+
+    X0S = (0.05, 0.3, -1.234, 2.9)  # cos(omega x0) of both signs at P and P_KERNEL
+
+    @pytest.mark.parametrize("p", [P, P_KERNEL])
+    @pytest.mark.parametrize("x0", X0S)
+    def test_slope_is_the_y_drift_at_the_recovered_x(self, p, x0):
+        y0, inv = flow_points(p, x0)
+        for y in (y0, y0 - 0.3, y0 + 0.7):
+            slope = np.empty_like(y)
+            assert bind_orthogonal_flow(p, y, inv, slope)() is None
+            x, _ = orthogonal_flow_point(p, x0, y, inv)
+            dy = orthogonal_drift_xy(p, x, y)[1]
+            # sin(omega x) carries the rounding of omega x.
+            scale = p.lam * (p.tau * (1.0 + abs(p.omega * x0)) + np.abs(y))
+            assert np.all(np.abs(slope - dy) <= 64 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("p", [P, P_KERNEL])
+    @pytest.mark.parametrize("x0", X0S)
+    def test_point_is_the_two_dimensional_drift_on_the_curve(self, p, x0):
+        y0, inv = flow_points(p, x0)
+        x, drift = orthogonal_flow_point(p, x0, y0, inv)
+        # At the start the curve gives back x0 and the drift there.
+        assert np.allclose(x, x0, rtol=1e-12, atol=1e-12)
+        want = orthogonal_drift(p, x0, y0)
+        assert np.allclose(drift, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+        # Elsewhere on the curve, the drift is the one at the recovered x.
+        for shift in (-0.3, 0.004, 0.7):
+            x, drift = orthogonal_flow_point(p, x0, y0 + shift, inv)
+            want = orthogonal_drift(p, x, y0 + shift)
+            assert np.allclose(drift, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("crest", [math.pi / (2 * P.omega), -math.pi / (2 * P.omega)])
+    def test_crest_holds_x_with_the_drifts_own_cosine(self, crest):
+        y0, inv = flow_points(P, crest)
+        assert np.all(np.isinf(inv))
+        slope = np.empty_like(y0)
+        bind_orthogonal_flow(P, y0, inv, slope)()
+        assert np.array_equal(slope, P.lam * (P.tau * np.sign(crest) - y0))
+        x, drift = orthogonal_flow_point(P, crest, y0 + 0.1, inv)
+        assert np.all(x == crest)
+        assert np.array_equal(drift, orthogonal_drift(P, x, y0 + 0.1))
+        assert 0.0 < np.max(np.abs(drift[:, 0])) < 1e-10
+
+    def test_no_valley_wavenumber_holds_x(self):
+        # omega = 0: x' = 0, and x cannot be recovered by dividing by omega.
+        p = BenchmarkParams(mu=2.0, lam=20.0, tau=2.0, omega=0.0, beta=1.0)
+        y0, inv = flow_points(p, 0.3, n=5)
+        x, drift = orthogonal_flow_point(p, 0.3, y0 + 0.1, inv)
+        assert np.all(x == 0.3)
+        assert np.array_equal(drift, orthogonal_drift(p, x, y0 + 0.1))

@@ -1,14 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mzcg.benchmark import BenchmarkParams, orthogonal_drift, orthogonal_drift_xy
+from mzcg import kernel
+from mzcg.benchmark import (
+    BenchmarkParams,
+    conditional_y_sample,
+    orthogonal_drift,
+    orthogonal_drift_xy,
+    orthogonal_invariant,
+)
 from mzcg.geometry import build_cg_map
 from mzcg.kernel import (
     KernelEstimate,
     _rk4_march,
+    _rk4_march_xy,
+    _sample_orthogonal_drifts,
     approx_kernel,
     approx_kernel_div,
     default_lag_grid,
@@ -153,7 +163,7 @@ class TestRK4March:
         y = p.tau * np.sin(p.omega * x) + rng.normal(scale=0.5, size=n)
         x[0] = np.pi / p.omega  # tan(omega x / 2) near its pole
         dt = 1e-4 / p.lam
-        got = _rk4_march(p, x.copy(), y.copy(), 7.5 * dt, dt)
+        got = _rk4_march_xy(p, x.copy(), y.copy(), 7.5 * dt, dt)
         want = allocating_rk4_march(p, x, y, 7.5 * dt, dt)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -164,6 +174,99 @@ class TestRK4March:
         out, cos = np.full((2, 11), np.nan), np.full(11, np.nan)
         assert orthogonal_drift_xy(P, x, y, out, cos) is out
         assert out.tobytes() == orthogonal_drift_xy(P, x, y).tobytes()
+
+
+def allocating_flow_march(p, y, inv, span, dt):
+    """RK4 of the flow on the invariant curves in the allocating form that
+    the in-place march must equal bit for bit."""
+    n_sub = max(1, math.ceil(span / dt - 1e-12))
+    h = span / n_sub
+    tw2 = p.tau * p.omega * p.omega
+
+    def slope(y):
+        return p.lam * (p.tau * np.tanh(inv - tw2 * y) - y)
+
+    for _ in range(n_sub):
+        k1 = slope(y)
+        k2 = slope(y + (0.5 * h) * k1)
+        k3 = slope(y + (0.5 * h) * k2)
+        k4 = slope(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
+def flow_samples(p, n):
+    """y off the valley at random x, the first at a crest, and their invariants."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-3.0, 3.0, n)
+    x[0] = np.pi / (2.0 * p.omega)
+    y = p.tau * np.sin(p.omega * x) + rng.normal(scale=0.5, size=n)
+    inv = np.array([orthogonal_invariant(p, xi, yi) for xi, yi in zip(x, y)])
+    return y, inv
+
+
+class TestFlowMarch:
+    @pytest.mark.parametrize("p", [P, P_SMALL])
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_in_place_march_equals_allocating_form_bitwise(self, p, n):
+        y, inv = flow_samples(p, n)
+        dt = 1e-4 / p.lam
+        got = _rk4_march(p, y, inv, 7.5 * dt, dt)
+        want = allocating_flow_march(p, y, inv, 7.5 * dt, dt)
+        assert got is not y
+        assert got.tobytes() == want.tobytes()
+
+    def test_fourth_order_convergence(self):
+        y, inv = flow_samples(P, 7)
+        horizon = 3.0 / kernel_decay_rate(P, 0.3)
+        base = horizon / 16.0
+        ref = _rk4_march(P, y, inv, horizon, base / 8.0)
+        err_coarse = np.linalg.norm(_rk4_march(P, y, inv, horizon, base) - ref)
+        err_fine = np.linalg.norm(_rk4_march(P, y, inv, horizon, base / 2.0) - ref)
+        assert 10.0 < err_coarse / err_fine < 22.0
+
+    @pytest.mark.parametrize("x0", [0.05, 0.3, X0_VALLEY, X0_CREST])
+    def test_drifts_at_every_lag_follow_the_two_dimensional_march(self, x0):
+        # cos(omega x0) > 0 at 0.05, < 0 at 0.3, -1 at the valley, 0 at the crest.
+        lags = default_lag_grid(P, x0, n_lags=12, efolds=1.0 if x0 == X0_CREST else 5.0)
+        cfg = kernel_cfg(P, lags)
+        n = 64
+        got = _sample_orthogonal_drifts(P, x0, lags, n, NoiseStream(3, 0), cfg, 1)
+        x = np.full(n, x0)
+        y = conditional_y_sample(P, x0, [NoiseStream(3, i) for i in range(n)])
+        want = np.empty_like(got)
+        want[0] = orthogonal_drift(P, x, y)
+        for li in range(1, len(lags)):
+            x, y = _rk4_march_xy(P, x, y, lags[li] - lags[li - 1], cfg.dt)
+            want[li] = orthogonal_drift(P, x, y)
+        assert np.array_equal(got[0], want[0])
+        # The two marches differ by their truncation errors, about 5e-10 of
+        # the largest drift at dt = 1e-4 / lam.
+        assert np.allclose(got, want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
+
+
+class TestKernelLayerView:
+    def test_sampler_marches_through_the_module_name_with_the_traced_arguments(self):
+        # A layer trace wraps kernel._rk4_march and counts each call's
+        # substeps from its (p, state, _, span, dt) arguments.
+        calls = []
+        march = kernel._rk4_march
+
+        def counting(*args):
+            calls.append(args)
+            return march(*args)
+
+        lags = default_lag_grid(P, X0_VALLEY, n_lags=9)
+        cfg = kernel_cfg(P, lags)
+        with mock.patch.object(kernel, "_rk4_march", counting):
+            empirical_kernel(P, X0_VALLEY, lags, 5, NoiseStream(1, 0), cfg)
+        assert len(calls) == len(lags) - 1
+        counted = 0
+        for (p, state, _, span, dt), gap in zip(calls, np.diff(lags)):
+            assert p is P and state.shape == (5,)
+            assert (span, dt) == (gap, cfg.dt)
+            counted += len(state) * max(1, math.ceil(span / dt - 1e-12))
+        assert counted == 5 * sum(math.ceil(d / cfg.dt - 1e-12) for d in np.diff(lags))
 
 
 class TestEmpiricalKernel:

@@ -7,7 +7,9 @@ two checkouts of the repository.  Every run of ``RUNS`` is made under each
 tree's ``src/`` (as ``python -m mzcg.cli``, in a fresh directory, with a
 relative ``--out``) at each of ``THREADS``, and the script reports every
 output file, exit code and stderr line that differs between the trees.  For
-an output CSV it names the comment keys and body columns that differ.  The
+an output CSV it names the comment keys and body columns that differ, each
+with the largest absolute and relative difference between its numeric
+cells, so that a change that moves bits on purpose shows how far.  The
 report goes to stdout as Markdown; the exit code is 0 when nothing differs
 and 1 otherwise.  The report also gives each run's peak resident set on
 both trees, from the run's own rusage (that of its process, or of a worker
@@ -16,6 +18,7 @@ process it waited for, if larger); the memory never changes the exit code.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +30,8 @@ from pathlib import Path
 RUNS = [
     ("landscape", ["landscape", "--set", "grid_points=41"]),
     ("kernel", ["kernel", "--set", "n_samples=200", "--set", "n_lags=24"]),
+    ("kernel-weak", ["kernel", "--set", "tau=0.2", "--set", "omega=4", "--set", "lag_efolds=0.5",
+                     "--set", "n_samples=200"]),
     ("kernel-matrix", ["kernel-matrix", "--set", "n_samples=128", "--set", "n_lags=12"]),
     ("mean-trajectory", ["mean-trajectory", "--set", "dt=0.001", "--set", "t_final=0.5",
                          "--set", "n_samples=300"]),
@@ -99,13 +104,41 @@ def split_csv(data):
     return comments, header, columns
 
 
+def largest_difference(pairs):
+    """The largest absolute and relative difference over the (base, head)
+    cell pairs that both read as numbers, as a phrase; empty if none do.  A
+    non-finite cell that differs counts as an infinite difference."""
+    worst_abs = worst_rel = 0.0
+    numeric = False
+    for b, h in pairs:
+        try:
+            b, h = float(b), float(h)
+        except ValueError:
+            continue
+        numeric = True
+        if b == h or (math.isnan(b) and math.isnan(h)):
+            continue
+        if not (math.isfinite(b) and math.isfinite(h)):
+            worst_abs = worst_rel = math.inf
+            continue
+        diff = abs(h - b)
+        worst_abs = max(worst_abs, diff)
+        worst_rel = max(worst_rel, diff / max(abs(b), abs(h)))
+    if not numeric:
+        return ""
+    return f"largest absolute difference {worst_abs:.3g}, relative {worst_rel:.3g}"
+
+
 def describe(base, head):
-    """The differences between two versions of one output CSV, one per line."""
+    """The differences between two versions of one output CSV, one per line,
+    each differing comment or column with the size of its largest move."""
     (bc, bh, bcols), (hc, hh, hcols) = split_csv(base), split_csv(head)
     lines = []
-    keys = [k for k in dict.fromkeys([*bc, *hc]) if bc.get(k) != hc.get(k)]
-    if keys:
-        lines.append("comments: " + ", ".join(f"`{k}`" for k in keys))
+    for key in dict.fromkeys([*bc, *hc]):
+        b, h = bc.get(key), hc.get(key)
+        if b != h:
+            size = largest_difference([(b, h)]) if b is not None and h is not None else ""
+            lines.append(f"comment `{key}`" + (f": {size}" if size else ""))
     if bh != hh:
         lines.append(f"header: `{','.join(bh)}` -> `{','.join(hh)}`")
     else:
@@ -113,7 +146,9 @@ def describe(base, head):
             b, h = bcols[name], hcols[name]
             if b != h:
                 moved = sum(x != y for x, y in zip(b, h)) + abs(len(b) - len(h))
-                lines.append(f"column `{name}`: {moved} of {max(len(b), len(h))} rows")
+                size = largest_difference(zip(b, h))
+                lines.append(f"column `{name}`: {moved} of {max(len(b), len(h))} rows"
+                             + (f", {size}" if size else ""))
     return lines or ["bytes differ outside comments, header and columns"]
 
 
