@@ -62,11 +62,12 @@ class BenchmarkParams:
 
     @cached_property
     def _flow_constants(self):
-        """tau omega^2, tau and lam, the constants of
-        :func:`bind_orthogonal_flow`, as read-only 0-d float64 arrays made
-        once."""
+        """tau omega^2, tau, lam and tau^2 omega^2, the constants of the
+        invariant curves and of :func:`bind_orthogonal_flow`, as read-only
+        0-d float64 arrays made once."""
         constants = tuple(np.array(v) for v in (
-            self.tau * self.omega * self.omega, self.tau, self.lam))
+            self.tau * self.omega * self.omega, self.tau, self.lam,
+            self.tau * self.tau * self.omega * self.omega))
         for c in constants:
             c.flags.writeable = False
         return constants
@@ -245,14 +246,24 @@ def orthogonal_drift(p: BenchmarkParams, x, y):
 # cos(omega x) = s sech(z), s the sign of cos(omega x0): y alone follows the
 # one-dimensional flow y' = lam (tau tanh(z) - y).  Its stiffest rate, at
 # the valley floor, is lam (1 + tau^2 omega^2 cos^2(theta)), as in two
-# dimensions.
+# dimensions.  In units of tau and 1/lam, v = y / tau and s = lam t, it reads
+# dv/ds = tanh(I - tau^2 omega^2 v) - v, whose one parameter is the coupling
+# tau^2 omega^2, and whose rate in s is that rate over lam.
 
 
 def _curve_phase(p: BenchmarkParams, x0):
-    """atanh(sin(omega x0)), the x part of the invariant; infinite where
-    sin(omega x0) rounds to +-1."""
-    with np.errstate(divide="ignore"):
-        return np.arctanh(np.sin(p.omega * x0))
+    """atanh(sin(omega x0)), the x part of the invariant, for a scalar
+    ``x0``; infinite where sin(omega x0) rounds to +-1.
+
+    It is taken as s asinh(tan(omega x0)), s the sign of cos(omega x0),
+    which equals it: near a crest the rounding of sin(omega x0) next to 1
+    would cost atanh a relative error of about eps / cos^2(omega x0), while
+    tan keeps its own."""
+    theta = p.omega * x0
+    sin = np.sin(theta)
+    if abs(sin) == 1.0:
+        return np.copysign(np.inf, sin)
+    return np.copysign(1.0, np.cos(theta)) * np.arcsinh(np.tan(theta))
 
 
 def orthogonal_invariant(p: BenchmarkParams, x0, y):
@@ -266,24 +277,24 @@ def orthogonal_invariant(p: BenchmarkParams, x0, y):
     return _curve_phase(p, x0) + tw2 * y
 
 
-def bind_orthogonal_flow(p: BenchmarkParams, y, inv, out):
-    """The slope lam (tau tanh(inv - tau omega^2 y) - y) of y on the
-    invariant curves ``inv`` of :func:`orthogonal_invariant`, at the live
-    values of ``y``, as a function of no argument that writes it into
-    ``out`` and returns nothing: the y component of the orthogonal drift
-    with x recovered from the invariant, in six in-place ufunc calls with
-    0-d constants and no temporary.  ``y``, ``inv`` and ``out`` are float
-    arrays of one shape, and ``out`` shares no memory with the others."""
-    tw2, tau, lam = p._flow_constants
+def bind_orthogonal_flow(p: BenchmarkParams, v, inv, out):
+    """The scaled slope tanh(inv - tau^2 omega^2 v) - v of v = y / tau on
+    the invariant curves ``inv`` of :func:`orthogonal_invariant`, in the
+    time s = lam t, at the live values of ``v``, as a function of no
+    argument that writes it into ``out`` and returns nothing.  lam tau times
+    it is the slope lam (tau tanh(inv - tau omega^2 y) - y) of y, the y
+    component of the orthogonal drift with x recovered from the invariant.
+    Four in-place ufunc calls with 0-d constants and no temporary.  ``v``,
+    ``inv`` and ``out`` are float arrays of one shape, and ``out`` shares no
+    memory with the others."""
+    t2w2 = p._flow_constants[3]
     mul, sub, tanh = np.multiply, np.subtract, np.tanh
 
     def slope():
-        mul(tw2, y, out)
+        mul(t2w2, v, out)
         sub(inv, out, out)  # z
         tanh(out, out)  # sin(omega x)
-        mul(tau, out, out)
-        sub(out, y, out)  # the valley gap
-        mul(lam, out, out)
+        sub(out, v, out)  # the valley gap over tau
 
     return slope
 
@@ -304,7 +315,7 @@ def orthogonal_flow_point(p: BenchmarkParams, x0, y, inv):
     if p.omega == 0.0 or np.isinf(_curve_phase(p, x0)):
         x = np.full_like(y, x0)
         return x, orthogonal_drift(p, x, y)
-    tw2, tau, lam = p._flow_constants
+    tw2, tau, lam, _ = p._flow_constants
     s = np.copysign(1.0, np.cos(theta0))
     z = inv - tw2 * y
     sin = np.tanh(z)

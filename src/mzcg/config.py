@@ -32,7 +32,7 @@ import numpy as np
 from .benchmark import BenchmarkParams
 from .kernel import FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
-from .sde import NORMAL_BOUND, IntegratorConfig
+from .sde import NOISE_CHUNK, NORMAL_BOUND, IntegratorConfig
 
 EXPERIMENTS = (
     "landscape",
@@ -213,10 +213,11 @@ def _check_keys(keys, cfg):
 
 def _check_rules(experiment, cfg):
     """The rules that involve several keys, or one experiment's use of a key."""
-    # Conditioning points default to pi/omega or pi/(2 omega), and the kernel
-    # fit needs a kernel that does not vanish identically (tau omega = 0).
-    if experiment == "kernel" and not cfg["tau"] > 0.0:
-        raise ConfigError("kernel needs tau > 0")
+    # Conditioning points default to pi/omega or pi/(2 omega), the kernel
+    # fit needs a kernel that does not vanish identically (tau omega = 0),
+    # and the kernel sampler marches y / tau.
+    if experiment in ("kernel", "kernel-matrix") and not cfg["tau"] > 0.0:
+        raise ConfigError(f"{experiment} needs tau > 0")
     if (experiment in ("kernel", "kernel-matrix")
             or (experiment == "ensemble" and cfg["x0"] is None)) and not cfg["omega"] > 0.0:
         raise ConfigError(f"{experiment} needs omega > 0")
@@ -288,6 +289,11 @@ def _check_derived(experiment, cfg):
     elif "beta" in cfg:
         # The Gibbs variance of the valley residual y - tau sin(omega x).
         scales["1/(beta lambda)"] = _reciprocal(cfg["beta"] * cfg["lambda"])
+    if experiment in ("kernel", "kernel-matrix"):
+        # The sampler marches v = y / tau from |v| <= 1 + sd NORMAL_BOUND / tau,
+        # sd the Gibbs spread, and RK4 sums six slopes tanh(z) - v.
+        spread = math.sqrt(scales["1/(beta lambda)"]) * NORMAL_BOUND / cfg["tau"]
+        finite["six times the kernel samples' widest slope of y / tau"] = 6.0 * (2.0 + spread)
     if experiment == "stationary":
         var_x = _reciprocal(cfg["beta"] * cfg["mu"])
         scales["1/(beta mu)"] = var_x
@@ -373,11 +379,22 @@ def _check_kernel_resolution(cfg):
             f"= {amp * amp:g} is below {least:g}, so the kernel rounds to 0; use a larger tau")
 
 
+def _engine_floats(planes, streams, noise_steps):
+    """Floats that the Euler-Maruyama engine holds while it marches a state
+    of ``planes`` planes over ``streams`` streams: four arrays of the
+    state's size at most (the state, its drift, its noise term and the
+    models' noise multipliers, or the scratch rows that take their place)
+    and the noise chunk, 2 min(NOISE_CHUNK, noise_steps) floats per stream
+    (``noise_steps`` is 0 for a run that draws no noise)."""
+    return (4 * planes + 2 * min(NOISE_CHUNK, noise_steps)) * streams
+
+
 def _array_bytes(experiment, cfg):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
     kernels' per-lag samples, the landscape's grid, the stationary
-    histogram's edges, counts, centres and two densities), and what shrinks
-    the larger part of them.
+    histogram's edges, counts, centres and two densities, and the engine's
+    state-sized buffers and noise chunk), and what shrinks the largest part
+    of them.
 
     ``ensemble`` and ``mean-trajectory`` count every record of every stream.
     A run of one stream block never holds them all: it reduces a record
@@ -389,21 +406,31 @@ def _array_bytes(experiment, cfg):
         return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
     if experiment in ("kernel", "kernel-matrix"):
         return 2 * cfg["n_lags"] * cfg["n_samples"] * 8, "fewer n_samples or n_lags"
+    n = cfg["n_samples"]
     if experiment == "stationary":
-        records = sum(IntegratorConfig(cfg[dt], cfg[t], cfg[stride]).n_records
-                      for t, dt, stride in (("t_main", "dt_main", "stride_main"),
-                                            ("t_resid", "dt_resid", "stride_resid")))
-        series = 2 * cfg["n_samples"] * records * 8
-        histogram = 5 * (cfg["bins"] + 1) * 8
-        if histogram > series:
-            return series + histogram, "fewer bins"
-        return series + histogram, "a larger stride_main or stride_resid"
-    records = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"]).n_records
-    if experiment == "ensemble":
-        series = 3 * len(cfg["beta_list"]) * cfg["n_samples"]
+        phases = [IntegratorConfig(cfg[dt], cfg[t], cfg[stride])
+                  for t, dt, stride in (("t_main", "dt_main", "stride_main"),
+                                        ("t_resid", "dt_resid", "stride_resid"))]
+        parts = {
+            "a larger stride_main or stride_resid":
+                2 * n * sum(phase.n_records for phase in phases),
+            "fewer bins": 5 * (cfg["bins"] + 1),
+            # One phase runs at a time.
+            "fewer n_samples": max(_engine_floats(2, n, phase.n_steps) for phase in phases),
+        }
     else:
-        series = cfg["n_samples"] + len(cfg["models"])
-    return series * records * 8, "a larger record_stride"
+        icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
+        if experiment == "ensemble":
+            betas = len(cfg["beta_list"])
+            # x, y and the two models' planes at every beta, thermostatted.
+            series = 3 * betas * n
+            engine = _engine_floats(4 * betas, n, icfg.n_steps)
+        else:
+            # The full system's x and y, unthermostatted: no noise.
+            series = n + len(cfg["models"])
+            engine = _engine_floats(2, n, 0)
+        parts = {"a larger record_stride": series * icfg.n_records, "fewer n_samples": engine}
+    return 8 * sum(parts.values()), max(parts, key=parts.get)
 
 
 def _check_memory(experiment, cfg):

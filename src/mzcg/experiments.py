@@ -293,8 +293,13 @@ def simulate_ensemble(cfg, threads):
 
 
 def reduce_ensemble(cfg, raw):
-    """One file per beta."""
+    """One file per beta, with the stability ratios of its explicit steps:
+    dt times the stiffest rate of the full system, lam (1 + tau^2 omega^2)
+    at the valley floor, and of the memory-corrected model, whose drift has
+    the slope -(mu + 2 tau^2 omega^4 / beta) at a crest.  Euler is stable
+    below a ratio of 2."""
     times, stats = raw
+    t2w2 = cfg["tau"] * cfg["tau"] * cfg["omega"] * cfg["omega"]
     files = []
     for k, beta in enumerate(cfg["beta_list"]):
         cols = {}
@@ -308,6 +313,9 @@ def reduce_ensemble(cfg, raw):
             ("time_to_half_full", time_to_half(times, cols["full_mean"])),
             ("time_to_half_approx", time_to_half(times, cols["approx_mean"])),
             ("time_to_half_nomem", time_to_half(times, cols["nomem_mean"])),
+            ("stability_ratio_full", cfg["dt"] * (cfg["lambda"] * (1.0 + t2w2))),
+            ("stability_ratio_approx",
+             cfg["dt"] * (cfg["mu"] + 2.0 * t2w2 * (cfg["omega"] * cfg["omega"]) / beta)),
         ]
         meta = dict(cfg)
         meta["beta"] = beta

@@ -101,17 +101,19 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
     return drift_term, div_term
 
 
-def _rk4(z, bind, span, dt):
+def _rk4(z, bind, span, dt, rate=1.0):
     """Advance the float array ``z`` in place by ``span`` with classical RK4,
     using equal substeps no longer than ``dt`` (landing exactly), and return
     it.  ``bind(state, k)`` gives a function of no argument that writes the
     slope at the live values of ``state`` into ``k``; it is called once per
-    slope buffer.  The four slopes and the stage input are allocated once
-    per call, and the stage arithmetic runs in place with 0-d constants, in
-    the operation order of ``z + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with
+    slope buffer.  The slope is taken in the time s = ``rate`` t, so the
+    stage step is h = rate span / n_sub for the n_sub substeps of ``span``
+    and ``dt``.  The four slopes and the stage input are allocated once per
+    call, and the stage arithmetic runs in place with 0-d constants, in the
+    operation order of ``z + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with
     stage inputs ``z + (h / 2) * k``."""
     n_sub = max(1, ceil(span / dt - 1e-12))
-    h = span / n_sub
+    h = rate * span / n_sub
     k1, k2, k3, k4, t = (np.empty_like(z) for _ in range(5))
     slope1 = bind(z, k1)
     slope2, slope3, slope4 = (bind(t, k) for k in (k2, k3, k4))
@@ -140,10 +142,14 @@ def _rk4(z, bind, span, dt):
 def _rk4_march(p, y, inv, span, dt):
     """Advance the y of a batch of samples on the invariant curves ``inv`` of
     the orthogonal dynamics (:func:`~mzcg.benchmark.orthogonal_invariant`) by
-    ``span`` with :func:`_rk4`, its slope
-    :func:`~mzcg.benchmark.bind_orthogonal_flow`.  Returns a new array."""
-    return _rk4(np.array(y, dtype=float),
-                lambda state, k: bind_orthogonal_flow(p, state, inv, k), span, dt)
+    ``span`` with :func:`_rk4`.  The march steps v = y / tau in the time
+    s = lam t, with the scaled slope
+    :func:`~mzcg.benchmark.bind_orthogonal_flow`, under the substeps of
+    ``span`` and ``dt``; tau must be positive.  Returns a new array."""
+    tau = p._flow_constants[1]
+    v = np.divide(y, tau)
+    _rk4(v, lambda state, k: bind_orthogonal_flow(p, state, inv, k), span, dt, p.lam)
+    return np.multiply(v, tau, v)
 
 
 def _rk4_march_xy(p, x, y, span, dt):
@@ -190,9 +196,10 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
     sample then stays on one invariant curve of the orthogonal dynamics
     (:func:`~mzcg.benchmark.orthogonal_invariant`), so only its y is marched
     between consecutive lags, with RK4 substeps of at most ``cfg.dt``
-    (:func:`_rk4_march`), and each later lag's x and drift come from the
-    curve (:func:`~mzcg.benchmark.orthogonal_flow_point`).  A sample whose x
-    or y at a lag is out of range or not finite raises a blowup at that lag,
+    (:func:`_rk4_march`, which steps y / tau, so tau = 0 raises
+    ValueError), and each later lag's x and drift come from the curve
+    (:func:`~mzcg.benchmark.orthogonal_flow_point`).  A sample whose x or y
+    at a lag is out of range or not finite raises a blowup at that lag,
     naming its stream.  Returns an array of shape (n_lags, n_samples, 2).
     """
     lags = np.asarray(lags, dtype=float)
@@ -201,6 +208,8 @@ def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
         raise ValueError(f"largest lag {lags[-1]:g} exceeds horizon {cfg.t_final:g}")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if not p.tau > 0.0:
+        raise ValueError("the kernel sampler needs tau > 0: it marches y / tau")
 
     def worker(a, b):
         def check(li, x, y):

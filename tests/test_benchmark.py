@@ -331,12 +331,14 @@ class TestOrthogonalFlow:
         y0, inv = flow_points(p, x0)
         for y in (y0, y0 - 0.3, y0 + 0.7):
             slope = np.empty_like(y)
-            assert bind_orthogonal_flow(p, y, inv, slope)() is None
+            # The scaled slope, of v = y / tau in s = lam t, is dy/dt / (lam tau).
+            assert bind_orthogonal_flow(p, y / p.tau, inv, slope)() is None
             x, _ = orthogonal_flow_point(p, x0, y, inv)
             dy = orthogonal_drift_xy(p, x, y)[1]
             # sin(omega x) carries the rounding of omega x.
             scale = p.lam * (p.tau * (1.0 + abs(p.omega * x0)) + np.abs(y))
-            assert np.all(np.abs(slope - dy) <= 64 * np.finfo(float).eps * scale)
+            assert np.all(np.abs(p.lam * p.tau * slope - dy)
+                          <= 64 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("p", [P, P_KERNEL])
     @pytest.mark.parametrize("x0", X0S)
@@ -357,9 +359,9 @@ class TestOrthogonalFlow:
     def test_crest_holds_x_with_the_drifts_own_cosine(self, crest):
         y0, inv = flow_points(P, crest)
         assert np.all(np.isinf(inv))
-        slope = np.empty_like(y0)
-        bind_orthogonal_flow(P, y0, inv, slope)()
-        assert np.array_equal(slope, P.lam * (P.tau * np.sign(crest) - y0))
+        slope, v = np.empty_like(y0), y0 / P.tau
+        bind_orthogonal_flow(P, v, inv, slope)()
+        assert np.array_equal(slope, np.sign(crest) - v)
         x, drift = orthogonal_flow_point(P, crest, y0 + 0.1, inv)
         assert np.all(x == crest)
         assert np.array_equal(drift, orthogonal_drift(P, x, y0 + 0.1))

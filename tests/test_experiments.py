@@ -126,6 +126,16 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve("kernel", set_pairs=("lambda=-2",))
 
+    def test_memory_check_counts_the_engines_noise_chunk(self, monkeypatch):
+        # 20,000 streams draw 2 x 4,096 steps of noise at once, 1.3 GB,
+        # beside 0.96 MB of records: more than a machine of 1 GB holds.
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 10**9 // 4096}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        pairs = ["record_stride=4096", "dt=1e-4", "t_final=0.4096", "beta_list=1"]
+        with pytest.raises(ConfigError, match="use fewer n_samples$"):
+            resolve("ensemble", set_pairs=pairs + ["n_samples=20000"])
+        resolve("ensemble", set_pairs=pairs + ["n_samples=2000"])
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             resolve("kernel", config_path=tmp_path / "absent.cfg")
@@ -297,6 +307,19 @@ class TestEnsembleExperiment:
                               "approx_stderr", "nomem_mean", "nomem_stderr"]
             assert meta["beta"] == beta
             assert data[0, 1] == data[0, 3] == data[0, 5]  # common start
+
+    def test_files_echo_the_stability_ratios(self, tmp_path):
+        # At the desk step dt = 1e-4: the full system's dt lam (1 + tau^2
+        # omega^2), and the memory-corrected drift's dt (mu + 2 tau^2 omega^4
+        # / beta) at a crest, beyond Euler's limit of 2 at beta = 1.
+        out = tmp_path / "ens.csv"
+        res = run_cli(["ensemble", "--out", str(out), "--set", "dt=1e-4",
+                       "--set", "t_final=0.001", "--set", "n_samples=2"])
+        assert res.exit_code == 0
+        for beta, approx in (("1", 8.0002), ("10", 0.8002), ("100", 0.0802)):
+            meta, _, _ = read_csv(tmp_path / f"ens_beta{beta}.csv")
+            assert float(meta["stability_ratio_full"]) == pytest.approx(0.802, rel=1e-12)
+            assert float(meta["stability_ratio_approx"]) == pytest.approx(approx, rel=1e-12)
 
 
 # Runs whose stream count, 301, no block count above one used below divides.
@@ -674,6 +697,11 @@ class TestCLIContract:
         # the decay fit's window of 2 decay times.
         pytest.param(["kernel", "--set", "lag_efolds=200.0001", "--set", "n_samples=4",
                       "--set", "n_lags=3"], id="first-lag-beyond-fit-window"),
+        # The kernel sampler marches y / tau, which tau = 0 leaves undefined
+        # and a subnormal tau overflows.
+        pytest.param(["kernel-matrix", "--set", "tau=0"], id="kernel-matrix-flat-valley"),
+        pytest.param(["kernel-matrix", "--set", "tau=1e-310"],
+                     id="kernel-matrix-y-over-tau-overflows"),
     ])
     def test_invalid_inputs_are_config_errors(self, tmp_path, args):
         res = run_cli(args + ["--out", str(tmp_path / "o.csv")])

@@ -178,21 +178,23 @@ class TestRK4March:
 
 def allocating_flow_march(p, y, inv, span, dt):
     """RK4 of the flow on the invariant curves in the allocating form that
-    the in-place march must equal bit for bit."""
+    the in-place march must equal bit for bit: v = y / tau stepped in
+    s = lam t, under the substeps of span and dt."""
     n_sub = max(1, math.ceil(span / dt - 1e-12))
-    h = span / n_sub
-    tw2 = p.tau * p.omega * p.omega
+    h = p.lam * span / n_sub
+    t2w2 = p.tau * p.tau * p.omega * p.omega
 
-    def slope(y):
-        return p.lam * (p.tau * np.tanh(inv - tw2 * y) - y)
+    def slope(v):
+        return np.tanh(inv - t2w2 * v) - v
 
+    v = y / p.tau
     for _ in range(n_sub):
-        k1 = slope(y)
-        k2 = slope(y + (0.5 * h) * k1)
-        k3 = slope(y + (0.5 * h) * k2)
-        k4 = slope(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return y
+        k1 = slope(v)
+        k2 = slope(v + (0.5 * h) * k1)
+        k3 = slope(v + (0.5 * h) * k2)
+        k4 = slope(v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return v * p.tau
 
 
 def flow_samples(p, n):
@@ -203,6 +205,35 @@ def flow_samples(p, n):
     y = p.tau * np.sin(p.omega * x) + rng.normal(scale=0.5, size=n)
     inv = np.array([orthogonal_invariant(p, xi, yi) for xi, yi in zip(x, y)])
     return y, inv
+
+
+# x0 next to the crest X0_CREST, with |cos(omega x0)| = 1e-6, 1e-7 and 3e-8.
+NEAR_CREST = [X0_CREST - c / P.omega for c in (1e-6, 1e-7, 3e-8)]
+
+
+def extended_precision_drifts(p, x0, y0, lags, dt):
+    """The orthogonal drifts at every lag from the two-dimensional RK4 of the
+    sampler's substeps, in long double with the drift from sin and cos,
+    rounded to double: shape (n_lags, n, 2)."""
+    lam, tau, omega = (np.longdouble(v) for v in (p.lam, p.tau, p.omega))
+
+    def drift(x, y):
+        gap = tau * np.sin(omega * x) - y
+        return np.stack((-lam * tau * omega * gap * np.cos(omega * x), lam * gap))
+
+    z = np.stack((np.full(len(y0), x0), y0)).astype(np.longdouble)
+    out = [drift(*z)]
+    for span in np.diff(lags):
+        n_sub = max(1, math.ceil(span / dt - 1e-12))
+        h = np.longdouble(span) / n_sub
+        for _ in range(n_sub):
+            k1 = drift(*z)
+            k2 = drift(*(z + h / 2 * k1))
+            k3 = drift(*(z + h / 2 * k2))
+            k4 = drift(*(z + h * k3))
+            z = z + h / 6 * (k1 + 2 * (k2 + k3) + k4)
+        out.append(drift(*z))
+    return np.stack(out).transpose(0, 2, 1).astype(float)
 
 
 class TestFlowMarch:
@@ -225,9 +256,10 @@ class TestFlowMarch:
         err_fine = np.linalg.norm(_rk4_march(P, y, inv, horizon, base / 2.0) - ref)
         assert 10.0 < err_coarse / err_fine < 22.0
 
-    @pytest.mark.parametrize("x0", [0.05, 0.3, X0_VALLEY, X0_CREST])
+    @pytest.mark.parametrize("x0", [0.05, 0.3, X0_VALLEY, X0_CREST] + NEAR_CREST[:2])
     def test_drifts_at_every_lag_follow_the_two_dimensional_march(self, x0):
-        # cos(omega x0) > 0 at 0.05, < 0 at 0.3, -1 at the valley, 0 at the crest.
+        # cos(omega x0) > 0 at 0.05, < 0 at 0.3, -1 at the valley, 0 at the
+        # crest, and 1e-6 and 1e-7 next to it.
         lags = default_lag_grid(P, x0, n_lags=12, efolds=1.0 if x0 == X0_CREST else 5.0)
         cfg = kernel_cfg(P, lags)
         n = 64
@@ -242,6 +274,22 @@ class TestFlowMarch:
         assert np.array_equal(got[0], want[0])
         # The two marches differ by their truncation errors, about 5e-10 of
         # the largest drift at dt = 1e-4 / lam.
+        assert np.allclose(got, want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("x0", NEAR_CREST)
+    def test_drifts_next_to_a_crest_follow_an_extended_precision_march(self, x0):
+        # Next to a crest the double two-dimensional march keeps x to an ulp,
+        # which moves cos(omega x) by about eps / |cos(omega x0)| of itself:
+        # 1.7e-8 of the largest drift at 3e-8, beyond the bound above.  The
+        # same RK4 in long double has no such error.
+        lags = default_lag_grid(P, x0, n_lags=12, efolds=1.0)
+        cfg = kernel_cfg(P, lags)
+        n = 64
+        got = _sample_orthogonal_drifts(P, x0, lags, n, NoiseStream(3, 0), cfg, 1)
+        y = conditional_y_sample(P, x0, [NoiseStream(3, i) for i in range(n)])
+        want = extended_precision_drifts(P, x0, y, lags, cfg.dt)
         assert np.allclose(got, want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
 
 
@@ -285,6 +333,14 @@ class TestEmpiricalKernel:
         with pytest.raises(ValueError):
             empirical_kernel(P, X0_VALLEY, lags, 8, NoiseStream(1, 0),
                              IntegratorConfig(dt=1e-6, t_final=lags[-1] / 2.0))
+
+    def test_sampler_refuses_a_flat_valley(self):
+        # The march steps y / tau, which tau = 0 leaves undefined.
+        p = BenchmarkParams(mu=2.0, lam=20.0, tau=0.0, omega=10.0, beta=1.0)
+        lags = default_lag_grid(P, X0_VALLEY, n_lags=8)
+        with pytest.raises(ValueError, match="tau > 0"):
+            _sample_orthogonal_drifts(p, X0_VALLEY, lags, 8, NoiseStream(1, 0),
+                                      kernel_cfg(P, lags), 1)
 
     def test_zero_lag_amplitude(self):
         lags = default_lag_grid(P, X0_VALLEY, n_lags=12)

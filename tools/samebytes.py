@@ -9,7 +9,10 @@ relative ``--out``) at each of ``THREADS``, and the script reports every
 output file, exit code and stderr line that differs between the trees.  For
 an output CSV it names the comment keys and body columns that differ, each
 with the largest absolute and relative difference between its numeric
-cells, so that a change that moves bits on purpose shows how far.  The
+cells, so that a change that moves bits on purpose shows how far; a column
+with a standard-error partner in BASE (``X_mean`` and ``X_stderr``, the
+kernel's ``empirical`` and ``stderr``) also gets its largest move in units
+of BASE's standard error, over the rows where that is not 0.  The
 report goes to stdout as Markdown; the exit code is 0 when nothing differs
 and 1 otherwise.  The report also gives each run's peak resident set on
 both trees, from the run's own rusage (that of its process, or of a worker
@@ -129,6 +132,39 @@ def largest_difference(pairs):
     return f"largest absolute difference {worst_abs:.3g}, relative {worst_rel:.3g}"
 
 
+def stderr_partner(name):
+    """The name of the column that holds the standard error of ``name``, or
+    None."""
+    if name == "empirical":
+        return "stderr"
+    if name.endswith("_mean"):
+        return name[:-len("_mean")] + "_stderr"
+    return None
+
+
+def largest_move_in_stderr(cells):
+    """The largest |head - base| / stderr over the (base, head, stderr)
+    cells that all read as numbers and whose stderr is finite and not 0, as
+    a phrase; empty if there are none.  A non-finite cell that differs
+    counts as an infinite move."""
+    worst = None
+    for b, h, se in cells:
+        try:
+            b, h, se = float(b), float(h), float(se)
+        except ValueError:
+            continue
+        if se == 0.0 or not math.isfinite(se):
+            continue
+        if b == h or (math.isnan(b) and math.isnan(h)):
+            move = 0.0
+        elif not (math.isfinite(b) and math.isfinite(h)):
+            move = math.inf
+        else:
+            move = abs(h - b) / abs(se)
+        worst = move if worst is None else max(worst, move)
+    return "" if worst is None else f"largest move {worst:.3g} base stderr"
+
+
 def describe(base, head):
     """The differences between two versions of one output CSV, one per line,
     each differing comment or column with the size of its largest move."""
@@ -146,9 +182,12 @@ def describe(base, head):
             b, h = bcols[name], hcols[name]
             if b != h:
                 moved = sum(x != y for x, y in zip(b, h)) + abs(len(b) - len(h))
-                size = largest_difference(zip(b, h))
+                sizes = [largest_difference(zip(b, h))]
+                partner = stderr_partner(name)
+                if partner in bcols:
+                    sizes.append(largest_move_in_stderr(zip(b, h, bcols[partner])))
                 lines.append(f"column `{name}`: {moved} of {max(len(b), len(h))} rows"
-                             + (f", {size}" if size else ""))
+                             + "".join(f", {size}" for size in sizes if size))
     return lines or ["bytes differ outside comments, header and columns"]
 
 
