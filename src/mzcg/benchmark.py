@@ -167,37 +167,32 @@ def conditional_y_sample(p: BenchmarkParams, x, streams):
     return mean + np.sqrt(1.0 / (p.beta * p.lam)) * _draw_noise(streams, 1)[0, 0]
 
 
-def orthogonal_drift_xy(p: BenchmarkParams, x, y, out=None, cos=None):
+def orthogonal_drift_xy(p: BenchmarkParams, x, y):
     """Fluctuating part of the drift acting on (x, y), the full drift minus
     its conditional average given x: (dx, dy) =
     (-lam tau omega gap cos(omega x), lam gap) with gap = tau sin(omega x) - y.
     It vanishes identically on y = tau sin(omega x).  ``x`` and ``y`` are
     float arrays of one shape.
 
-    The result is written into ``out``, an array of shape (2,) + x.shape or
-    a pair of arrays of x's shape, with ``cos`` (x's shape) as scratch;
-    either one is a new array when not given.  Returns ``out``, from
+    Returns a new array of shape (2,) + x.shape, from
     :func:`bind_orthogonal_drift` bound for this one call.  Adding (-mu x, 0)
     gives the full drift -grad V, which is what the Euler-Maruyama engine
     steps.
     """
-    if out is None:
-        out = np.empty((2,) + x.shape)
-    if cos is None:
-        cos = np.empty_like(x)
-    bind_orthogonal_drift(p, x, y, out, cos)()
+    out = np.empty((2,) + x.shape)
+    bind_orthogonal_drift(p, x, y, out, np.empty_like(x))()
     return out
 
 
 def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos):
     """:func:`orthogonal_drift_xy` at the live values of ``x`` and ``y`` as a
     function of no argument that writes the drift into ``out`` and returns
-    nothing: the one definition of the orthogonal drift, which the engine
-    binds once per march and the two-dimensional RK4 march of
-    ``orthogonal_trajectory`` once per stage buffer.  The kernel sampler
-    takes its lag-0 drift from here and steps its samples on the invariant
-    curves of :func:`orthogonal_invariant` instead.  ``out`` and ``cos`` are
-    as there, and neither may share memory with ``x`` or ``y``.
+    nothing: the one definition of the orthogonal drift and its one in-place
+    form, which the engine binds once per march.  The kernel sampler takes
+    its lag-0 drift from here and steps its samples on the invariant curves
+    of :func:`orthogonal_invariant` instead.  ``out`` is an array of shape
+    (2,) + x.shape or a pair of arrays of x's shape, ``cos`` (x's shape) is
+    scratch, and neither may share memory with ``x`` or ``y``.
 
     With u = tan(omega x / 2) and w = 1 / (1 + u^2), cos(omega x) =
     (1 - u^2) w and sin(omega x) = 2 u w, which meets tau as (u w)(2 tau):
@@ -271,8 +266,8 @@ def orthogonal_invariant(p: BenchmarkParams, x0, y):
     dynamics at (x0, y), for a scalar ``x0`` and an array ``y``.  At a crest,
     where sin(omega x0) rounds to +-1, it is infinite, and the curves of
     :func:`bind_orthogonal_flow` and :func:`orthogonal_flow_point` hold x at
-    x0, as the two-dimensional march does: its x increments there are below
-    half an ulp."""
+    x0: a march of (x, y) together would too, since its x increments there
+    are below half an ulp."""
     tw2 = p._flow_constants[0]
     return _curve_phase(p, x0) + tw2 * y
 
@@ -307,9 +302,11 @@ def orthogonal_flow_point(p: BenchmarkParams, x0, y, inv):
 
     With z = inv - tau omega^2 y, the drift takes sin(omega x) = tanh(z) and
     cos(omega x) = s sech(z), s the sign of cos(omega x0), and x is
-    (c pi + s asin(tanh(z))) / omega with c = round(omega x0 / pi).  Where x
-    cannot move (a crest, with an infinite invariant, or omega = 0) x stays
-    at x0 and the drift is :func:`orthogonal_drift` at (x0, y), whose
+    (c pi + s atan(sinh(z))) / omega with c = round(omega x0 / pi).
+    atan(sinh(z)) equals asin(tanh(z)) but keeps x to an ulp next to a
+    crest, where asin would cost omega x about eps / |cos(omega x)|.  Where
+    x cannot move (a crest, with an infinite invariant, or omega = 0) x
+    stays at x0 and the drift is :func:`orthogonal_drift` at (x0, y), whose
     cos(omega x0) has the size of a rounding error at a crest."""
     theta0 = p.omega * x0
     if p.omega == 0.0 or np.isinf(_curve_phase(p, x0)):
@@ -321,7 +318,7 @@ def orthogonal_flow_point(p: BenchmarkParams, x0, y, inv):
     sin = np.tanh(z)
     with np.errstate(over="ignore"):
         cos = s / np.cosh(z)
+        x = (np.rint(theta0 / np.pi) * np.pi + s * np.arctan(np.sinh(z))) / p.omega
     gap = tau * sin - y
-    x = (np.rint(theta0 / np.pi) * np.pi + s * np.arcsin(sin)) / p.omega
     neg_lto = p._drift_constants[4]  # -(lam tau omega)
     return x, np.stack((neg_lto * gap * cos, lam * gap), axis=-1)

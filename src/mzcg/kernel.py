@@ -14,7 +14,6 @@ import numpy as np
 from . import benchmark
 from .benchmark import (
     BenchmarkParams,
-    bind_orthogonal_drift,
     bind_orthogonal_flow,
     valley_coupling,
 )
@@ -101,81 +100,67 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
     return drift_term, div_term
 
 
-def _rk4(z, bind, span, dt, rate=1.0):
-    """Advance the float array ``z`` in place by ``span`` with classical RK4,
-    using equal substeps no longer than ``dt`` (landing exactly), and return
-    it.  ``bind(state, k)`` gives a function of no argument that writes the
-    slope at the live values of ``state`` into ``k``; it is called once per
-    slope buffer.  The slope is taken in the time s = ``rate`` t, so the
-    stage step is h = rate span / n_sub for the n_sub substeps of ``span``
-    and ``dt``.  The four slopes and the stage input are allocated once per
+def _rk4_march(p, y, inv, span, dt):
+    """Advance the y of a batch of samples on the invariant curves ``inv`` of
+    the orthogonal dynamics (:func:`~mzcg.benchmark.orthogonal_invariant`) by
+    ``span`` with classical RK4, using equal substeps no longer than ``dt``
+    (landing exactly); tau must be positive.  Returns a new array.
+
+    The march steps v = y / tau in the time s = lam t, with the scaled slope
+    :func:`~mzcg.benchmark.bind_orthogonal_flow` bound once to each of the
+    four slope buffers, so the stage step is h = lam span / n_sub for the
+    n_sub substeps.  The slopes and the stage input are allocated once per
     call, and the stage arithmetic runs in place with 0-d constants, in the
-    operation order of ``z + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with
-    stage inputs ``z + (h / 2) * k``."""
+    operation order of ``v + (h / 6) * (k1 + 2 * (k2 + k3) + k4)`` with
+    stage inputs ``v + (h / 2) * k``."""
     n_sub = max(1, ceil(span / dt - 1e-12))
-    h = rate * span / n_sub
-    k1, k2, k3, k4, t = (np.empty_like(z) for _ in range(5))
-    slope1 = bind(z, k1)
-    slope2, slope3, slope4 = (bind(t, k) for k in (k2, k3, k4))
-    half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
+    h = p.lam * span / n_sub
+    tau = p._flow_constants[1]
+    v = np.divide(y, tau)
+    k1, k2, k3, k4, t = (np.empty_like(v) for _ in range(5))
+    slope1 = bind_orthogonal_flow(p, v, inv, k1)
+    slope2, slope3, slope4 = (bind_orthogonal_flow(p, t, inv, k) for k in (k2, k3, k4))
+    half_h, full_h, sixth_h, two = (np.array(c) for c in (0.5 * h, h, h / 6.0, 2.0))
     add, mul = np.add, np.multiply
     for _ in range(n_sub):
         slope1()
         mul(half_h, k1, t)
-        add(z, t, t)
+        add(v, t, t)
         slope2()
         mul(half_h, k2, t)
-        add(z, t, t)
+        add(v, t, t)
         slope3()
         mul(full_h, k3, t)
-        add(z, t, t)
+        add(v, t, t)
         slope4()
         add(k2, k3, t)
         mul(two, t, t)
         add(k1, t, t)
         add(t, k4, t)
         mul(sixth_h, t, t)
-        add(z, t, z)
-    return z
-
-
-def _rk4_march(p, y, inv, span, dt):
-    """Advance the y of a batch of samples on the invariant curves ``inv`` of
-    the orthogonal dynamics (:func:`~mzcg.benchmark.orthogonal_invariant`) by
-    ``span`` with :func:`_rk4`.  The march steps v = y / tau in the time
-    s = lam t, with the scaled slope
-    :func:`~mzcg.benchmark.bind_orthogonal_flow`, under the substeps of
-    ``span`` and ``dt``; tau must be positive.  Returns a new array."""
-    tau = p._flow_constants[1]
-    v = np.divide(y, tau)
-    _rk4(v, lambda state, k: bind_orthogonal_flow(p, state, inv, k), span, dt, p.lam)
+        add(v, t, v)
     return np.multiply(v, tau, v)
-
-
-def _rk4_march_xy(p, x, y, span, dt):
-    """Advance a batch of orthogonal-dynamics states (x, y) by ``span`` with
-    :func:`_rk4`, marching them as one stacked (2, n) array with the slope
-    :func:`~mzcg.benchmark.bind_orthogonal_drift`, which shares one cosine
-    scratch: the two-dimensional march of :func:`orthogonal_trajectory`.
-    Returns new arrays (x, y)."""
-    z = np.stack((x, y))
-    cos = np.empty_like(z[0])
-    z = _rk4(z, lambda state, k: bind_orthogonal_drift(p, state[0], state[1], k, cos), span, dt)
-    return z[0], z[1]
 
 
 def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate one characteristic curve of the orthogonal dynamics (the full
     nonlinear fluctuation drift, no noise) from (x0, y0) with classical RK4 at
-    step ``cfg.dt``."""
-    x = np.array([x0], dtype=float)
+    step ``cfg.dt``, as the kernel sampler does: y follows the flow on its
+    invariant curve (:func:`_rk4_march`, so tau must be positive), and x
+    comes from the curve (:func:`~mzcg.benchmark.orthogonal_flow_point`) as
+    x0 plus its move since the start, so a start on the valley keeps x0."""
+    if not p.tau > 0.0:
+        raise ValueError("the orthogonal march needs tau > 0: it marches y / tau")
     y = np.array([y0], dtype=float)
+    inv = benchmark.orthogonal_invariant(p, x0, y)
+    x_start = benchmark.orthogonal_flow_point(p, x0, y, inv)[0]
     rec_idx = cfg.record_steps()
     recorded = np.empty((len(rec_idx), 2))
-    recorded[0] = (x[0], y[0])
+    recorded[0] = (x0, y0)
     rec_pos = 1
     for step in range(1, cfg.n_steps + 1):
-        x, y = _rk4_march_xy(p, x, y, cfg.dt, cfg.dt)
+        y = _rk4_march(p, y, inv, cfg.dt, cfg.dt)
+        x = x0 + (benchmark.orthogonal_flow_point(p, x0, y, inv)[0] - x_start)
         if not max(abs(x[0]), abs(y[0])) < BLOWUP_LIMIT:
             raise NumericalBlowupError(
                 step,

@@ -31,23 +31,24 @@ coefficient function is bound once per march
 (:func:`models.bind_coefficients`), and so is the full system's drift: the
 one definition of the benchmark's orthogonal drift,
 :func:`~mzcg.benchmark.bind_orthogonal_drift`, bound to the x and y planes,
-plus its conditional average (-mu x, 0); the kernel's RK4 march binds the
-same function.  Records are record-major, laid out (record, plane, beta,
-stream): each is one contiguous row, copied from the state at its step.  The
-batch front ends return record-last views of them.  Given a sink, the engine
-instead keeps one record block of about RECORD_BLOCK_BYTES and hands it to
-the sink each time it fills, so a run of every stream can reduce its stream
-statistics as it goes (:func:`stream_statistics`) and never holds every
-record; records split into stream blocks are reduced the same way, a joined
-record block at a time (:func:`join_statistics`).
+plus its conditional average (-mu x, 0); the kernel sampler takes its
+lag-0 drift from the same function.  Records are record-major, laid out
+(record, plane, beta, stream): each is one contiguous row, copied from the
+state at its step.  The batch front ends return record-last views of them.
+Given a sink, the engine instead keeps one record block of about
+RECORD_BLOCK_BYTES and hands it to the sink each time it fills, so a run of
+every stream can reduce its stream statistics as it goes
+(:func:`stream_statistics`) and never holds every record; records split into
+stream blocks are reduced the same way, a joined record block at a time
+(:func:`join_statistics`).
 
-``integrate_flow_batch`` runs the unthermostatted full system in ``_march``
-and each deterministic reduced model beside it as a recurrence in Python
+An unthermostatted reduced model has one path, a recurrence in Python
 floats (``_flow``) on its drift bound once (:func:`models.bind_float_drift`),
-which costs far less than a one-row engine step and has the bits of a
-one-row ``integrate_scalar_batch`` call.  A model that leaves range ends
-there, keeping its blowup step and its records before it, while the full
-system and the other models go on.
+which costs far less than a one-row engine step.  ``integrate_flow_batch``
+runs the unthermostatted full system in ``_march`` and each model beside it
+that way, and ``simulate_scalar`` with the thermostat off runs one.  A model
+that leaves range ends there, keeping its blowup step and its records
+before it, while the full system and the other models go on.
 
 ``map_stream_blocks`` splits an ensemble into one stream block per worker and
 runs them in forked processes: the per-step loop holds the interpreter lock,
@@ -324,8 +325,9 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     With ``full`` set, its first and last planes are the full system's x and
     y.  ``stepped`` holds the reduced models, one per remaining plane in
     order: the planes between x and y with ``full`` set, every plane
-    otherwise.  ``beta`` is None for an unthermostatted run, which steps the
-    drift alone and draws no noise, or a column of shape (n_beta, 1): row
+    otherwise.  ``beta`` is None for an unthermostatted run of the full
+    system alone (no model in ``stepped``), which steps its drift and draws
+    no noise, or a column of shape (n_beta, 1): row
     block k then runs at inverse temperature beta[k], and all row blocks
     share the noise drawn once per stream and chunk.  The full system
     consumes each stream's increment pair, every model its first component.
@@ -348,11 +350,10 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     planes, from :func:`~mzcg.benchmark.bind_orthogonal_drift` bound to them
     once per march, and the thermostat's amp * xi to theirs in the noise
     term.  Each model's drift goes to its plane of ``g`` (from its
-    :func:`models.bind_coefficients` function, bound once per march, or
-    :func:`models.drift` copied there), and its sigma times the
-    first component of amp * xi to its plane of the noise term.  One update
-    then serves every plane: ``g *= dt``, the state gains ``g``, then the
-    noise term.
+    :func:`models.bind_coefficients` function, bound once per march), and
+    its sigma times the first component of amp * xi to its plane of the
+    noise term.  One update then serves every plane: ``g *= dt``, the state
+    gains ``g``, then the noise term.
     Each element sees the operations, in the order, of a separate step per
     plane.  Every constant is a 0-d array made once (a ufunc takes one for
     less per call than a Python float, with the same bits).  The blowup test
@@ -406,8 +407,6 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
         work = np.empty(state.shape[1:])
         planes = [(models.bind_coefficients(model, (b, s), beta, work), hm)
                   for model, hm, b, s in zip(stepped, h, gh, sigma)]
-    else:
-        planes = list(zip(stepped, h, gh))
     # The blowup test reads the live state through this view; a copy would
     # go stale, and ravel copies a state that is not contiguous.
     flat = state.ravel()
@@ -430,21 +429,17 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
             if thermostat:
                 noise = _draw_noise(streams, span)[:, :, None]
             for j in range(span):
-                if thermostat:
-                    mul(amp, noise[j], daz)
                 if full:
                     # -grad V: the orthogonal drift plus (-mu x, 0).
                     orthogonal_drift()
                     mul(neg_mu, x, c)
                     add(gx, c, gx)
                 if thermostat:
+                    mul(amp, noise[j], daz)
                     for coefficients, hm in planes:
                         coefficients(hm)
                     if planes:
                         mul(sigma, az, nh)
-                else:
-                    for model, hm, b in planes:
-                        np.copyto(b, models.drift(model, hm))
                 # The update: state + g dt, then + noise.
                 mul(g, dt, g)
                 add(state, g, state)
@@ -488,29 +483,27 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
     )
 
 
-def integrate_scalar_batch(model, p, h0s, cfg, streams=None, thermostat=True):
-    """Euler-Maruyama on a reduced scalar model for a batch of trajectories.
+def integrate_scalar_batch(model, p, h0s, cfg, streams):
+    """Euler-Maruyama on a thermostatted reduced scalar model for a batch of
+    trajectories, one stream per row of ``h0s``.
 
-    Thermostatted runs step the Ito SDE of
-    :func:`models.thermostatted_coefficients` at ``p.beta``: drift plus
-    noise-induced drift, and noise term
+    Each run steps the Ito SDE of :func:`models.thermostatted_coefficients`
+    at ``p.beta``: drift plus noise-induced drift, and noise term
     ``diffusion(model, h) * sqrt(2 dt / beta) * xi`` with ``xi`` the scalar
     view of each stream, so runs share the resolved-component increments of
     :func:`integrate_full_batch` at equal stream addresses; ``naive-memory``
     raises :class:`~mzcg.models.UnsupportedModelError` before any step.
-    Unthermostatted runs step ``drift`` alone.
     Returns (times, recorded) with recorded of shape (n, n_rec), a view of
     the record-major records.
     """
     h0s = np.asarray(h0s, dtype=float)
     n = h0s.shape[0]
-    if thermostat and (streams is None or len(streams) != n):
+    if len(streams) != n:
         raise ValueError("thermostatted runs need one stream per trajectory")
     state = np.empty((1, 1, n))
     state[0, 0] = h0s
     return _march(
-        p, cfg, state, False, [model],
-        np.array([[p.beta]]) if thermostat else None, streams,
+        p, cfg, state, False, [model], np.array([[p.beta]]), streams,
         state, lambda times, recs: (times, recs[:, 0, 0].T),
     )
 
@@ -560,10 +553,11 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None, sink
 
 def _flow(model, h, cfg):
     """The unthermostatted reduced model from ``h`` as a recurrence in Python
-    floats, with the bits of a one-row :func:`integrate_scalar_batch` call:
-    each step is h + b(h) dt, with b the model's drift bound once
+    floats: each step is h + b(h) dt, with b the model's drift bound once
     (:func:`models.bind_float_drift`), so no step resolves the model's kind
-    or constants.
+    or constants, and a value has the bits of the same step on a one-element
+    array with :func:`models.drift`.  A step leaves range when its value is
+    not below BLOWUP_LIMIT in magnitude, as in the engine.
 
     Returns (values, blowup_step): the values recorded at
     ``cfg.record_steps()`` before the first step that leaves range, and that
@@ -590,11 +584,10 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None, sink=None
     (n, 2)), and beside them each reduced scalar model as a deterministic
     flow from ``h0``.
 
-    Each model steps as a recurrence in Python floats, with the bits of a
-    one-row :func:`integrate_scalar_batch` call; a model that blows up ends
-    there and the rest go on.  A blowup of the full system raises, naming
-    the row's stream when ``streams`` (one per row, never drawn from) is
-    given.
+    Each model steps as a recurrence in Python floats (:func:`_flow`); a
+    model that blows up ends there and the rest go on.  A blowup of the full
+    system raises, naming the row's stream when ``streams`` (one per row,
+    never drawn from) is given.
 
     Returns (times, full_x, model_runs): full_x of shape (n, n_rec), a view
     of the record-major records, holds the full system's x, and model_runs
@@ -642,11 +635,22 @@ def simulate_full(p, x0, cfg, stream, thermostat=True) -> Trajectory:
 
 
 def simulate_scalar(model, p, h0, cfg, stream, thermostat=True) -> Trajectory:
-    """Integrate one realisation of a reduced scalar model from ``h0``."""
-    return _one_trajectory(
-        stream, integrate_scalar_batch, model, p, np.array([h0], dtype=float), cfg,
-        None if not thermostat else [stream], thermostat,
-    )
+    """Integrate one realisation of a reduced scalar model from ``h0``.
+
+    With the thermostat off the run is the deterministic flow of
+    :func:`_flow` and consumes no noise.  On blowup the raised error names
+    ``stream`` and carries the trajectory recorded so far.
+    """
+    if thermostat:
+        return _one_trajectory(
+            stream, integrate_scalar_batch, model, p, np.array([h0], dtype=float), cfg,
+            [stream],
+        )
+    values, step = _flow(model, h0, cfg)
+    traj = Trajectory(cfg.record_steps()[:len(values)] * cfg.dt, values)
+    if step is not None:
+        raise NumericalBlowupError(step, stream_id=stream.stream_id, trajectory=traj)
+    return traj
 
 
 def mean_stderr(samples, axis=0, factor=1.0):

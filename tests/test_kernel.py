@@ -17,7 +17,6 @@ from mzcg.geometry import build_cg_map
 from mzcg.kernel import (
     KernelEstimate,
     _rk4_march,
-    _rk4_march_xy,
     _sample_orthogonal_drifts,
     approx_kernel,
     approx_kernel_div,
@@ -141,7 +140,10 @@ class TestOrthogonalTrajectory:
 
 
 def allocating_rk4_march(p, x, y, span, dt):
-    """RK4 in the allocating form that the in-place march must equal bit for bit."""
+    """The two-dimensional RK4 of the orthogonal dynamics, x and y stepped
+    together under the substeps of span and dt: the reference that the
+    library's one-dimensional march on the invariant curves follows within
+    the two marches' truncation errors."""
     n_sub = max(1, math.ceil(span / dt - 1e-12))
     h = span / n_sub
     for _ in range(n_sub):
@@ -152,28 +154,6 @@ def allocating_rk4_march(p, x, y, span, dt):
         x = x + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
         y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
     return x, y
-
-
-class TestRK4March:
-    @pytest.mark.parametrize("p", [P, P_SMALL])
-    @pytest.mark.parametrize("n", [1, 7, 2000])
-    def test_in_place_march_equals_allocating_form_bitwise(self, p, n):
-        rng = np.random.default_rng(n)
-        x = rng.uniform(-3.0, 3.0, n)
-        y = p.tau * np.sin(p.omega * x) + rng.normal(scale=0.5, size=n)
-        x[0] = np.pi / p.omega  # tan(omega x / 2) near its pole
-        dt = 1e-4 / p.lam
-        got = _rk4_march_xy(p, x.copy(), y.copy(), 7.5 * dt, dt)
-        want = allocating_rk4_march(p, x, y, 7.5 * dt, dt)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-
-    def test_drift_into_buffers_equals_new_arrays(self):
-        x = np.linspace(-2.0, 2.0, 11)
-        y = np.cos(x)
-        out, cos = np.full((2, 11), np.nan), np.full(11, np.nan)
-        assert orthogonal_drift_xy(P, x, y, out, cos) is out
-        assert out.tobytes() == orthogonal_drift_xy(P, x, y).tobytes()
 
 
 def allocating_flow_march(p, y, inv, span, dt):
@@ -211,10 +191,10 @@ def flow_samples(p, n):
 NEAR_CREST = [X0_CREST - c / P.omega for c in (1e-6, 1e-7, 3e-8)]
 
 
-def extended_precision_drifts(p, x0, y0, lags, dt):
-    """The orthogonal drifts at every lag from the two-dimensional RK4 of the
-    sampler's substeps, in long double with the drift from sin and cos,
-    rounded to double: shape (n_lags, n, 2)."""
+def extended_precision_march(p, x0, y0, lags, dt):
+    """The two-dimensional RK4 of the sampler's substeps in long double, with
+    the drift from sin and cos: the states (x, y) at every lag, shape
+    (n_lags, 2, n), and the drift function, both in long double."""
     lam, tau, omega = (np.longdouble(v) for v in (p.lam, p.tau, p.omega))
 
     def drift(x, y):
@@ -222,7 +202,7 @@ def extended_precision_drifts(p, x0, y0, lags, dt):
         return np.stack((-lam * tau * omega * gap * np.cos(omega * x), lam * gap))
 
     z = np.stack((np.full(len(y0), x0), y0)).astype(np.longdouble)
-    out = [drift(*z)]
+    states = [z]
     for span in np.diff(lags):
         n_sub = max(1, math.ceil(span / dt - 1e-12))
         h = np.longdouble(span) / n_sub
@@ -232,8 +212,15 @@ def extended_precision_drifts(p, x0, y0, lags, dt):
             k3 = drift(*(z + h / 2 * k2))
             k4 = drift(*(z + h * k3))
             z = z + h / 6 * (k1 + 2 * (k2 + k3) + k4)
-        out.append(drift(*z))
-    return np.stack(out).transpose(0, 2, 1).astype(float)
+        states.append(z)
+    return np.stack(states), drift
+
+
+def extended_precision_drifts(p, x0, y0, lags, dt):
+    """The orthogonal drifts at every lag from :func:`extended_precision_march`,
+    rounded to double: shape (n_lags, n, 2)."""
+    states, drift = extended_precision_march(p, x0, y0, lags, dt)
+    return np.stack([drift(*z) for z in states]).transpose(0, 2, 1).astype(float)
 
 
 class TestFlowMarch:
@@ -269,12 +256,39 @@ class TestFlowMarch:
         want = np.empty_like(got)
         want[0] = orthogonal_drift(P, x, y)
         for li in range(1, len(lags)):
-            x, y = _rk4_march_xy(P, x, y, lags[li] - lags[li - 1], cfg.dt)
+            x, y = allocating_rk4_march(P, x, y, lags[li] - lags[li - 1], cfg.dt)
             want[li] = orthogonal_drift(P, x, y)
         assert np.array_equal(got[0], want[0])
         # The two marches differ by their truncation errors, about 5e-10 of
         # the largest drift at dt = 1e-4 / lam.
         assert np.allclose(got, want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
+
+    def test_trajectory_refuses_a_flat_valley(self):
+        p = BenchmarkParams(mu=2.0, lam=20.0, tau=0.0, omega=10.0, beta=1.0)
+        with pytest.raises(ValueError, match="tau > 0"):
+            orthogonal_trajectory(p, X0_VALLEY, 0.1, IntegratorConfig(dt=1e-5, t_final=1e-4))
+
+    @pytest.mark.parametrize("x0", [0.05, 0.3, X0_VALLEY, NEAR_CREST[0]])
+    def test_trajectory_follows_the_two_dimensional_march(self, x0):
+        # One characteristic from half a unit off the valley, over five
+        # decay times (one next to the crest, where the decay is slow),
+        # against the two-dimensional march at the same step: x and y each
+        # within the sampler's bound of their largest value.
+        y0 = P.tau * np.sin(P.omega * x0) + 0.5
+        dt, stride = 1e-4 / P.lam, 10
+        efolds = 1.0 if x0 == NEAR_CREST[0] else 5.0
+        n_rec = math.ceil(efolds / kernel_decay_rate(P, x0) / (stride * dt))
+        cfg = IntegratorConfig(dt=dt, t_final=n_rec * stride * dt, record_stride=stride)
+        got = orthogonal_trajectory(P, x0, y0, cfg).states
+        x, y = np.array([x0]), np.array([y0])
+        want = [(x0, y0)]
+        for step in range(1, cfg.n_steps + 1):
+            x, y = allocating_rk4_march(P, x, y, dt, dt)
+            if step % stride == 0:
+                want.append((x[0], y[0]))
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-8 * np.max(np.abs(want), axis=0))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                         reason="long double is no wider than double here")
@@ -291,6 +305,20 @@ class TestFlowMarch:
         y = conditional_y_sample(P, x0, [NoiseStream(3, i) for i in range(n)])
         want = extended_precision_drifts(P, x0, y, lags, cfg.dt)
         assert np.allclose(got, want, rtol=0.0, atol=1e-8 * np.max(np.abs(want)))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                        reason="long double is no wider than double here")
+    def test_trajectory_next_to_a_crest_keeps_x_to_its_last_digits(self):
+        # A start next to a crest runs up to it, where x recovered from the
+        # curve as asin(tanh(z)) / omega would lose eps / |cos(omega x)| of
+        # omega x; atan(sinh(z)) keeps x as the two-dimensional march does.
+        x0 = NEAR_CREST[0]
+        y0 = P.tau * np.sin(P.omega * x0) + 0.5
+        dt, stride = 1e-4 / P.lam, 200
+        cfg = IntegratorConfig(dt=dt, t_final=10 * stride * dt, record_stride=stride)
+        got = orthogonal_trajectory(P, x0, y0, cfg)
+        want, _ = extended_precision_march(P, x0, np.array([y0]), got.times, dt)
+        assert np.all(np.abs(got.x - want[:, 0, 0].astype(float)) < 1e-13)
 
 
 class TestKernelLayerView:

@@ -797,9 +797,44 @@ class TestRecordSink:
             assert step == sunk_step and values.tobytes() == sunk_values.tobytes()
 
 
+def engine_model_flow(model, h0, cfg):
+    """An unthermostatted reduced model stepped as the numpy engine stepped
+    one before the float flow replaced it: a one-element array, h + drift(h)
+    dt per step, and the engine's blowup rule (a sum of squares not below
+    BLOWUP_SQUARED, then the exact test).  Returns the values recorded
+    before the blowup and its step, or None, as ``sde._flow`` does."""
+    h = np.array([h0], dtype=float)
+    rec_steps = cfg.record_steps()
+    values = [h[0]]
+    with np.errstate(over="ignore"):
+        for step in range(1, cfg.n_steps + 1):
+            h = h + drift(model, h) * cfg.dt
+            if not h.dot(h) < sde.BLOWUP_SQUARED and not np.abs(h).max() < BLOWUP_LIMIT:
+                return np.array(values), step
+            if len(values) < len(rec_steps) and step == rec_steps[len(values)]:
+                values.append(h[0])
+    return np.array(values), None
+
+
 class TestFlowBatch:
-    """The unthermostatted full system with the reduced models as planes of
-    one engine call, as ``mean-trajectory`` runs it."""
+    """The unthermostatted full system beside the reduced models as float
+    flows, as ``mean-trajectory`` runs it; the flows, and
+    ``simulate_scalar`` with the thermostat off, against the engine's
+    per-step form (:func:`engine_model_flow`) bit for bit."""
+
+    def assert_engine_bits(self, model, h0, cfg, values, step):
+        want, want_step = engine_model_flow(model, h0, cfg)
+        assert step == want_step
+        assert values.tobytes() == want.tobytes()
+        try:
+            alone = simulate_scalar(model, P, h0, cfg, NoiseStream(1, 7), thermostat=False)
+        except NumericalBlowupError as err:
+            assert (err.step, err.stream_id, err.beta) == (want_step, 7, None)
+            alone = err.trajectory
+        else:
+            assert want_step is None
+        assert alone.states.tobytes() == want.tobytes()
+        assert alone.times.tobytes() == (cfg.record_steps()[:len(want)] * cfg.dt).tobytes()
 
     CFG = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=3)
     X0 = 2.0
@@ -819,18 +854,7 @@ class TestFlowBatch:
         assert np.array_equal(full_x, full_rec[:, :, 0])
         assert np.array_equal(times, self.CFG.record_steps() * self.CFG.dt)
         for kind, (values, step) in zip(kinds, runs):
-            model = EffectiveModel(kind, P)
-            if kind == NAIVE_MEMORY:
-                with pytest.raises(NumericalBlowupError) as err:
-                    simulate_scalar(model, P, self.X0, self.CFG, NoiseStream(1, 0),
-                                    thermostat=False)
-                assert step == err.value.step
-                assert np.array_equal(values, err.value.trajectory.states)
-            else:
-                alone = simulate_scalar(model, P, self.X0, self.CFG, NoiseStream(1, 0),
-                                        thermostat=False)
-                assert step is None
-                assert np.array_equal(values, alone.states)
+            self.assert_engine_bits(EffectiveModel(kind, P), self.X0, self.CFG, values, step)
         # The naive-memory model blows up mid-run, between two records.
         assert 0 < runs[1][1] < self.CFG.n_steps
         assert 0 < len(runs[1][0]) < len(times)
@@ -838,20 +862,13 @@ class TestFlowBatch:
     @pytest.mark.parametrize("kind", [MEMORY_CORRECTED, MEMORY_FREE, NAIVE_MEMORY])
     def test_float_flow_matches_numpy_engine_over_mean_relax_window(self, kind):
         # The benchmark's mean-relax window (desk dt, t_final = 2): the
-        # Python-float flow against the numpy engine of simulate_scalar,
+        # Python-float flow against the numpy engine's per-step form,
         # through naive-memory's blowup step and truncated prefix.
         cfg = IntegratorConfig(dt=1e-4, t_final=2.0, record_stride=10)
         model = EffectiveModel(kind, P)
         x0s, streams = self.starts(1)
         _, _, [(values, step)] = integrate_flow_batch(P, [model], x0s, self.X0, cfg, streams)
-        try:
-            alone = simulate_scalar(model, P, self.X0, cfg, NoiseStream(1, 0), thermostat=False)
-        except NumericalBlowupError as err:
-            assert step == err.step
-            assert np.array_equal(values, err.trajectory.states)
-        else:
-            assert step is None
-            assert np.array_equal(values, alone.states)
+        self.assert_engine_bits(model, self.X0, cfg, values, step)
         if kind == NAIVE_MEMORY:
             assert 0 < step < cfg.n_steps
             assert 0 < len(values) < len(cfg.record_steps())
