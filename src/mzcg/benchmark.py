@@ -160,11 +160,12 @@ def conditional_y_sample(p: BenchmarkParams, x, streams):
     """Draw the unresolved coordinate from its conditional equilibrium law
     N(tau sin(omega x), 1/(beta lam)) given the resolved value ``x``, once
     per stream of ``streams`` from its next scalar draw: an array of one
-    draw per stream."""
-    from .sde import _draw_noise  # sde imports this module
+    draw per stream.  The draws come from one pass over every stream
+    (:func:`~mzcg.sde.next_pairs`), the same bits as ``scalars(1)`` of each."""
+    from .sde import next_pairs  # sde imports this module
 
     mean = p.tau * np.sin(p.omega * x)
-    return mean + np.sqrt(1.0 / (p.beta * p.lam)) * _draw_noise(streams, 1)[0, 0]
+    return mean + np.sqrt(1.0 / (p.beta * p.lam)) * next_pairs(streams)[0]
 
 
 def orthogonal_drift_xy(p: BenchmarkParams, x, y):

@@ -47,12 +47,12 @@ from .sde import (
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
-    _draw_noise,
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
     join_statistics,
     map_stream_blocks,
+    next_pairs,
     raise_earliest_blowup,
     stream_statistics,
 )
@@ -339,7 +339,7 @@ def simulate_stationary(cfg, threads):
 
     def equilibrium_start(streams):
         x0s = np.empty((len(streams), 2))
-        for i, (zx, zy) in enumerate(_draw_noise(streams, 1)[0].T.tolist()):
+        for i, (zx, zy) in enumerate(next_pairs(streams).T.tolist()):
             x = sd_x * zx
             x0s[i] = (x, p.tau * math.sin(p.omega * x) + sd_r * zy)
         return x0s

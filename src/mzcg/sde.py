@@ -16,6 +16,11 @@ A chunk is drawn a group of streams at a time (``_draw_noise``): each stream
 turns its Philox words into normals in place in its row of one reused buffer
 (:meth:`NoiseStream.pairs`), and the group goes into the step-major chunk in
 one blocked copy, so no write strides across the chunk one stream at a time.
+A start drawn once per stream (the kernel's conditional y, the stationary
+check's equilibrium point) takes its one pair per stream from
+:func:`next_pairs` instead: one Philox pass on arrays of every stream's key
+and counter, the same bits as each stream's ``pairs(1)``, without a seek of
+the shared generator per stream.
 Every operation is elementwise in a fixed order, so a row's bits do not
 depend on the batch around it, and a multi-beta run equals one-beta runs bit
 for bit.
@@ -61,7 +66,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 from numpy.random import Philox
@@ -109,6 +114,17 @@ _BELOW_ONE = np.array(1.0 - 2.0**-53)
 # No normal that a NoiseStream draws exceeds this in magnitude: |ndtri(2**-54)|,
 # the lowest centred uniform's, is above ndtri(1 - 2**-53), the highest's.
 NORMAL_BOUND = float(-ndtri(2.0**-54))
+# Philox4x64-10's constants, as numpy's Philox uses them, shaped for
+# (2, n_streams) arrays of counter words 0 and 2 (see next_pairs): the
+# multipliers of those words, whole and split into their (low, high) 32-bit
+# halves, and the increments of key words 0 and 1 after each round.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_HALF_BITS = np.uint64(32)
+_PHILOX_M_HALVES = np.stack([_PHILOX_M & _LOW32, _PHILOX_M >> _HALF_BITS])[:, None]
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# The spacing of numpy's uniforms, which are (w >> 11) * 2**-53.
+_SPACING = np.array(2.0**-53)
 
 # The worker of the running map_stream_blocks call.  Workers are closures,
 # which cannot be pickled; forked children inherit this instead.
@@ -162,17 +178,20 @@ class NoiseStream:
     ``scalars`` returns the first component of the pair at the same position,
     which is what lets a reduced scalar model consume exactly the resolved
     component of the 2D increments driving the full model.
+
+    The key is kept as a tuple of two ints, (master_seed, stream_id) modulo
+    2**64, which Philox's state setter takes as it is.  :func:`next_pairs`
+    draws the next pair of many streams at once, bit for bit as ``pairs(1)``
+    of each; a position is never negative.
     """
 
     master_seed: int
     stream_id: int
     position: int = 0
-    _key: np.ndarray = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._key = np.array(
-            [self.master_seed % 2**64, self.stream_id % 2**64], dtype=np.uint64
-        )
+        self._key = (self.master_seed % 2**64, self.stream_id % 2**64)
 
     def pairs(self, count: int, out=None) -> np.ndarray:
         """Next ``count`` standard-normal pairs, shape (count, 2).
@@ -189,9 +208,13 @@ class NoiseStream:
         a power of two commutes with rounding, so the bits are the same and no
         temporary is made.  The clamp moves only the top word, w >> 11 =
         2**53 - 1, whose centre rounds to 1 (an infinite normal) and goes to
-        1 - 2**-53 instead; every other centre rounds to at most that.
+        1 - 2**-53 instead; every other centre rounds to at most that.  A
+        negative position raises ValueError: its block would wrap to the top
+        of the counter space.
         """
         global _philox, _uniform
+        if self.position < 0:
+            raise ValueError(f"position must be non-negative, not {self.position}")
         if out is None:
             out = np.empty(2 * count)
         block, skip = divmod(2 * self.position, 4)
@@ -206,7 +229,9 @@ class NoiseStream:
         }
         with _philox_lock:
             if _philox is None:
-                _philox = Philox(key=self._key)
+                # Any key: the state set next replaces it.  The constructor,
+                # unlike the state setter, warns on a tuple key above 2**63.
+                _philox = Philox(key=0)
                 _uniform = np.random.Generator(_philox).random
             _philox.state = state
             if skip:
@@ -298,6 +323,72 @@ def _draw_noise(streams, span):
             s.pairs(span, row)
         noise[:, :, a:a + k] = buf[:k].reshape(k, span, 2).transpose(1, 2, 0)
     return noise
+
+
+def next_pairs(streams):
+    """The next increment pair of every stream, shape (2, n_streams): bit for
+    bit what ``pairs(1)`` of each stream would draw, and each stream's
+    position advances by one.
+
+    One Philox4x64-10 pass encrypts the counter blocks of all the streams,
+    each under its own key, on uint64 arrays, where ``pairs`` seeks the
+    shared generator once per stream.  numpy's Philox increments its counter
+    before it encrypts, so position p reads words 2 (p mod 2) and the one
+    after of the encryption of block p // 2 + 1.  The 128-bit products of
+    each round are built from 32-bit halves, and the words become normals by
+    the operations of ``pairs``, in its order.  Per-stream fills in numpy's
+    C Philox cost less at the widths of a chunk, so ``_draw_noise`` keeps
+    them (see ROADMAP).  Positions must lie in [0, 2**64)."""
+    positions = [s.position for s in streams]
+    if positions and not (min(positions) >= 0 and max(positions) < 2**64):
+        raise ValueError("positions must lie in [0, 2**64)")
+    n = len(streams)
+    pos = np.array(positions, dtype=np.uint64)
+    key = np.fromiter(chain.from_iterable([s._key for s in streams]), np.uint64, 2 * n)
+    key = key.reshape(n, 2).T.copy()
+    # ctr[0] holds counter words 0 and 2, which a round multiplies, and
+    # ctr[1] words 1 and 3.  No block exceeds 2**63, so words 1 to 3 start 0.
+    ctr = np.zeros((2, 2, n), dtype=np.uint64)
+    lanes, side = ctr
+    np.right_shift(pos, np.uint64(1), lanes[0])
+    lanes[0] += np.uint64(1)
+    lo = np.empty_like(lanes)
+    halves = np.empty_like(ctr)
+    # The partial products of the lanes' (low, high) halves by the
+    # multipliers' low halves, then by their high halves, named lane half
+    # first.
+    parts = np.empty((2, 2, 2, n), dtype=np.uint64)
+    ll, hl, lh, hh = parts.reshape(4, 2, n)
+    middle = parts.reshape(4, 2, n)[1:3]
+    for _ in range(10):
+        np.bitwise_and(lanes, _LOW32, halves[0])
+        np.right_shift(lanes, _HALF_BITS, halves[1])
+        np.multiply(lanes, _PHILOX_M, lo)
+        np.multiply(halves, _PHILOX_M_HALVES, parts)
+        # The high words: hh plus the carries out of the lower partial
+        # products, every sum below 2**64.
+        ll >>= _HALF_BITS
+        hl += ll
+        np.bitwise_and(hl, _LOW32, ll)
+        lh += ll
+        middle >>= _HALF_BITS
+        hh += hl
+        hh += lh
+        # (w0, w1, w2, w3) -> (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0), where
+        # hiJ and loJ are the halves of word J's product.
+        np.bitwise_xor(hh[::-1], side, lanes)
+        lanes ^= key
+        np.copyto(side, lo[::-1])
+        key += _PHILOX_W
+    words = np.where((pos & np.uint64(1)).astype(bool), ctr[:, 1], ctr[:, 0])
+    words >>= np.uint64(11)
+    out = np.multiply(words, _SPACING)
+    np.add(out, _HALF_SPACING, out)
+    np.minimum(out, _BELOW_ONE, out=out)
+    ndtri(out, out=out)
+    for s in streams:
+        s.position += 1
+    return out
 
 
 def _blowup_error(step, state, beta, streams, recorded):

@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from mzcg import kernel, sde
-from mzcg.benchmark import BenchmarkParams, grad_potential
+from mzcg import experiments, kernel, sde
+from mzcg.benchmark import BenchmarkParams, conditional_y_sample, grad_potential
+from mzcg.config import resolve
 from mzcg.kernel import _sample_orthogonal_drifts, memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
@@ -38,6 +39,7 @@ from mzcg.sde import (
     integrate_scalar_batch,
     map_stream_blocks,
     mean_stderr,
+    next_pairs,
     simulate_full,
     simulate_scalar,
 )
@@ -202,6 +204,81 @@ class TestDrawNoise:
             sde._draw_noise([NoiseStream(2, i) for i in range(n)], span)
         assert pairs.call_count == n
         assert all(call.args[1] == span for call in pairs.call_args_list)
+
+
+class TestNextPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        addresses=st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**64 - 1),
+                st.one_of(st.integers(0, 3), st.integers(0, 2**62)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        draws=st.integers(1, 3),
+    )
+    @example(addresses=[(0, 0, 0), (2**64 - 1, 2**64 - 1, 2**64 - 2)], draws=2)
+    def test_equals_each_streams_next_pair(self, addresses, draws):
+        # Seeds, ids and positions mixed in one call; each call moves every
+        # position on by exactly one, so the next call reads the next pair.
+        streams = [NoiseStream(seed, i, position=pos) for seed, i, pos in addresses]
+        for d in range(draws):
+            got = next_pairs(streams)
+            want = [NoiseStream(seed, i, position=pos + d).pairs(1)[0]
+                    for seed, i, pos in addresses]
+            assert got.shape == (2, len(addresses))
+            assert np.array_equal(got, np.stack(want, axis=-1))
+            assert [s.position for s in streams] == [pos + d + 1 for *_, pos in addresses]
+
+    @pytest.mark.parametrize("position", [-1, -(2**70)])
+    def test_negative_position_is_refused(self, position):
+        # Its counter block would wrap to the top of Philox's counter space.
+        with pytest.raises(ValueError, match="non-negative"):
+            NoiseStream(1, 0, position=position).pairs(1)
+        streams = [NoiseStream(1, 0), NoiseStream(1, 1, position=position)]
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            next_pairs(streams)
+        assert [s.position for s in streams] == [0, position]
+
+    @pytest.mark.parametrize("position", [2**64, 2**70])
+    def test_position_past_uint64_is_refused(self, position):
+        streams = [NoiseStream(1, 0), NoiseStream(1, 1, position=position)]
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            next_pairs(streams)
+        assert [s.position for s in streams] == [0, position]
+
+    def test_starts_make_no_per_stream_draw(self):
+        # The kernel's conditional y and the stationary check's equilibrium
+        # points draw one pair per stream through next_pairs, not pairs(1).
+        cfg = resolve("stationary", set_pairs=["n_samples=4", "t_main=0.01",
+                                               "t_resid=0.001"])
+        p = experiments.params_from_config(cfg)
+        starts = []
+
+        def integrate(p_, x0s, icfg, streams, thermostat):
+            starts.append((x0s, [s.stream_id for s in streams]))
+            return None, np.zeros((len(streams), 2, 2))
+
+        with mock.patch.object(NoiseStream, "pairs", autospec=True,
+                               side_effect=NoiseStream.pairs) as pairs:
+            y = conditional_y_sample(P, 0.3, [NoiseStream(2, i) for i in range(5)])
+            with mock.patch.object(experiments, "integrate_full_batch", integrate):
+                experiments.simulate_stationary(cfg, threads=1)
+        assert pairs.call_count == 0
+        sd = np.sqrt(1.0 / (P.beta * P.lam))
+        want = [P.tau * np.sin(P.omega * 0.3) + sd * NoiseStream(2, i).scalars(1)[0]
+                for i in range(5)]
+        assert np.array_equal(y, want)
+        assert [ids for _, ids in starts] == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        sd_x, sd_r = math.sqrt(1.0 / (p.beta * p.mu)), math.sqrt(1.0 / (p.beta * p.lam))
+        for x0s, ids in starts:
+            for (x, y0), i in zip(x0s, ids):
+                zx, zy = NoiseStream(cfg["master_seed"], i).pairs(1)[0]
+                assert x == sd_x * zx
+                assert y0 == p.tau * math.sin(p.omega * x) + sd_r * zy
 
 
 class TestIntegratorConfig:
