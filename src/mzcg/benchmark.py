@@ -176,33 +176,38 @@ def orthogonal_drift_xy(p: BenchmarkParams, x, y):
     float arrays of one shape.
 
     Returns a new array of shape (2,) + x.shape, from
-    :func:`bind_orthogonal_drift` bound for this one call.  Adding (-mu x, 0)
-    gives the full drift -grad V, which is what the Euler-Maruyama engine
-    steps.
+    :func:`bind_orthogonal_drift` bound for this one call at scale 1.
+    Adding (-mu x, 0) gives the full drift -grad V, which is what the
+    Euler-Maruyama engine steps.
     """
     out = np.empty((2,) + x.shape)
-    bind_orthogonal_drift(p, x, y, out, np.empty_like(x))()
+    bind_orthogonal_drift(p, x, y, out, np.empty_like(x), 1.0)()
     return out
 
 
-def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos):
-    """:func:`orthogonal_drift_xy` at the live values of ``x`` and ``y`` as a
-    function of no argument that writes the drift into ``out`` and returns
-    nothing: the one definition of the orthogonal drift and its one in-place
-    form, which the engine binds once per march.  The kernel sampler takes
-    its lag-0 drift from here and steps its samples on the invariant curves
-    of :func:`orthogonal_invariant` instead.  ``out`` is an array of shape
-    (2,) + x.shape or a pair of arrays of x's shape, ``cos`` (x's shape) is
-    scratch, and neither may share memory with ``x`` or ``y``.
+def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos, scale):
+    """``scale`` times :func:`orthogonal_drift_xy` at the live values of
+    ``x`` and ``y`` as a function of no argument that writes it into ``out``
+    and returns nothing: the one definition of the orthogonal drift and its
+    one in-place form.  The engine binds it once per march at scale dt, so
+    that it writes the drift's increment over a step; the kernel sampler
+    takes its lag-0 drift from it at scale 1 and steps its samples on the
+    invariant curves of :func:`orthogonal_invariant` instead.  ``out`` is an
+    array of shape (2,) + x.shape or a pair of arrays of x's shape, ``cos``
+    (x's shape) is scratch, and neither may share memory with ``x`` or
+    ``y``.
 
-    With u = tan(omega x / 2) and w = 1 / (1 + u^2), cos(omega x) =
-    (1 - u^2) w and sin(omega x) = 2 u w, which meets tau as (u w)(2 tau):
-    doubling is exact, so that has the bits of ((u + u) w) tau wherever u w
-    is not subnormal, in one ufunc call fewer.  A non-finite x gives nan
-    without raising.  Thirteen in-place ufunc calls with 0-d constants and
-    no temporary.
+    The scale is folded into the constants lam and -(lam tau omega) once
+    per bind, which scale 1 leaves as they are.  With u = tan(omega x / 2),
+    cos(omega x) = (1 - u^2) / (1 + u^2) and sin(omega x) = 2 u / (1 + u^2),
+    which meets tau as (u / (1 + u^2))(2 tau): doubling is exact, so that
+    has the bits of ((u + u) / (1 + u^2)) tau wherever u / (1 + u^2) is not
+    subnormal, in one ufunc call fewer.  A non-finite x gives nan without
+    raising.  Twelve in-place ufunc calls with 0-d constants and no
+    temporary.
     """
     half_omega, one, two_tau, lam, neg_lto = p._drift_constants
+    lam, neg_lto = np.array(lam * scale), np.array(neg_lto * scale)
     add, sub, mul, div, tan = np.add, np.subtract, np.multiply, np.divide, np.tan
     u, w = out
 
@@ -212,9 +217,8 @@ def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos):
         mul(u, u, w)
         sub(one, w, cos)
         add(w, one, w)
-        div(one, w, w)
-        mul(cos, w, cos)  # cos(omega x)
-        mul(u, w, u)
+        div(cos, w, cos)  # cos(omega x)
+        div(u, w, u)
         mul(u, two_tau, u)  # tau sin(omega x)
         sub(u, y, u)  # the valley gap
         mul(u, lam, w)

@@ -32,7 +32,7 @@ import numpy as np
 from .benchmark import BenchmarkParams
 from .kernel import FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
-from .sde import NOISE_CHUNK, NORMAL_BOUND, IntegratorConfig
+from .sde import NORMAL_BOUND, IntegratorConfig, noise_chunk_steps
 
 EXPERIMENTS = (
     "landscape",
@@ -384,9 +384,10 @@ def _engine_floats(planes, streams, noise_steps):
     of ``planes`` planes over ``streams`` streams: four arrays of the
     state's size at most (the state, its drift, its noise term and the
     models' noise multipliers, or the scratch rows that take their place)
-    and the noise chunk, 2 min(NOISE_CHUNK, noise_steps) floats per stream
-    (``noise_steps`` is 0 for a run that draws no noise)."""
-    return (4 * planes + 2 * min(NOISE_CHUNK, noise_steps)) * streams
+    and the noise chunk, 2 floats per stream and step of
+    :func:`~mzcg.sde.noise_chunk_steps` (``noise_steps`` is 0 for a run that
+    draws no noise)."""
+    return (4 * planes + 2 * noise_chunk_steps(streams, noise_steps)) * streams
 
 
 def _array_bytes(experiment, cfg):

@@ -30,14 +30,18 @@ naming the lowest stream, then the first beta, that left it.  At the widths
 the experiments run, a step costs ufunc calls more than arithmetic, so
 ``_march`` makes as few calls as it can and allocates no array of the
 batch's width: every plane, the full system's and each reduced model's,
-writes its drift and its noise term into two buffers shaped like the state,
-and one update steps them all (see its docstring).  Each model's
+writes its increment and its noise term into two buffers shaped like the
+state, and one update steps them all (see its docstring).  Each model's
 coefficient function is bound once per march
 (:func:`models.bind_coefficients`), and so is the full system's drift: the
 one definition of the benchmark's orthogonal drift,
-:func:`~mzcg.benchmark.bind_orthogonal_drift`, bound to the x and y planes,
-plus its conditional average (-mu x, 0); the kernel sampler takes its
-lag-0 drift from the same function.  Records are record-major, laid out
+:func:`~mzcg.benchmark.bind_orthogonal_drift`, bound at scale dt to the x
+and y planes so that it writes the drift's increment, while its
+conditional average (-mu x, 0) steps x in place as x *= 1 - mu dt; the
+kernel sampler takes its lag-0 drift from the same function at scale 1.
+A chunk holds at most NOISE_CHUNK steps, fewer for a batch so wide that
+they would pass NOISE_CHUNK_BYTES (:func:`noise_chunk_steps`).
+Records are record-major, laid out
 (record, plane, beta, stream): each is one contiguous row, copied from the
 state at its step.  The batch front ends return record-last views of them.
 Given a sink, the engine instead keeps one record block of about
@@ -84,8 +88,15 @@ BLOWUP_SQUARED = BLOWUP_LIMIT**2
 # longer counts steps exactly (and no such run would finish).
 MAX_STEPS = 2**53
 
-# Steps of noise generated per block inside the integration loops.
+# Most steps of noise generated per block inside the integration loops.
 NOISE_CHUNK = 4096
+
+# Bytes of one noise chunk at most, and the fewest steps a chunk keeps however
+# wide the batch (see noise_chunk_steps): 2 x NOISE_CHUNK steps of the widest
+# benchmark batch, 600 streams, fit the budget, and below 512 steps a draw's
+# fixed cost shows per normal (see ROADMAP).
+NOISE_CHUNK_BYTES = 64 << 20
+NOISE_CHUNK_FLOOR = 512
 
 # Bytes of one group of streams' pairs in _draw_noise: small enough that the
 # group's words, their transform and their copy into the step-major chunk
@@ -305,6 +316,16 @@ class Trajectory:
         return self.states if self.states.ndim == 1 else self.states[:, 0]
 
 
+def noise_chunk_steps(n_streams, steps):
+    """Steps of noise that ``_march`` draws at once for ``n_streams`` streams
+    over a run of ``steps`` steps: NOISE_CHUNK, fewer when its 16 bytes per
+    stream and step would pass NOISE_CHUNK_BYTES, but never fewer than
+    NOISE_CHUNK_FLOOR, and never more than the run takes.  Noise is
+    addressed by position, so no value depends on the chunk."""
+    by_bytes = NOISE_CHUNK_BYTES // (16 * max(1, n_streams))
+    return min(NOISE_CHUNK, steps, max(NOISE_CHUNK_FLOOR, by_bytes))
+
+
 def _draw_noise(streams, span):
     """The next ``span`` increment pairs of every stream, shape
     (span, 2, n_streams), so that each step's components are contiguous rows.
@@ -434,17 +455,23 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     keeps, and ``recs`` is None.
 
     A step costs ufunc calls more than arithmetic, so it makes few, and
-    allocates no array of the batch's width.  Every plane writes its drift
-    into one buffer ``g`` and its noise into one buffer ``noise_term``, both
-    shaped like the state.  The full system's drift -grad V, the orthogonal
-    drift plus its conditional average (-mu x, 0), goes to the x and y
-    planes, from :func:`~mzcg.benchmark.bind_orthogonal_drift` bound to them
-    once per march, and the thermostat's amp * xi to theirs in the noise
-    term.  Each model's drift goes to its plane of ``g`` (from its
-    :func:`models.bind_coefficients` function, bound once per march), and
-    its sigma times the first component of amp * xi to its plane of the
-    noise term.  One update then serves every plane: ``g *= dt``, the state
-    gains ``g``, then the noise term.
+    allocates no array of the batch's width.  Every plane writes its
+    increment into one buffer ``g`` and its noise into one buffer
+    ``noise_term``, both shaped like the state.  The full system's drift
+    -grad V is the orthogonal drift plus its conditional average (-mu x, 0).
+    The orthogonal drift's increment over a step goes to the x and y planes
+    of ``g``, from :func:`~mzcg.benchmark.bind_orthogonal_drift` bound to
+    them at scale dt once per march, and the conditional average is applied
+    to the state in place, as x *= 1 - mu dt; the thermostat's amp * xi goes
+    to the x and y planes of the noise term.  Each model's drift goes to its
+    plane of ``g`` (from its :func:`models.bind_coefficients` function,
+    bound once per march), which ``*= dt`` makes its increment, and its
+    sigma times the first component of amp * xi to its plane of the noise
+    term.  One update then serves every plane: the state gains ``g``, then
+    the noise term.  An unthermostatted step of the full system makes
+    fourteen ufunc calls (twelve for the drift's increment, the decay and
+    the update), a thermostatted one sixteen, and the models add their
+    coefficients' calls and two more: their noise term and ``*= dt``.
     Each element sees the operations, in the order, of a separate step per
     plane.  Every constant is a 0-d array made once (a ufunc takes one for
     less per call than a Python float, with the same bits).  The blowup test
@@ -472,17 +499,16 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
 
     dt = np.array(cfg.dt)
     thermostat = beta is not None
-    # Every plane's drift.  The update reads every plane, so it starts at
-    # zero: a call with no plane stepped must leave the state alone.
+    # Every plane's increment.  The update reads every plane, so it starts
+    # at zero: a call with no plane stepped must leave the state alone.
     g = np.zeros_like(state)
     h_planes = slice(1, -1) if full else slice(None)
     h, gh = state[h_planes], g[h_planes]
     if full:
         x, y = state[0], state[-1]
-        gx = g[0]
-        c = np.empty_like(x)
-        orthogonal_drift = bind_orthogonal_drift(p, x, y, (gx, g[-1]), c)
-        neg_mu = p._coupling_constants[3]
+        orthogonal_increment = bind_orthogonal_drift(
+            p, x, y, (g[0], g[-1]), np.empty_like(x), cfg.dt)
+        decay = np.array(1.0 - p.mu * cfg.dt)
     if thermostat:
         amp = np.sqrt(2.0 * dt / beta)
         noise_term = np.empty_like(state)
@@ -505,6 +531,7 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
         raise ValueError("the state must be one contiguous array")
     # The bound method skips np.dot's dispatch for the same BLAS ddot.
     sum_of_squares = flat.dot
+    chunk = noise_chunk_steps(state.shape[-1], n_steps)
 
     # In-place ufuncs take their output positionally: the out= keyword adds a
     # per-call cost that shows on narrow batches, such as one-row models.
@@ -516,23 +543,25 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     # it leaves range too, and then raises.
     with np.errstate(over="ignore"):
         while step < n_steps:
-            span = min(NOISE_CHUNK, n_steps - step)
+            span = min(chunk, n_steps - step)
             if thermostat:
+                noise = None  # the last chunk goes before the next is drawn
                 noise = _draw_noise(streams, span)[:, :, None]
             for j in range(span):
                 if full:
-                    # -grad V: the orthogonal drift plus (-mu x, 0).
-                    orthogonal_drift()
-                    mul(neg_mu, x, c)
-                    add(gx, c, gx)
+                    # -grad V dt: the orthogonal drift's increment, then
+                    # (-mu x, 0) dt as a decay of x, once the drift has
+                    # read it.
+                    orthogonal_increment()
+                    mul(x, decay, x)
                 if thermostat:
                     mul(amp, noise[j], daz)
                     for coefficients, hm in planes:
                         coefficients(hm)
                     if planes:
                         mul(sigma, az, nh)
-                # The update: state + g dt, then + noise.
-                mul(g, dt, g)
+                        mul(gh, dt, gh)
+                # The update: state + g, then + noise.
                 add(state, g, state)
                 if thermostat:
                     add(state, noise_term, state)

@@ -1,8 +1,10 @@
+import contextlib
 import functools
 import math
 import os
 import pickle
 import time
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -204,6 +206,40 @@ class TestDrawNoise:
             sde._draw_noise([NoiseStream(2, i) for i in range(n)], span)
         assert pairs.call_count == n
         assert all(call.args[1] == span for call in pairs.call_args_list)
+
+
+class TestNoiseChunk:
+    def test_steps_by_bytes_with_a_floor(self):
+        # Every benchmark width (200 to 600 streams) keeps the whole chunk.
+        for n in (1, 200, 256, 600):
+            assert sde.noise_chunk_steps(n, 10**6) == sde.NOISE_CHUNK
+        assert sde.noise_chunk_steps(600, 37) == 37
+        assert sde.noise_chunk_steps(2000, 10**6) == sde.NOISE_CHUNK_BYTES // (16 * 2000)
+        assert sde.noise_chunk_steps(200_000, 10**6) == sde.NOISE_CHUNK_FLOOR
+        assert sde.noise_chunk_steps(200_000, 100) == 100
+        assert sde.noise_chunk_steps(10**6, 0) == 0
+        assert 16 * 600 * sde.NOISE_CHUNK <= sde.NOISE_CHUNK_BYTES
+
+    def test_wide_march_holds_one_budgeted_chunk(self):
+        # 4,000 streams over 200 steps would draw 12.8 MB of noise at once;
+        # a budget of 1 MiB cuts the chunk to 16 steps.
+        n, n_steps = 4000, 200
+        cfg = IntegratorConfig(dt=1e-3, t_final=n_steps * 1e-3, record_stride=n_steps)
+        xy0 = np.tile([0.1, 0.2], (n, 1))
+        streams = [NoiseStream(4, i) for i in range(n)]
+        with mock.patch.object(sde, "NOISE_CHUNK_BYTES", 1 << 20), \
+                mock.patch.object(sde, "NOISE_CHUNK_FLOOR", 4):
+            assert sde.noise_chunk_steps(n, n_steps) == 16
+            tracemalloc.start()
+            try:
+                integrate_full_batch(P, xy0, cfg, streams)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # The chunk, the group buffer of NOISE_GROUP_BYTES and a few
+        # state-sized arrays of 64 kB each.
+        assert peak < (1 << 20) + sde.NOISE_GROUP_BYTES + (1 << 20)
+        assert [s.position for s in streams] == [n_steps] * n
 
 
 class TestNextPairs:
@@ -651,10 +687,11 @@ def _model_coefficients(model, h, beta):
 
 def _allocating_crn_steps(p, model_list, x0, y0, h0, dt, n_steps, streams, betas):
     """The engine's steps written out with an allocating expression per
-    plane: the full system's step x - g dt with g its tan-form gradient, and
-    each model as h + b dt + sigma az with (b, sigma) from
-    _model_coefficients.  ``betas`` None steps with no thermostat, ``streams``
-    then giving only the width.  Returns x, y and each model's h after every
+    plane: the full system's step as x (1 - mu dt) and y plus the
+    increments of the tan-form orthogonal drift, whose constants lam and
+    -(lam tau omega) carry dt, and each model as h + b dt + sigma az with
+    (b, sigma) from _model_coefficients.  ``betas`` None steps with no
+    thermostat, ``streams`` then giving only the width.  Returns x, y and each model's h after every
     step, shaped (n_beta, n, n_steps)."""
     thermostat = betas is not None
     beta = np.asarray(betas if thermostat else p.beta, dtype=float).reshape(-1, 1)
@@ -668,11 +705,11 @@ def _allocating_crn_steps(p, model_list, x0, y0, h0, dt, n_steps, streams, betas
     for j in range(n_steps):
         u = np.tan((0.5 * p.omega) * x)
         u2 = u * u
-        w = 1.0 / (u2 + 1.0)
-        gap = (u + u) * w * p.tau - y
-        gx = p.lam * p.tau * p.omega * gap * ((1.0 - u2) * w) + p.mu * x
-        gy = gap * -p.lam
-        x, y = x - gx * dt, y - gy * dt
+        w = u2 + 1.0
+        gap = (u + u) / w * p.tau - y
+        dx = -(p.lam * p.tau * p.omega) * dt * gap * ((1.0 - u2) / w)
+        dy = gap * (p.lam * dt)
+        x, y = x * (1.0 - p.mu * dt) + dx, y + dy
         if thermostat:
             az, ay = amp * xi[j, 0], amp * xi[j, 1]
             for i, model in enumerate(model_list):
@@ -714,8 +751,8 @@ class TestModelPlanes:
     @pytest.mark.parametrize("thermostat", [True, False])
     @pytest.mark.parametrize("width", [1, 7, 600])
     def test_full_steps_equal_the_allocating_form_bitwise(self, width, thermostat):
-        # The engine steps x + g dt and y + g dt with g the orthogonal drift
-        # plus (-mu x, 0); x and y must keep the bits of the gradient step.
+        # The engine steps x (1 - mu dt) and y plus the orthogonal drift's
+        # increments; x and y must keep the bits of that gradient step.
         n_steps, dt = 6, 1e-4
         x0 = np.linspace(-1.0, 1.0, width)
         y0 = P.tau * np.sin(P.omega * x0) + np.linspace(0.5, -0.5, width)
@@ -731,6 +768,87 @@ class TestModelPlanes:
         )
         assert rec[:, 1:, 0].tobytes() == xs[0].tobytes()
         assert rec[:, 1:, 1].tobytes() == ys[0].tobytes()
+
+
+class _FilledStream:
+    """A stand-in NoiseStream whose pairs are all 0.1, filled without a
+    ufunc call."""
+
+    def __init__(self, stream_id):
+        self.stream_id = stream_id
+
+    def pairs(self, count, out):
+        out.fill(0.1)
+        return out.reshape(count, 2)
+
+
+class _CountingUfunc:
+    """A ufunc that counts its calls in ``counts`` and is otherwise the ufunc."""
+
+    def __init__(self, ufunc, counts):
+        self._ufunc, self._counts = ufunc, counts
+
+    def __call__(self, *args, **kwargs):
+        self._counts.append(self._ufunc.__name__)
+        return self._ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+
+# The ufuncs that _march, bind_orthogonal_drift and models.bind_coefficients
+# bind.
+ENGINE_UFUNCS = ("add", "subtract", "multiply", "divide", "tan", "sqrt", "square")
+
+
+def _ufunc_calls_per_step(run):
+    """The ufunc calls of one step of ``run(n_steps)``: the difference of two
+    march lengths, so that the calls made once per march cancel."""
+    def calls(n_steps):
+        counts = []
+        with contextlib.ExitStack() as stack:
+            for name in ENGINE_UFUNCS:
+                stack.enter_context(mock.patch.object(
+                    np, name, _CountingUfunc(getattr(np, name), counts)))
+            run(n_steps)
+        return len(counts)
+
+    return (calls(9) - calls(4)) / 5
+
+
+class TestEngineCalls:
+    """A step of the engine costs its ufunc calls at the widths the
+    experiments run, so their count per step is pinned."""
+
+    N = 7
+
+    def starts(self):
+        x0 = np.linspace(-0.4, 0.5, self.N)
+        return np.stack([x0, P.tau * np.sin(P.omega * x0)], axis=-1)
+
+    @staticmethod
+    def cfg(n_steps):
+        return IntegratorConfig(dt=1e-3, t_final=n_steps * 1e-3)
+
+    def test_unthermostatted_full_step_makes_fourteen_calls(self):
+        # Twelve for the orthogonal drift's increment, the decay of x and
+        # the update.
+        assert _ufunc_calls_per_step(lambda n_steps: integrate_full_batch(
+            P, self.starts(), self.cfg(n_steps), None, False)) == 14
+
+    def test_thermostatted_full_step_makes_sixteen_calls(self):
+        # Two more: amp times the increments, and adding them.
+        assert _ufunc_calls_per_step(lambda n_steps: integrate_full_batch(
+            P, self.starts(), self.cfg(n_steps),
+            [_FilledStream(i) for i in range(self.N)])) == 16
+
+    def test_three_beta_crn_step_makes_thirty_six_calls(self):
+        # Beside the sixteen: memory-corrected's seventeen, memory-free's
+        # one, the models' noise term and their drifts times dt.
+        model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+        assert _ufunc_calls_per_step(lambda n_steps: integrate_crn_batch(
+            P, model_list, self.starts()[0], 0.2, self.cfg(n_steps),
+            [_FilledStream(i) for i in range(self.N)], (1.0, 10.0, 100.0))) == 36
 
 
 def _record_runs(engine, stride, n_rec):
