@@ -228,6 +228,19 @@ def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos, scale):
     return drift
 
 
+def orthogonal_drift_bound(p: BenchmarkParams, scale):
+    """Bounds on what :func:`bind_orthogonal_drift` at ``scale`` writes
+    where |y| <= m: |dx| <= kx m + cx and |dy| <= ky m + cy, returned as
+    ((kx, cx), (ky, cy)), up to rounding.  They hold for any x, from
+    |gap| <= tau + |y|: the tan-half-angle forms keep |cos(omega x)| <= 1
+    and |tau sin(omega x)| <= tau for any u, since |1 - u^2| and 2 |u| are
+    at most 1 + u^2.  The engine's blowup schedule takes the full system's
+    growth per step from them."""
+    lam, neg_lto = p._drift_constants[3:]
+    kx, ky = abs(float(neg_lto) * scale), abs(float(lam) * scale)
+    return (kx, kx * p.tau), (ky, ky * p.tau)
+
+
 def orthogonal_drift(p: BenchmarkParams, x, y):
     """:func:`orthogonal_drift_xy` on scalars or arrays that broadcast
     together, with the components stacked along the last axis."""

@@ -50,7 +50,7 @@ def _run(ctx, experiment, config_path, set_pairs, out_path, seed, threads, desk_
     # More workers than CPUs only add per-step overhead: they cannot all run.
     threads = min(threads, _usable_cpus())
     try:
-        cfg = resolve(experiment, config_path, set_pairs, seed, desk_scale)
+        cfg = resolve(experiment, config_path, set_pairs, seed, desk_scale, threads)
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         ctx.exit(2)

@@ -30,9 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .benchmark import BenchmarkParams
+from .csvio import BLOCK_ROWS
 from .kernel import FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, kernel_decay_rate
 from .models import MODEL_KINDS
-from .sde import NORMAL_BOUND, IntegratorConfig, noise_chunk_steps
+from .sde import NORMAL_BOUND, RECORD_BLOCK_BYTES, IntegratorConfig, noise_chunk_steps
 
 EXPERIMENTS = (
     "landscape",
@@ -390,19 +391,22 @@ def _engine_floats(planes, streams, noise_steps):
     return (4 * planes + 2 * noise_chunk_steps(streams, noise_steps)) * streams
 
 
-def _array_bytes(experiment, cfg):
+def _array_bytes(experiment, cfg, blocks=None):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
     kernels' per-lag samples, the landscape's grid, the stationary
     histogram's edges, counts, centres and two densities, and the engine's
     state-sized buffers and noise chunk), and what shrinks the largest part
     of them.
 
-    ``ensemble`` and ``mean-trajectory`` count every record of every stream.
-    A run of one stream block never holds them all: it reduces a record
-    block at a time and keeps only the statistics.  Several blocks do hold
-    them, in the workers and as the parent's pieces.  The resolved
-    configuration does not know the worker count, so the bound stays that of
-    several blocks."""
+    ``ensemble`` and ``mean-trajectory`` in several stream blocks hold every
+    record of every stream, in the workers and as the parent's pieces.  In
+    one block (``blocks`` 1) they reduce a record block at a time and hold,
+    per record, the statistics, each model flow's values, the times and two
+    floats of temporaries (the record steps the times are made from, or the
+    reduction's), and besides them the engine's arrays, the record block
+    and the reduction's copies of it, and the CSV writer's block of rows.
+    ``blocks`` None, a worker count not known, takes the several-block
+    bound."""
     if experiment == "landscape":
         return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
     if experiment in ("kernel", "kernel-matrix"):
@@ -423,26 +427,39 @@ def _array_bytes(experiment, cfg):
         icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
         if experiment == "ensemble":
             betas = len(cfg["beta_list"])
-            # x, y and the two models' planes at every beta, thermostatted.
-            series = 3 * betas * n
+            # x, y and the two models' planes at every beta, thermostatted;
+            # full, approx and nomem recorded at every beta, and the mean
+            # and stderr of each.
+            series, stats = 3 * betas * n, 2 * 3 * betas
             engine = _engine_floats(4 * betas, n, icfg.n_steps)
+            columns = 7
         else:
-            # The full system's x and y, unthermostatted: no noise.
-            series = n + len(cfg["models"])
+            # The full system's x and y, unthermostatted: no noise.  Its x
+            # is recorded, and each model flow's value.
+            models = len(cfg["models"])
+            series, stats = n + models, 2 + models
             engine = _engine_floats(2, n, 0)
+            columns = 3 + models
+        if blocks == 1:
+            # Per record, the statistics, the times and two temporaries;
+            # besides them the record block and up to three copies of it,
+            # and the writer's rows as Python floats, at most 64 B a cell.
+            series = stats + 3
+            engine += 4 * RECORD_BLOCK_BYTES // 8 + 8 * BLOCK_ROWS * columns
         parts = {"a larger record_stride": series * icfg.n_records, "fewer n_samples": engine}
     return 8 * sum(parts.values()), max(parts, key=parts.get)
 
 
-def _check_memory(experiment, cfg):
-    """The runner's arrays must fit in physical memory (where the platform
+def _check_memory(experiment, cfg, blocks):
+    """The runner's arrays, in ``blocks`` stream blocks (see
+    :func:`_array_bytes`), must fit in physical memory (where the platform
     tells its size): a run that cannot hold them fails only once it has
     started them."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need, remedy = _array_bytes(experiment, cfg)
+    need, remedy = _array_bytes(experiment, cfg, blocks)
     if need > physical:
         # An integer count can exceed the floats, which cannot divide it.
         gb = need / 1e9 if need <= sys.float_info.max else math.inf
@@ -452,9 +469,10 @@ def _check_memory(experiment, cfg):
         )
 
 
-def _finalize(experiment, keys, cfg):
-    """Derive the keys still None, then check the derived values and every
-    integration window."""
+def _finalize(experiment, keys, cfg, blocks):
+    """Derive the keys still None, then check the derived values, every
+    integration window and the memory of a run in ``blocks`` stream
+    blocks."""
     if experiment == "kernel" and cfg["x0"] is None:
         cfg["x0"] = conditioning_points(cfg["omega"])["cos1"]
     if experiment in ("kernel", "kernel-matrix") and cfg["dt"] is None:
@@ -466,11 +484,16 @@ def _finalize(experiment, keys, cfg):
     if cfg.get("record_stride", 1) is None:
         n_steps = IntegratorConfig(cfg["dt"], cfg["t_final"]).n_steps
         cfg["record_stride"] = max(1, n_steps // 2000)
-    _check_memory(experiment, cfg)
+    _check_memory(experiment, cfg, blocks)
 
 
-def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=False):
-    """Resolve the full configuration for ``experiment``; every key concrete."""
+def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=False,
+            threads=None):
+    """Resolve the full configuration for ``experiment``; every key concrete.
+    ``threads``, the worker count the run will use, sets its stream blocks
+    for the memory check: min(threads, n_samples), as
+    :func:`~mzcg.sde.map_stream_blocks` cuts them.  None bounds the run in
+    several blocks, whatever count it runs with."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     keys = KEYS[experiment]
@@ -493,6 +516,7 @@ def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=Fa
         cfg["master_seed"] = int(seed)
     _check_keys(keys, cfg)
     _check_rules(experiment, cfg)
-    _finalize(experiment, keys, cfg)
+    blocks = None if threads is None else min(threads, cfg.get("n_samples", threads))
+    _finalize(experiment, keys, cfg, blocks)
     cfg["experiment"] = experiment
     return cfg

@@ -9,6 +9,11 @@ import csv
 
 import numpy as np
 
+# Rows that write_csv turns into Python floats at once: about 5 MB at the
+# 7 columns of an ensemble file, so a file of any length is written in
+# memory of that size.
+BLOCK_ROWS = 1 << 14
+
 
 def format_value(value) -> str:
     if isinstance(value, bool):
@@ -30,7 +35,8 @@ def write_csv(path, comments, header, columns):
     :func:`format_value`; ``columns`` holds one sequence of floats per header
     field, each converted to float64.  A column that ends early leaves empty
     fields below it.  Each float is written as ``format_value`` writes it,
-    "%.17g", which never needs quoting, a row at a time.
+    "%.17g", which never needs quoting, a row at a time, from BLOCK_ROWS rows
+    of Python floats at a time.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -43,9 +49,12 @@ def write_csv(path, comments, header, columns):
         for stop in sorted({len(c) for c in columns}):
             if stop == start:
                 continue
-            live = [c[start:stop].tolist() for c in columns if len(c) >= stop]
+            live = [c for c in columns if len(c) >= stop]
             row = ",".join("%.17g" if len(c) >= stop else "" for c in columns) + "\r\n"
-            fh.writelines(row % values for values in zip(*live))
+            for a in range(start, stop, BLOCK_ROWS):
+                # A block's floats go before the next block's are made.
+                b = min(a + BLOCK_ROWS, stop)
+                fh.writelines(row % values for values in zip(*[c[a:b].tolist() for c in live]))
             start = stop
 
 

@@ -212,3 +212,25 @@ def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
         sqrt(sigma, sigma)
 
     return coefficients
+
+
+def coefficients_bound(model: EffectiveModel, beta=None):
+    """Bounds on what :func:`bind_coefficients` of ``model`` at ``beta``
+    writes, for any h: (k, c, s) with |b| <= k |h| + c and sigma <= s, up
+    to rounding.  ``memory-free`` has b = -mu h and sigma = 1.
+    ``memory-corrected``'s slowing factor is at least 1 and
+    |sin(2 omega h)| = |2 t / (1 + t^2)| <= 1, so |b| <= mu |h| + tau^2
+    omega^3 / beta, at the smallest beta of an array, and sigma <= 1.  The
+    engine's blowup schedule takes each model's growth per step from
+    them."""
+    p = model.params
+    if model.kind == MEMORY_FREE:
+        return p.mu, 0.0, 1.0
+    if model.kind == NAIVE_MEMORY:
+        raise UnsupportedModelError(
+            "naive-memory has no noise closure and cannot be thermostatted"
+        )
+    omega, one, t2w2, _ = p._coupling_constants
+    beta = p.beta if beta is None else beta
+    # The largest noise_factor of bind_coefficients, in its operations.
+    return p.mu, float(np.max(np.multiply(np.multiply(np.divide(one, beta), t2w2), omega))), 1.0

@@ -26,13 +26,16 @@ depend on the batch around it, and a multi-beta run equals one-beta runs bit
 for bit.
 
 A blowup raises ``NumericalBlowupError`` at the first step that leaves range,
-naming the lowest stream, then the first beta, that left it.  At the widths
-the experiments run, a step costs ufunc calls more than arithmetic, so
-``_march`` makes as few calls as it can and allocates no array of the
-batch's width: every plane, the full system's and each reduced model's,
-writes its increment and its noise term into two buffers shaped like the
-state, and one update steps them all (see its docstring).  Each model's
-coefficient function is bound once per march
+naming the lowest stream, then the first beta, that left it.  The exact
+test runs only on the steps that a growth bound per step, formed once per
+march from each plane's drift and once per chunk from its noise, cannot
+clear (``_step_growth``, ``_steps_to_test``); no other step can leave range.
+At the widths the experiments run, a step costs ufunc calls more than
+arithmetic, so ``_march`` makes as few calls as it can and allocates no
+array of the batch's width: every plane, the full system's and each
+reduced model's, writes its increment and its noise term into two buffers
+shaped like the state, and one update steps them all (see its docstring).
+Each model's coefficient function is bound once per march
 (:func:`models.bind_coefficients`), and so is the full system's drift: the
 one definition of the benchmark's orthogonal drift,
 :func:`~mzcg.benchmark.bind_orthogonal_drift`, bound at scale dt to the x
@@ -77,12 +80,17 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from . import models
-from .benchmark import bind_orthogonal_drift
+from .benchmark import bind_orthogonal_drift, orthogonal_drift_bound
 
 # Any coordinate beyond this magnitude (or non-finite) counts as a blowup.
 BLOWUP_LIMIT = 1e12
 # Its square rounded: |v| >= BLOWUP_LIMIT gives v * v >= BLOWUP_SQUARED.
 BLOWUP_SQUARED = BLOWUP_LIMIT**2
+# The relative margin by which the blowup schedule widens its growth bound
+# (see _step_growth): far above the rounding of a step's few dozen
+# operations and of the schedule's own logarithms, a few units of 2**-53
+# each, and far below any growth it bounds.
+ROUNDING_MARGIN = 2.0**-30
 
 # Most steps one integration may take: beyond 2**53, round(t_final / dt) no
 # longer counts steps exactly (and no such run would finish).
@@ -425,6 +433,50 @@ def _blowup_error(step, state, beta, streams, recorded):
     )
 
 
+def _step_growth(p, dt, full, stepped, beta):
+    """The growth of one ``_march`` step at ``dt`` as (e, c, k): a state
+    whose entries are at most m in magnitude steps to one whose entries are
+    at most (1 + e) m + c + k z, z the largest |normal| it consumes.  x
+    steps to x (1 - mu dt) plus the orthogonal drift's increment, y to y
+    plus it (:func:`~mzcg.benchmark.orthogonal_drift_bound` at scale dt),
+    and each model to h + b dt (:func:`models.coefficients_bound`); the
+    thermostat adds amp z to x and y and sigma amp z to each model.  Each
+    is widened by the relative ROUNDING_MARGIN for the rounding of a step,
+    and e by ROUNDING_MARGIN besides, so e > 0."""
+    growth, offset, sigma = [0.0], [0.0], [0.0]
+    if full:
+        (kx, cx), (ky, cy) = orthogonal_drift_bound(p, dt)
+        growth += [abs(1.0 - p.mu * dt) - 1.0 + kx, ky]
+        offset += [cx, cy]
+        sigma.append(1.0)
+    for model in stepped:
+        k, c, s = models.coefficients_bound(model, beta)
+        growth.append(k * dt)
+        offset.append(c * dt)
+        sigma.append(s)
+    amp = 0.0 if beta is None else float(np.sqrt(2.0 * dt / beta).max())
+    widen = 1.0 + ROUNDING_MARGIN
+    return (max(growth) * widen + ROUNDING_MARGIN, max(offset) * widen,
+            amp * max(sigma) * widen)
+
+
+def _steps_to_test(squares, growth, offset, steps_left):
+    """Steps from a state whose sum of squares is ``squares`` to the next
+    blowup test, at most ``steps_left``.  No entry exceeds m = sqrt(squares)
+    in magnitude (widened for the rounding of the squares and their sum,
+    and for squares that underflow), and if a step maps a max-norm M to at
+    most (1 + e) M + c, then j steps give at most (1 + e)^j (m + d) - d
+    with d = c / e: the test is due at the first j at which that reaches
+    BLOWUP_LIMIT, found with log1p, which keeps a growth e near 0 exact.
+    It is due at the next step where one step's bound reaches the limit
+    (or is not finite), which also keeps e L below overflow."""
+    m = math.sqrt(squares + 5e-324) * (1.0 + ROUNDING_MARGIN)
+    if not (1.0 + growth) * m + offset < BLOWUP_LIMIT:
+        return min(1, steps_left)
+    ratio = (growth * BLOWUP_LIMIT + offset) / (growth * m + offset)
+    return math.ceil(min(math.log(ratio) / math.log1p(growth), steps_left))
+
+
 def _block_rows(record_bytes):
     """Records of ``record_bytes`` each in one record block."""
     return max(1, RECORD_BLOCK_BYTES // record_bytes)
@@ -479,16 +531,28 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     ``dot``, which skips ``np.dot``'s dispatch; only when the sum of squares
     reaches BLOWUP_SQUARED (or is not finite) does the exact test of every
     entry decide, so the decision is always that of the exact test.
+
+    The test runs only on the steps that an a-priori bound cannot clear.  A
+    passed test bounds every entry by the root of its sum of squares, and a
+    step grows that bound at most as :func:`_step_growth` says, from the
+    constants of each plane's drift, formed once per march, and the largest
+    |normal| of each noise chunk: :func:`_steps_to_test` gives the first
+    step at which the grown bound can reach BLOWUP_LIMIT, and the test is
+    due there.  No step before it can leave range, so a blowup is still
+    reported at its first step.  A chunk's last step is always tested, so
+    that no schedule runs on past the noise that set it.  At the desk steps
+    the test runs once in hundreds of steps, on wide and narrow batches
+    alike; a state whose bound cannot clear a step is tested on every step.
     """
     n_steps = cfg.n_steps
-    rec_idx = cfg.record_steps()
-    times = rec_idx * cfg.dt
-    rec_steps = rec_idx.tolist() + [-1]
-    rows = len(rec_idx) if sink is None else min(len(rec_idx), _block_rows(record.nbytes))
+    stride = cfg.record_stride
+    times = cfg.record_steps() * cfg.dt
+    rows = len(times) if sink is None else min(len(times), _block_rows(record.nbytes))
     out = np.empty((rows,) + record.shape)
     out[0] = record
-    # Records taken, and the record in row 0 of ``out``.
-    rec_pos, start = 1, 0
+    # Records taken, the record in row 0 of ``out``, and the step of the
+    # next record: record k is at step k * stride, the last at n_steps.
+    rec_pos, start, rec_step = 1, 0, min(stride, n_steps)
 
     def package_taken():
         """The package of the records taken, handed to the sink first."""
@@ -532,6 +596,7 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     # The bound method skips np.dot's dispatch for the same BLAS ddot.
     sum_of_squares = flat.dot
     chunk = noise_chunk_steps(state.shape[-1], n_steps)
+    growth, offset, gain = _step_growth(p, cfg.dt, full, stepped, beta)
 
     # In-place ufuncs take their output positionally: the out= keyword adds a
     # per-call cost that shows on narrow batches, such as one-row models.
@@ -542,11 +607,20 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
     # decides.  A step from a state in range overflows elsewhere only when
     # it leaves range too, and then raises.
     with np.errstate(over="ignore"):
+        # The sum of squares at the last test, here of the start.
+        squares = sum_of_squares(flat)
         while step < n_steps:
             span = min(chunk, n_steps - step)
+            c = offset
             if thermostat:
                 noise = None  # the last chunk goes before the next is drawn
                 noise = _draw_noise(streams, span)[:, :, None]
+                # The largest |normal| of the chunk, with no temporary.
+                c += gain * float(max(noise.max(), -noise.min()))
+            # A chunk ends on a test, so that the next one's schedule, with
+            # its own noise, starts from a test.
+            end = step + span
+            due = step + _steps_to_test(squares, growth, c, span)
             for j in range(span):
                 if full:
                     # -grad V dt: the orthogonal drift's increment, then
@@ -566,19 +640,24 @@ def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=No
                 if thermostat:
                     add(state, noise_term, state)
                 step += 1
-                # The sum of squares is at least each rounded square, so passing
-                # it means every |entry| < BLOWUP_LIMIT; nan, inf and overflowing
-                # squares fail it and fall through to the exact test.
-                if not sum_of_squares(flat) < BLOWUP_SQUARED and not (
-                    np.abs(state).max() < BLOWUP_LIMIT
-                ):
-                    raise _blowup_error(step, state, beta, streams, package_taken())
-                if step == rec_steps[rec_pos]:
+                if step == due:
+                    # The sum of squares is at least each rounded square, so
+                    # passing it means every |entry| < BLOWUP_LIMIT; nan, inf
+                    # and overflowing squares fail it and fall through to the
+                    # exact test.
+                    squares = sum_of_squares(flat)
+                    if not squares < BLOWUP_SQUARED and not (
+                        np.abs(state).max() < BLOWUP_LIMIT
+                    ):
+                        raise _blowup_error(step, state, beta, streams, package_taken())
+                    due = step + _steps_to_test(squares, growth, c, end - step)
+                if step == rec_step:
                     if rec_pos - start == rows:
                         sink(start, out)
                         start = rec_pos
                     out[rec_pos - start] = record
                     rec_pos += 1
+                    rec_step = min(rec_pos * stride, n_steps)
 
     return package_taken()
 
@@ -683,19 +762,21 @@ def _flow(model, h, cfg):
     ``cfg.record_steps()`` before the first step that leaves range, and that
     step, or None for a run that reaches the end.
     """
-    rec_steps = cfg.record_steps().tolist() + [-1]
-    values = np.empty(len(rec_steps) - 1)
+    n_steps, stride = cfg.n_steps, cfg.record_stride
+    values = np.empty(cfg.n_records)
     h = values[0] = float(h)
     dt = cfg.dt
     drift = models.bind_float_drift(model)
-    rec_pos = 1
-    for step in range(1, cfg.n_steps + 1):
+    # Record k is at step k * stride, the last at n_steps.
+    rec_pos, rec_step = 1, min(stride, n_steps)
+    for step in range(1, n_steps + 1):
         h = h + drift(h) * dt
         if not abs(h) < BLOWUP_LIMIT:
             return values[:rec_pos], step
-        if step == rec_steps[rec_pos]:
+        if step == rec_step:
             values[rec_pos] = h
             rec_pos += 1
+            rec_step = min(rec_pos * stride, n_steps)
     return values, None
 
 

@@ -1,12 +1,14 @@
 import csv
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mzcg import csvio
 from mzcg.csvio import format_value, read_csv, write_csv
 
 COMMENTS = [("seed", 1), ("dt", 1e-4), ("models", ("memory-free", 2.5)), ("flag", True)]
@@ -46,6 +48,14 @@ def written_bytes(writer, columns):
 @given(st.lists(float_columns, max_size=5))
 def test_float_columns_match_reference_writer(columns):
     assert written_bytes(write_csv, columns) == written_bytes(reference_write_csv, columns)
+
+
+@settings(deadline=None)
+@given(st.lists(float_columns, max_size=5), st.integers(1, 4))
+def test_rows_written_in_blocks_match_reference_writer(columns, block_rows):
+    # Blocks that end inside a segment of the ragged columns and on its edge.
+    with mock.patch.object(csvio, "BLOCK_ROWS", block_rows):
+        assert written_bytes(write_csv, columns) == written_bytes(reference_write_csv, columns)
 
 
 @settings(deadline=None)

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzcg
-from mzcg import sde
+from mzcg import csvio, sde
 from mzcg.cli import main
-from mzcg.config import EXPERIMENTS, KEYS, ConfigError, resolve
+from mzcg.config import EXPERIMENTS, KEYS, ConfigError, _array_bytes, resolve
 from mzcg.csvio import format_value, read_csv, write_csv
 from mzcg.experiments import RUNNERS, run, simulate_stationary, time_to_half
 from mzcg.kernel import fit_decay_rate
@@ -136,6 +136,20 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="use fewer n_samples$"):
             resolve("ensemble", set_pairs=pairs + ["n_samples=200000"])
         resolve("ensemble", set_pairs=pairs + ["n_samples=20000"])
+
+    def test_memory_check_bounds_one_block_by_what_it_holds(self, monkeypatch):
+        # A full-scale ensemble that records each of its 32 million steps:
+        # several stream blocks hold every record, 1,152 GB, while one holds
+        # the statistics, 5.4 GB, which a machine of 8 GB holds.  Without a
+        # worker count the check takes the several-block bound.
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 10**9 // 4096}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        resolve("ensemble", set_pairs=["record_stride=1"], threads=1)
+        for threads in (2, None):
+            with pytest.raises(ConfigError, match="needs 1,152.0 GB"):
+                resolve("ensemble", set_pairs=["record_stride=1"], threads=threads)
+        with pytest.raises(ConfigError, match="needs 10.8 GB .* use a larger record_stride$"):
+            resolve("ensemble", set_pairs=["record_stride=1", "t_final=640"], threads=1)
 
     def test_memory_check_sizes_the_noise_chunk_by_bytes(self, monkeypatch):
         # A chunk of 4,096 steps would need 13.1 GB at 200,000 streams; the
@@ -429,6 +443,32 @@ class TestStreamStatistics:
         assert len(outputs[0]) == (2 if experiment == "ensemble" else 1)
         assert all(files == outputs[0] for files in outputs)
 
+    @pytest.mark.parametrize("experiment, n_samples", [("ensemble", 4),
+                                                       ("mean-trajectory", 64)])
+    def test_one_block_holds_no_more_per_record_than_its_memory_bound(
+            self, monkeypatch, experiment, n_samples):
+        # numpy reports its buffers to tracemalloc, and Python its floats.
+        # Between two horizons, the peak of a whole run, its files written,
+        # grows by at most what the one-block bound adds per record.  Both
+        # horizons fill the engine's record block (3,640 and 2,048 records
+        # here) and the writer's block of rows, shortened to 1,024.
+        monkeypatch.setattr(csvio, "BLOCK_ROWS", 1024)
+
+        def peak_and_bound(t_final):
+            cfg = resolve(experiment, set_pairs=[f"n_samples={n_samples}", "record_stride=1",
+                                                 f"t_final={t_final}"], desk_scale=True)
+            with tempfile.TemporaryDirectory() as tmp:
+                tracemalloc.start()
+                try:
+                    RUNNERS[experiment](cfg, os.path.join(tmp, "o.csv"))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            return peak, _array_bytes(experiment, cfg, 1)[0]
+
+        (peak_a, bound_a), (peak_b, bound_b) = peak_and_bound(0.5), peak_and_bound(1)
+        assert 0 < peak_b - peak_a <= bound_b - bound_a
+
     def test_one_block_never_holds_every_record(self):
         # numpy reports its buffers to tracemalloc.  The one block of every
         # stream hands each record block of about RECORD_BLOCK_BYTES to the
@@ -646,6 +686,28 @@ class TestCLIContract:
         assert res.exit_code == 0
         assert seen == [used]
 
+    @pytest.mark.parametrize("cpus, code", [(1, 0), (2, 2)])
+    def test_memory_check_takes_the_capped_worker_count(self, tmp_path, monkeypatch, cpus,
+                                                        code):
+        # --threads 4 runs one stream block on one usable CPU, which holds the
+        # 5.4 GB of statistics of a full-scale ensemble that records every
+        # step, on a machine of 8 GB; two blocks hold 1,152 GB of records.
+        # The runner is replaced, so nothing runs.
+        sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 10**9 // 4096}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        monkeypatch.setattr(mzcg.cli, "_usable_cpus", lambda: cpus)
+        seen = []
+
+        def runner(cfg, out, threads=1):
+            seen.append(threads)
+            return 0
+
+        monkeypatch.setitem(mzcg.experiments.RUNNERS, "ensemble", runner)
+        res = run_cli(["ensemble", "--set", "record_stride=1", "--threads", "4",
+                       "--out", str(tmp_path / "e.csv")])
+        assert res.exit_code == code
+        assert seen == ([1] if code == 0 else [])
+
     @pytest.mark.parametrize("args", [
         ["kernel", "--set", "omega=0"],
         ["kernel", "--set", "dt=inf"],
@@ -682,10 +744,12 @@ class TestCLIContract:
          "--set", "n_lags=3"],
         # omega x0 overflows to inf, whose cosine is nan (math.cos would raise).
         pytest.param(["kernel", "--set", "x0=1e308"], id="x0-overflow"),
-        # Arrays beyond physical memory, e.g. 1.2 TB for a full-scale ensemble
-        # that records every step; each fails before anything is allocated.
-        pytest.param(["ensemble", "--set", "record_stride=1"], id="records-exceed-memory"),
-        ["mean-trajectory", "--set", "record_stride=1", "--set", "n_samples=100000"],
+        # Arrays beyond physical memory, e.g. 17 TB of statistics for an
+        # ensemble that records each of 1e11 steps, even in one stream block;
+        # each fails before anything is allocated.
+        pytest.param(["ensemble", "--set", "record_stride=1", "--set", "t_final=1e6"],
+                     id="records-exceed-memory"),
+        ["mean-trajectory", "--set", "record_stride=1", "--set", "t_final=1e6"],
         ["stationary", "--set", "stride_main=1", "--set", "n_samples=10000000"],
         ["kernel", "--set", "n_samples=100000000000"],
         ["landscape", "--set", "grid_points=10000000"],

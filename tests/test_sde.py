@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import functools
 import math
 import os
@@ -18,7 +19,7 @@ from scipy.special import ndtri
 
 from mzcg import experiments, kernel, sde
 from mzcg.benchmark import BenchmarkParams, conditional_y_sample, grad_potential
-from mzcg.config import resolve
+from mzcg.config import params_from_config, resolve
 from mzcg.kernel import _sample_orthogonal_drifts, memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
@@ -771,14 +772,15 @@ class TestModelPlanes:
 
 
 class _FilledStream:
-    """A stand-in NoiseStream whose pairs are all 0.1, filled without a
-    ufunc call."""
+    """A stand-in NoiseStream whose pairs all equal ``value``, filled
+    without a ufunc call."""
 
-    def __init__(self, stream_id):
+    def __init__(self, stream_id, value=0.1):
         self.stream_id = stream_id
+        self.value = value
 
     def pairs(self, count, out):
-        out.fill(0.1)
+        out.fill(self.value)
         return out.reshape(count, 2)
 
 
@@ -849,6 +851,225 @@ class TestEngineCalls:
         assert _ufunc_calls_per_step(lambda n_steps: integrate_crn_batch(
             P, model_list, self.starts()[0], 0.2, self.cfg(n_steps),
             [_FilledStream(i) for i in range(self.N)], (1.0, 10.0, 100.0))) == 36
+
+    @pytest.mark.parametrize("engine", ["flow", "full", "crn"])
+    def test_stable_desk_march_tests_fewer_than_one_step_in_100(self, engine):
+        # The desk step, 1e-4, of mean-trajectory (flow) and ensemble (crn).
+        n, n_steps = 200, 4096
+        cfg = IntegratorConfig(dt=1e-4, t_final=n_steps * 1e-4)
+        x0 = np.linspace(-0.4, 0.5, n)
+        starts = np.stack([x0, P.tau * np.sin(P.omega * x0) + 0.1], axis=-1)
+        streams = [NoiseStream(1, i) for i in range(n)]
+        model_list = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+        run = {
+            "flow": lambda: integrate_flow_batch(P, model_list, starts, 2.0, cfg),
+            "full": lambda: integrate_full_batch(P, starts, cfg, streams),
+            "crn": lambda: integrate_crn_batch(P, model_list, starts[0], 0.2, cfg, streams,
+                                               (1.0, 10.0, 100.0)),
+        }[engine]
+        assert _dot_calls(run) < n_steps / 100
+
+    def test_march_that_the_bound_cannot_clear_tests_every_step(self):
+        # Entries near the limit, which memory-free relaxes too slowly to
+        # leave its bound's reach in a few steps.
+        def run(n_steps):
+            return integrate_scalar_batch(
+                EffectiveModel(MEMORY_FREE, P), P, np.full(self.N, 0.9 * BLOWUP_LIMIT),
+                self.cfg(n_steps), [_FilledStream(i) for i in range(self.N)])
+
+        assert (_dot_calls(lambda: run(9)) - _dot_calls(lambda: run(4))) / 5 == 1
+
+
+class _DotCounting(np.ndarray):
+    """An array whose ``dot`` calls are counted in ``calls``."""
+
+    calls = 0
+
+    def dot(self, *args, **kwargs):
+        _DotCounting.calls += 1
+        return super().dot(*args, **kwargs)
+
+
+def _dot_calls(run):
+    """The calls that ``run()`` makes of its engine state's ``dot``, the
+    blowup test's sum of squares."""
+    march = sde._march
+
+    def counted(p, cfg, state, *args):
+        return march(p, cfg, state.view(_DotCounting), *args)
+
+    _DotCounting.calls = 0
+    with mock.patch.object(sde, "_march", counted):
+        run()
+    return _DotCounting.calls
+
+
+@contextlib.contextmanager
+def _every_step():
+    """The engine with its blowup test on every step, as it was before the
+    growth bound's schedule: the reference that the schedule must match."""
+    with mock.patch.object(sde, "_steps_to_test",
+                           lambda squares, growth, offset, steps_left: min(1, steps_left)):
+        yield
+
+
+def _flat(value):
+    """``value``'s arrays, as (shape, bytes), and other leaves, in order."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _flat(item)]
+    if isinstance(value, np.ndarray):
+        return [(value.shape, value.tobytes())]
+    return [value]
+
+
+def _same_blowup(run):
+    """The blowup that ``run()`` raises, after checking that it raises the
+    same one, with the same step, stream, beta and records, when the
+    engine tests every step."""
+    with pytest.raises(NumericalBlowupError) as info:
+        run()
+    with _every_step(), pytest.raises(NumericalBlowupError) as ref:
+        run()
+    err, ref = info.value, ref.value
+    assert (err.step, err.stream_id, err.beta) == (ref.step, ref.stream_id, ref.beta)
+    assert _flat(err.recorded) == _flat(ref.recorded)
+    return err
+
+
+@st.composite
+def _growth_cases(draw, full, thermostat):
+    """Parameters, dt, a state in range, betas (None unthermostatted) and
+    a noise value for one engine step: states near the crests of x (where
+    tan(omega x / 2) is huge) and of h (tan(omega h)), and up to 1e11."""
+    mu = draw(st.floats(1e-3, 1e3))
+    p = BenchmarkParams(mu=mu, lam=mu * draw(st.floats(6.0, 1e3)),
+                        tau=draw(st.floats(0.0, 10.0)),
+                        omega=draw(st.one_of(st.just(0.0), st.floats(1e-3, 100.0))),
+                        beta=1.0)
+    dt = draw(st.floats(1e-8, 1.0))
+    crest = st.tuples(st.integers(-10**6, 10**6), st.sampled_from([1.0, 2.0]),
+                      st.sampled_from([-math.inf, 0.0, math.inf])).map(
+        lambda c: np.nextafter((c[0] + 0.5) * c[1] * math.pi / (p.omega or 1.0), c[2])
+        if c[2] else (c[0] + 0.5) * c[1] * math.pi / (p.omega or 1.0))
+    values = st.one_of(st.floats(-1e11, 1e11), st.floats(-1.0, 1.0), crest)
+    n_beta = draw(st.integers(1, 3)) if thermostat else 1
+    shape = (2 if full else 1, n_beta, draw(st.integers(1, 4)))
+    state = draw(arrays(np.float64, shape, elements=values))
+    beta = (np.array(draw(st.lists(st.floats(1e-3, 1e6), min_size=n_beta, max_size=n_beta)))
+            .reshape(-1, 1) if thermostat else None)
+    z = draw(st.one_of(st.just(0.0), st.floats(-50.0, 50.0))) if thermostat else 0.0
+    return p, dt, state, beta, z
+
+
+class TestBlowupSchedule:
+    """The engine tests for blowup only on steps that its growth bound per
+    step cannot clear, so it must report what a test on every step does."""
+
+    @pytest.mark.parametrize("full, thermostat, kinds", [
+        (True, False, ()), (True, True, ()),
+        (False, True, (MEMORY_CORRECTED,)), (False, True, (MEMORY_FREE,)),
+    ], ids=["full", "full-thermostatted", "memory-corrected", "memory-free"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_step_stays_within_the_growth_bound(self, full, thermostat, kinds, data):
+        # (1 + e) m + c + k |z|, m the largest |entry| before the step.
+        p, dt, state, beta, z = data.draw(_growth_cases(full, thermostat))
+        stepped = [EffectiveModel(kind, p) for kind in kinds]
+        m = np.abs(state).max()
+        growth, offset, gain = sde._step_growth(p, dt, full, stepped, beta)
+        streams = [_FilledStream(i, z) for i in range(state.shape[-1])]
+        with np.errstate(all="ignore"):
+            try:
+                sde._march(p, IntegratorConfig(dt=dt, t_final=dt), state, full, stepped, beta,
+                           streams, state, lambda times, recs: None)
+            except NumericalBlowupError:
+                pass
+        assert np.abs(state).max() <= (1.0 + growth) * m + offset + gain * abs(z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        squares=st.one_of(st.floats(0.0, 1e30), st.sampled_from([0.0, 5e-324, 1e24, 2e24])),
+        growth=st.floats(sde.ROUNDING_MARGIN, 1e3),
+        offset=st.floats(0.0, 2e12),
+    )
+    def test_schedule_clears_only_steps_that_stay_in_range(self, squares, growth, offset):
+        # The bound (1 + e)^j (m + d) - d, d = c / e, in 60 digits, from the
+        # largest m that the rounded squares allow (each square rounds by a
+        # relative 2**-53 or, below the normals, by 2**-1075): below the
+        # limit one step before the test, and near it at the test.
+        steps = sde._steps_to_test(squares, growth, offset, 2**62)
+        assert 1 <= steps <= 2**62
+        ctx = decimal.Context(prec=60)
+        m = ctx.sqrt((decimal.Decimal(squares) + decimal.Decimal(5e-324))
+                     * (1 + decimal.Decimal(2.0**-52)))
+        a, d = 1 + decimal.Decimal(growth), decimal.Decimal(offset) / decimal.Decimal(growth)
+        limit = decimal.Decimal(BLOWUP_LIMIT)
+
+        def bound(j):
+            return ctx.power(a, j) * (m + d) - d
+
+        if steps > 1:
+            assert bound(steps - 1) < limit
+        if steps < 2**62:
+            assert bound(steps) >= limit * decimal.Decimal(1 - 1e-6)
+
+    @pytest.mark.parametrize("dt, step", [(0.12, 67), (0.15, 34)])
+    def test_mean_trajectory_blowup(self, dt, step):
+        cfg = resolve("mean-trajectory", set_pairs=["n_samples=4", f"dt={dt}", "t_final=20"])
+        p, x0 = params_from_config(cfg), cfg["x0"]
+        icfg = IntegratorConfig(dt, 20.0, cfg["record_stride"])
+        models = [EffectiveModel(kind, p) for kind in cfg["models"]]
+
+        def run():
+            # The runner's engine call, keeping every record.
+            streams = [NoiseStream(1, i) for i in range(4)]
+            x0s = np.stack([np.full(4, x0), conditional_y_sample(p, x0, streams)], axis=-1)
+            integrate_flow_batch(p, models, x0s, x0, icfg, streams)
+
+        err = _same_blowup(run)
+        assert (err.step, err.stream_id, err.beta) == (step, 0, None)
+        with pytest.raises(NumericalBlowupError) as runner:
+            experiments.simulate_mean_trajectory(cfg, 1)
+        assert (runner.value.step, runner.value.stream_id) == (step, 0)
+
+    @pytest.mark.parametrize("dt, step", [(0.12, 68), (0.15, 35)])
+    def test_ensemble_blowup(self, dt, step):
+        cfg = resolve("ensemble", set_pairs=["n_samples=4", f"dt={dt}", "t_final=20"])
+        x0 = cfg["x0"]
+        models = [EffectiveModel(MEMORY_CORRECTED, P), EffectiveModel(MEMORY_FREE, P)]
+        icfg = IntegratorConfig(dt, 20.0, cfg["record_stride"])
+        err = _same_blowup(lambda: integrate_crn_batch(
+            P, models, (x0, P.tau * math.sin(P.omega * x0)), x0, icfg,
+            [NoiseStream(1, i) for i in range(4)], cfg["beta_list"]))
+        assert (err.step, err.stream_id, err.beta) == (step, 0, 1.0)
+        with pytest.raises(NumericalBlowupError) as runner:
+            experiments.simulate_ensemble(cfg, 1)
+        assert (runner.value.step, runner.value.stream_id, runner.value.beta) == (step, 0, 1.0)
+
+    def test_stationary_blowup(self):
+        cfg = resolve("stationary", set_pairs=["n_samples=4", "dt_main=0.12"])
+        err = _same_blowup(lambda: experiments.simulate_stationary(cfg, 1))
+        assert (err.step, err.stream_id, err.beta) == (67, 0, 1.0)
+
+    def test_noise_past_the_normal_bound_is_bounded(self):
+        # A stand-in stream's 1e12, far past NORMAL_BOUND, drives the state
+        # out of range at step 23, which the drift alone would never do.
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
+        err = _same_blowup(lambda: integrate_scalar_batch(
+            EffectiveModel(MEMORY_FREE, P), P, np.zeros(3), cfg,
+            [_FilledStream(i, 1e12) for i in range(3)]))
+        assert (err.step, err.stream_id) == (23, 0)
+
+    def test_noise_induced_drift_is_bounded(self):
+        # At tau omega = 0.1, memory-corrected's noise-induced drift nears
+        # its bound tau^2 omega^3 / beta = 1e12, and one step of 2 from a
+        # crest leaves range, which the slope mu alone would not allow.
+        p = BenchmarkParams(mu=1.0, lam=20.0, tau=1e-15, omega=1e14, beta=1.0)
+        cfg = IntegratorConfig(dt=2.0, t_final=200.0)
+        err = _same_blowup(lambda: integrate_scalar_batch(
+            EffectiveModel(MEMORY_CORRECTED, p), p, np.full(2, math.pi / (4.0 * p.omega)), cfg,
+            [_FilledStream(i, 0.0) for i in range(2)]))
+        assert (err.step, err.stream_id) == (1, 0)
 
 
 def _record_runs(engine, stride, n_rec):

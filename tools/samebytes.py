@@ -29,7 +29,9 @@ import tempfile
 from pathlib import Path
 
 # (name, arguments): small runs that cover every experiment and its blowup
-# path, each at the default seed, 1.
+# path, each at the default seed, 1.  mean-trajectory-slow-blowup (dt = 0.12)
+# leaves range at step 67 after a slow approach, over which the engine tests
+# 27 steps and its growth bound clears the other 40.
 RUNS = [
     ("landscape", ["landscape", "--set", "grid_points=41"]),
     ("kernel", ["kernel", "--set", "n_samples=200", "--set", "n_lags=24"]),
@@ -48,6 +50,8 @@ RUNS = [
     ("stationary-blowup", ["stationary", "--set", "dt_main=0.2", "--set", "n_samples=4"]),
     ("mean-trajectory-blowup", ["mean-trajectory", "--set", "n_samples=4", "--set", "dt=0.2",
                                 "--set", "t_final=20"]),
+    ("mean-trajectory-slow-blowup", ["mean-trajectory", "--set", "n_samples=4",
+                                     "--set", "dt=0.12", "--set", "t_final=20"]),
     ("kernel-blowup", ["kernel", "--set", "omega=1e-100", "--set", "n_samples=4"]),
 ]
 THREADS = (1, 2)
