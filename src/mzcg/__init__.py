@@ -46,8 +46,10 @@ from .sde import (
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
-    Trajectory,
-    simulate_full,
+    integrate_crn_batch,
+    integrate_flow_batch,
+    integrate_full_batch,
+    integrate_scalar_batch,
     simulate_scalar,
 )
 

@@ -50,38 +50,34 @@ class BenchmarkParams:
     @cached_property
     def _drift_constants(self):
         """omega/2, 1, 2 tau, lam and -(lam tau omega), the constants of
-        :func:`bind_orthogonal_drift`, as read-only 0-d float64 arrays made
-        once: a ufunc takes one for less per call than a Python float, with
-        the same bits."""
-        constants = tuple(np.array(v) for v in (
-            0.5 * self.omega, 1.0, 2.0 * self.tau, self.lam,
-            -(self.lam * self.tau * self.omega)))
-        for c in constants:
-            c.flags.writeable = False
-        return constants
+        :func:`bind_orthogonal_drift`."""
+        return _constants(0.5 * self.omega, 1.0, 2.0 * self.tau, self.lam,
+                          -(self.lam * self.tau * self.omega))
 
     @cached_property
     def _flow_constants(self):
         """tau omega^2, tau, lam and tau^2 omega^2, the constants of the
-        invariant curves and of :func:`bind_orthogonal_flow`, as read-only
-        0-d float64 arrays made once."""
-        constants = tuple(np.array(v) for v in (
-            self.tau * self.omega * self.omega, self.tau, self.lam,
-            self.tau * self.tau * self.omega * self.omega))
-        for c in constants:
-            c.flags.writeable = False
-        return constants
+        invariant curves and of :func:`bind_orthogonal_flow`."""
+        return _constants(self.tau * self.omega * self.omega, self.tau, self.lam,
+                          self.tau * self.tau * self.omega * self.omega)
 
     @cached_property
     def _coupling_constants(self):
         """omega, 1, tau^2 omega^2 and -mu, the constants of
         :func:`bind_valley_coupling` and of the reduced models' bound
-        coefficients, as read-only 0-d float64 arrays made once."""
-        constants = tuple(np.array(v) for v in (
-            self.omega, 1.0, self.tau * self.tau * self.omega * self.omega, -self.mu))
-        for c in constants:
-            c.flags.writeable = False
-        return constants
+        coefficients."""
+        return _constants(self.omega, 1.0, self.tau * self.tau * self.omega * self.omega,
+                          -self.mu)
+
+
+def _constants(*values):
+    """``values`` as read-only 0-d float64 arrays, which the parameters make
+    once: a ufunc takes one for less per call than a Python float, with the
+    same bits."""
+    constants = tuple(np.array(v) for v in values)
+    for c in constants:
+        c.flags.writeable = False
+    return constants
 
 
 def potential(p: BenchmarkParams, x, y):
@@ -168,25 +164,8 @@ def conditional_y_sample(p: BenchmarkParams, x, streams):
     return mean + np.sqrt(1.0 / (p.beta * p.lam)) * next_pairs(streams)[0]
 
 
-def orthogonal_drift_xy(p: BenchmarkParams, x, y):
-    """Fluctuating part of the drift acting on (x, y), the full drift minus
-    its conditional average given x: (dx, dy) =
-    (-lam tau omega gap cos(omega x), lam gap) with gap = tau sin(omega x) - y.
-    It vanishes identically on y = tau sin(omega x).  ``x`` and ``y`` are
-    float arrays of one shape.
-
-    Returns a new array of shape (2,) + x.shape, from
-    :func:`bind_orthogonal_drift` bound for this one call at scale 1.
-    Adding (-mu x, 0) gives the full drift -grad V, which is what the
-    Euler-Maruyama engine steps.
-    """
-    out = np.empty((2,) + x.shape)
-    bind_orthogonal_drift(p, x, y, out, np.empty_like(x), 1.0)()
-    return out
-
-
 def bind_orthogonal_drift(p: BenchmarkParams, x, y, out, cos, scale):
-    """``scale`` times :func:`orthogonal_drift_xy` at the live values of
+    """``scale`` times :func:`orthogonal_drift` at the live values of
     ``x`` and ``y`` as a function of no argument that writes it into ``out``
     and returns nothing: the one definition of the orthogonal drift and its
     one in-place form.  The engine binds it once per march at scale dt, so
@@ -242,11 +221,21 @@ def orthogonal_drift_bound(p: BenchmarkParams, scale):
 
 
 def orthogonal_drift(p: BenchmarkParams, x, y):
-    """:func:`orthogonal_drift_xy` on scalars or arrays that broadcast
-    together, with the components stacked along the last axis."""
+    """Fluctuating part of the drift acting on (x, y), the full drift minus
+    its conditional average given x: (dx, dy) =
+    (-lam tau omega gap cos(omega x), lam gap) with gap = tau sin(omega x) - y.
+    It vanishes identically on y = tau sin(omega x).  Adding (-mu x, 0)
+    gives the full drift -grad V, which is what the Euler-Maruyama engine
+    steps.
+
+    ``x`` and ``y`` are scalars or arrays that broadcast together; the
+    components come stacked along the last axis of a new array, from
+    :func:`bind_orthogonal_drift` bound for this one call at scale 1.
+    """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    dx, dy = orthogonal_drift_xy(p, x.reshape(-1), y.reshape(-1))
-    return np.stack((dx, dy), axis=-1).reshape(x.shape + (2,))
+    out = np.empty((2, x.size))
+    bind_orthogonal_drift(p, x.reshape(-1), y.reshape(-1), out, np.empty(x.size), 1.0)()
+    return np.stack(tuple(out), axis=-1).reshape(x.shape + (2,))
 
 
 # Along a characteristic of the orthogonal dynamics, theta = omega x and y

@@ -30,10 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .benchmark import BenchmarkParams
-from .csvio import BLOCK_ROWS
+from .csvio import block_bytes
 from .kernel import FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, kernel_decay_rate
-from .models import MODEL_KINDS
-from .sde import NORMAL_BOUND, RECORD_BLOCK_BYTES, IntegratorConfig, noise_chunk_steps
+from .models import MEMORY_CORRECTED, MEMORY_FREE, MODEL_KINDS
+from .sde import NORMAL_BOUND, IntegratorConfig, march_floats, sink_floats
 
 EXPERIMENTS = (
     "landscape",
@@ -380,23 +380,12 @@ def _check_kernel_resolution(cfg):
             f"= {amp * amp:g} is below {least:g}, so the kernel rounds to 0; use a larger tau")
 
 
-def _engine_floats(planes, streams, noise_steps):
-    """Floats that the Euler-Maruyama engine holds while it marches a state
-    of ``planes`` planes over ``streams`` streams: four arrays of the
-    state's size at most (the state, its drift, its noise term and the
-    models' noise multipliers, or the scratch rows that take their place)
-    and the noise chunk, 2 floats per stream and step of
-    :func:`~mzcg.sde.noise_chunk_steps` (``noise_steps`` is 0 for a run that
-    draws no noise)."""
-    return (4 * planes + 2 * noise_chunk_steps(streams, noise_steps)) * streams
-
-
 def _array_bytes(experiment, cfg, blocks=None):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
     kernels' per-lag samples, the landscape's grid, the stationary
     histogram's edges, counts, centres and two densities, and the engine's
-    state-sized buffers and noise chunk), and what shrinks the largest part
-    of them.
+    arrays, :func:`~mzcg.sde.march_floats`), and what shrinks the largest
+    part of them.
 
     ``ensemble`` and ``mean-trajectory`` in several stream blocks hold every
     record of every stream, in the workers and as the parent's pieces.  In
@@ -404,9 +393,9 @@ def _array_bytes(experiment, cfg, blocks=None):
     per record, the statistics, each model flow's values, the times and two
     floats of temporaries (the record steps the times are made from, or the
     reduction's), and besides them the engine's arrays, the record block
-    and the reduction's copies of it, and the CSV writer's block of rows.
-    ``blocks`` None, a worker count not known, takes the several-block
-    bound."""
+    and its reduction's copy (:func:`~mzcg.sde.sink_floats`), and the CSV
+    writer's block of rows (:func:`~mzcg.csvio.block_bytes`).  ``blocks``
+    None, a worker count not known, takes the several-block bound."""
     if experiment == "landscape":
         return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
     if experiment in ("kernel", "kernel-matrix"):
@@ -421,7 +410,7 @@ def _array_bytes(experiment, cfg, blocks=None):
                 2 * n * sum(phase.n_records for phase in phases),
             "fewer bins": 5 * (cfg["bins"] + 1),
             # One phase runs at a time.
-            "fewer n_samples": max(_engine_floats(2, n, phase.n_steps) for phase in phases),
+            "fewer n_samples": max(march_floats((), 1, n, phase.n_steps) for phase in phases),
         }
     else:
         icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
@@ -430,22 +419,21 @@ def _array_bytes(experiment, cfg, blocks=None):
             # x, y and the two models' planes at every beta, thermostatted;
             # full, approx and nomem recorded at every beta, and the mean
             # and stderr of each.
-            series, stats = 3 * betas * n, 2 * 3 * betas
-            engine = _engine_floats(4 * betas, n, icfg.n_steps)
+            record = series = 3 * betas * n
+            stats = 2 * 3 * betas
+            engine = march_floats((MEMORY_CORRECTED, MEMORY_FREE), betas, n, icfg.n_steps)
             columns = 7
         else:
             # The full system's x and y, unthermostatted: no noise.  Its x
             # is recorded, and each model flow's value.
             models = len(cfg["models"])
-            series, stats = n + models, 2 + models
-            engine = _engine_floats(2, n, 0)
+            record, series, stats = n, n + models, 2 + models
+            engine = march_floats((), 1, n)
             columns = 3 + models
         if blocks == 1:
-            # Per record, the statistics, the times and two temporaries;
-            # besides them the record block and up to three copies of it,
-            # and the writer's rows as Python floats, at most 64 B a cell.
+            # Per record, the statistics, the times and two temporaries.
             series = stats + 3
-            engine += 4 * RECORD_BLOCK_BYTES // 8 + 8 * BLOCK_ROWS * columns
+            engine += sink_floats(record, icfg.n_records) + block_bytes(columns) // 8
         parts = {"a larger record_stride": series * icfg.n_records, "fewer n_samples": engine}
     return 8 * sum(parts.values()), max(parts, key=parts.get)
 

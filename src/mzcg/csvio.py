@@ -15,6 +15,12 @@ import numpy as np
 BLOCK_ROWS = 1 << 14
 
 
+def block_bytes(n_columns):
+    """Bytes that :func:`write_csv` holds at once for ``n_columns`` columns:
+    a block of BLOCK_ROWS rows as Python floats, at most 64 B a cell."""
+    return 64 * BLOCK_ROWS * n_columns
+
+
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -23,7 +23,6 @@ from .sde import (
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
-    Trajectory,
     map_stream_blocks,
     mean_stderr,
 )
@@ -100,6 +99,7 @@ def memory_integral_closed_form(p: BenchmarkParams, h):
     return drift_term, div_term
 
 
+# The name stays for bench/layertrace.py, which wraps it.
 def _rk4_march(p, y, inv, span, dt):
     """Advance the y of a batch of samples on the invariant curves ``inv`` of
     the orthogonal dynamics (:func:`~mzcg.benchmark.orthogonal_invariant`) by
@@ -142,34 +142,39 @@ def _rk4_march(p, y, inv, span, dt):
     return np.multiply(v, tau, v)
 
 
-def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig) -> Trajectory:
+# The name stays for bench/probes.py, which times it.
+def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig):
     """Integrate one characteristic curve of the orthogonal dynamics (the full
     nonlinear fluctuation drift, no noise) from (x0, y0) with classical RK4 at
     step ``cfg.dt``, as the kernel sampler does: y follows the flow on its
     invariant curve (:func:`_rk4_march`, so tau must be positive), and x
     comes from the curve (:func:`~mzcg.benchmark.orthogonal_flow_point`) as
-    x0 plus its move since the start, so a start on the valley keeps x0."""
+    x0 plus its move since the start, so a start on the valley keeps x0.
+
+    Returns (times, states): the times of ``cfg.record_steps()`` and the
+    states (x, y) recorded there, shape (n_rec, 2).  A step whose x or y is
+    out of range or not finite raises a blowup carrying the records before
+    it in ``recorded``, shaped alike."""
     if not p.tau > 0.0:
         raise ValueError("the orthogonal march needs tau > 0: it marches y / tau")
     y = np.array([y0], dtype=float)
     inv = benchmark.orthogonal_invariant(p, x0, y)
     x_start = benchmark.orthogonal_flow_point(p, x0, y, inv)[0]
     rec_idx = cfg.record_steps()
+    times = rec_idx * cfg.dt
     recorded = np.empty((len(rec_idx), 2))
     recorded[0] = (x0, y0)
     rec_pos = 1
     for step in range(1, cfg.n_steps + 1):
         y = _rk4_march(p, y, inv, cfg.dt, cfg.dt)
         x = x0 + (benchmark.orthogonal_flow_point(p, x0, y, inv)[0] - x_start)
-        if not max(abs(x[0]), abs(y[0])) < BLOWUP_LIMIT:
-            raise NumericalBlowupError(
-                step,
-                trajectory=Trajectory(rec_idx[:rec_pos] * cfg.dt, recorded[:rec_pos]),
-            )
+        # Each coordinate on its own: max() of a finite x and a nan y is x.
+        if not (abs(x[0]) < BLOWUP_LIMIT and abs(y[0]) < BLOWUP_LIMIT):
+            raise NumericalBlowupError(step, recorded=(times[:rec_pos], recorded[:rec_pos]))
         if step == rec_idx[rec_pos]:
             recorded[rec_pos] = (x[0], y[0])
             rec_pos += 1
-    return Trajectory(rec_idx * cfg.dt, recorded)
+    return times, recorded
 
 
 def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):

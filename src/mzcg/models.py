@@ -62,6 +62,7 @@ class EffectiveModel:
             )
 
 
+# The name stays for bench/layertrace.py, which wraps it.
 def drift(model: EffectiveModel, h):
     """Deterministic drift b(h) of the reduced model; pure in ``h``.
 
@@ -114,6 +115,7 @@ def bind_float_drift(model: EffectiveModel):
     return naive_memory
 
 
+# The name stays for bench/layertrace.py, which wraps it.
 def diffusion(model: EffectiveModel, h):
     """Noise multiplier sigma(h): the SDE noise term is
     sigma(h) * sqrt(2 dt / beta) * xi.
@@ -212,6 +214,12 @@ def bind_coefficients(model: EffectiveModel, out, beta=None, work=None):
         sqrt(sigma, sigma)
 
     return coefficients
+
+
+def coefficient_planes(kind):
+    """Arrays of ``b``'s shape that :func:`bind_coefficients` makes for a
+    model of ``kind`` given ``work``: memory-corrected's noise factor."""
+    return int(kind == MEMORY_CORRECTED)
 
 
 def coefficients_bound(model: EffectiveModel, beta=None):

@@ -4,9 +4,10 @@ reproducible, ensembles are independent of how they are split into stream
 blocks, and reduced models can share the resolved-component Brownian
 increments of the full system (common random numbers).
 
-One chunked loop, ``_march``, steps every batch; ``integrate_full_batch``,
-``integrate_scalar_batch`` and ``integrate_crn_batch`` only choose its
-planes, betas and output layout.
+The batch front ends, ``integrate_full_batch``, ``integrate_scalar_batch``,
+``integrate_crn_batch`` and ``integrate_flow_batch``, are the engine's API.
+One chunked loop, ``_march``, steps every batch; the front ends only choose
+its planes, betas and output layout.
 The state is laid out (plane, beta, stream): one contiguous plane per
 coordinate (x and y of the full system, h of each reduced model) and rows
 indexed by (beta, stream), so several inverse temperatures run as one wide
@@ -54,13 +55,17 @@ every stream can reduce its stream statistics as it goes
 stream blocks are reduced the same way, a joined record block at a time
 (:func:`join_statistics`).
 
-An unthermostatted reduced model has one path, a recurrence in Python
-floats (``_flow``) on its drift bound once (:func:`models.bind_float_drift`),
-which costs far less than a one-row engine step.  ``integrate_flow_batch``
-runs the unthermostatted full system in ``_march`` and each model beside it
-that way, and ``simulate_scalar`` with the thermostat off runs one.  A model
-that leaves range ends there, keeping its blowup step and its records
-before it, while the full system and the other models go on.
+An unthermostatted reduced model has one path, ``simulate_scalar``: a
+recurrence in Python floats on its drift bound once
+(:func:`models.bind_float_drift`), which costs far less than a one-row
+engine step.  ``integrate_flow_batch`` runs the unthermostatted full system
+in ``_march`` and each model beside it that way.  A model that leaves range
+ends there, keeping its blowup step and its records before it, while the
+full system and the other models go on.
+
+Each array that the memory check of :mod:`mzcg.config` counts is counted
+beside the code that allocates it: the march's by :func:`march_floats`, the
+record block and its reduction's copy by :func:`sink_floats`.
 
 ``map_stream_blocks`` splits an ensemble into one stream block per worker and
 runs them in forked processes: the per-step loop holds the interpreter lock,
@@ -154,23 +159,21 @@ class NumericalBlowupError(RuntimeError):
     """State left the representable range during integration.
 
     Carries the failing ``step`` index and, when known, the ``stream_id`` and
-    inverse temperature ``beta`` of the offending trajectory.  Batch
-    integrators stash the prefix recorded before the failure in ``recorded``,
-    shaped like their return value; the single-trajectory wrappers re-raise
-    with that prefix as a ``trajectory``.
+    inverse temperature ``beta`` of the offending trajectory.  The function
+    that raises it stashes the prefix recorded before the failure in
+    ``recorded``, shaped like its return value.
     """
 
-    def __init__(self, step, stream_id=None, trajectory=None, recorded=None, beta=None):
+    def __init__(self, step, stream_id=None, recorded=None, beta=None):
         self.step = step
         self.stream_id = stream_id
-        self.trajectory = trajectory
         self.recorded = recorded
         self.beta = beta
         super().__init__(f"state exceeded {BLOWUP_LIMIT:g} at step {step}{self.where}")
 
     def __reduce__(self):
         # Keep every field when a worker process sends the error back.
-        return type(self), (self.step, self.stream_id, self.trajectory, self.recorded, self.beta)
+        return type(self), (self.step, self.stream_id, self.recorded, self.beta)
 
     @property
     def where(self) -> str:
@@ -304,26 +307,6 @@ class IntegratorConfig:
         return idx
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One recorded realisation: strictly increasing ``times`` and per-time
-    ``states`` (shape (n,) for scalar models, (n, 2) for the full system)."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("times must be strictly increasing")
-
-    @property
-    def x(self) -> np.ndarray:
-        """The resolved component (first coordinate for 2D states)."""
-        return self.states if self.states.ndim == 1 else self.states[:, 0]
-
-
 def noise_chunk_steps(n_streams, steps):
     """Steps of noise that ``_march`` draws at once for ``n_streams`` streams
     over a run of ``steps`` steps: NOISE_CHUNK, fewer when its 16 bytes per
@@ -332,6 +315,11 @@ def noise_chunk_steps(n_streams, steps):
     addressed by position, so no value depends on the chunk."""
     by_bytes = NOISE_CHUNK_BYTES // (16 * max(1, n_streams))
     return min(NOISE_CHUNK, steps, max(NOISE_CHUNK_FLOOR, by_bytes))
+
+
+def _noise_group(n_streams, span):
+    """Streams that ``_draw_noise`` draws into its reused buffer at once."""
+    return max(1, min(n_streams, NOISE_GROUP_BYTES // (16 * span)))
 
 
 def _draw_noise(streams, span):
@@ -344,11 +332,13 @@ def _draw_noise(streams, span):
     a new cache line per element."""
     n = len(streams)
     noise = np.empty((span, 2, n))
-    group = max(1, min(n, NOISE_GROUP_BYTES // (16 * span)))
+    group = _noise_group(n, span)
     buf = np.empty((group, 2 * span))
+    # One pass over the streams: a slice per group would be a list as long.
+    rest = iter(streams)
     for a in range(0, n, group):
         k = min(group, n - a)
-        for s, row in zip(streams[a:a + k], buf):
+        for row, s in zip(buf[:k], rest):
             s.pairs(span, row)
         noise[:, :, a:a + k] = buf[:k].reshape(k, span, 2).transpose(1, 2, 0)
     return noise
@@ -480,6 +470,25 @@ def _steps_to_test(squares, growth, offset, steps_left):
 def _block_rows(record_bytes):
     """Records of ``record_bytes`` each in one record block."""
     return max(1, RECORD_BLOCK_BYTES // record_bytes)
+
+
+def march_floats(kinds, n_beta, n_streams, noise_steps=0):
+    """Floats that :func:`_march` holds at once besides its records, its
+    state included, for the full system beside reduced models of ``kinds``
+    at ``n_beta`` betas over ``n_streams`` streams, in planes of n_beta x
+    n_streams: the state, its increment ``g`` and its noise term, of 2 +
+    len(kinds) planes each, and as many planes again for the models' noise
+    multipliers and the two scratch planes of the drifts; the planes that
+    each model's bound coefficients make (:func:`models.coefficient_planes`);
+    and, for a thermostatted run of ``noise_steps`` steps (0 for none), the
+    noise chunk of :func:`noise_chunk_steps` and the group buffer of
+    :func:`_draw_noise`."""
+    planes = 4 * (2 + len(kinds)) + sum(map(models.coefficient_planes, kinds))
+    floats = planes * n_beta * n_streams
+    if noise_steps:
+        span = noise_chunk_steps(n_streams, noise_steps)
+        floats += 2 * span * (n_streams + _noise_group(n_streams, span))
+    return floats
 
 
 def _march(p, cfg, state, full, stepped, beta, streams, record, package, sink=None):
@@ -682,6 +691,7 @@ def integrate_full_batch(p, x0s, cfg, streams=None, thermostat=True):
     )
 
 
+# The name stays for bench/probes.py, which times it, and bench/layertrace.py, which wraps it.
 def integrate_scalar_batch(model, p, h0s, cfg, streams):
     """Euler-Maruyama on a thermostatted reduced scalar model for a batch of
     trajectories, one stream per row of ``h0s``.
@@ -750,8 +760,9 @@ def integrate_crn_batch(p, scalar_models, xy0, h0, cfg, streams, beta=None, sink
                   sink)
 
 
-def _flow(model, h, cfg):
-    """The unthermostatted reduced model from ``h`` as a recurrence in Python
+# The name stays for bench/layertrace.py, which wraps it.
+def simulate_scalar(model, h0, cfg):
+    """The unthermostatted reduced model from ``h0`` as a recurrence in Python
     floats: each step is h + b(h) dt, with b the model's drift bound once
     (:func:`models.bind_float_drift`), so no step resolves the model's kind
     or constants, and a value has the bits of the same step on a one-element
@@ -764,7 +775,7 @@ def _flow(model, h, cfg):
     """
     n_steps, stride = cfg.n_steps, cfg.record_stride
     values = np.empty(cfg.n_records)
-    h = values[0] = float(h)
+    h = values[0] = float(h0)
     dt = cfg.dt
     drift = models.bind_float_drift(model)
     # Record k is at step k * stride, the last at n_steps.
@@ -785,10 +796,10 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None, sink=None
     (n, 2)), and beside them each reduced scalar model as a deterministic
     flow from ``h0``.
 
-    Each model steps as a recurrence in Python floats (:func:`_flow`); a
-    model that blows up ends there and the rest go on.  A blowup of the full
-    system raises, naming the row's stream when ``streams`` (one per row,
-    never drawn from) is given.
+    Each model steps as a recurrence in Python floats
+    (:func:`simulate_scalar`); a model that blows up ends there and the rest
+    go on.  A blowup of the full system raises, naming the row's stream when
+    ``streams`` (one per row, never drawn from) is given.
 
     Returns (times, full_x, model_runs): full_x of shape (n, n_rec), a view
     of the record-major records, holds the full system's x, and model_runs
@@ -797,7 +808,7 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None, sink=None
     ``sink``, the full system's records go to it instead, a block at a time
     (see :func:`_march`), laid out (record, 1, stream), and full_x is None.
     """
-    runs = [_flow(model, h0, cfg) for model in scalar_models]
+    runs = [simulate_scalar(model, h0, cfg) for model in scalar_models]
     x0s = np.asarray(x0s, dtype=float)
     state = np.empty((2, 1, x0s.shape[0]))
     state[:, 0] = x0s.T
@@ -805,53 +816,6 @@ def integrate_flow_batch(p, scalar_models, x0s, h0, cfg, streams=None, sink=None
         p, cfg, state, True, (), None, streams, state[0],
         lambda times, recs: (times, None if recs is None else recs[:, 0].T, runs), sink,
     )
-
-
-def _one_trajectory(stream, integrate, *args):
-    """Row 0 of the one-row batch ``integrate(*args)`` as a Trajectory; a
-    blowup is raised again with ``stream``'s id and the recorded prefix as
-    its trajectory."""
-    try:
-        times, rec = integrate(*args)
-    except NumericalBlowupError as err:
-        t_part, rec_part = err.recorded
-        raise NumericalBlowupError(
-            err.step, stream_id=stream.stream_id,
-            trajectory=Trajectory(t_part, rec_part[0]), beta=err.beta,
-        ) from None
-    return Trajectory(times, rec[0])
-
-
-def simulate_full(p, x0, cfg, stream, thermostat=True) -> Trajectory:
-    """Integrate one realisation of the full 2D dynamics from ``x0``.
-
-    With the thermostat off the Brownian term is dropped entirely and the run
-    is a deterministic gradient flow.  On blowup the raised error carries the
-    trajectory recorded so far.
-    """
-    return _one_trajectory(
-        stream, integrate_full_batch, p, np.asarray(x0, dtype=float)[None, :], cfg,
-        None if not thermostat else [stream], thermostat,
-    )
-
-
-def simulate_scalar(model, p, h0, cfg, stream, thermostat=True) -> Trajectory:
-    """Integrate one realisation of a reduced scalar model from ``h0``.
-
-    With the thermostat off the run is the deterministic flow of
-    :func:`_flow` and consumes no noise.  On blowup the raised error names
-    ``stream`` and carries the trajectory recorded so far.
-    """
-    if thermostat:
-        return _one_trajectory(
-            stream, integrate_scalar_batch, model, p, np.array([h0], dtype=float), cfg,
-            [stream],
-        )
-    values, step = _flow(model, h0, cfg)
-    traj = Trajectory(cfg.record_steps()[:len(values)] * cfg.dt, values)
-    if step is not None:
-        raise NumericalBlowupError(step, stream_id=stream.stream_id, trajectory=traj)
-    return traj
 
 
 def mean_stderr(samples, axis=0, factor=1.0):
@@ -879,6 +843,15 @@ def stream_statistics(stats, start, block):
     block around it, nor on how the records were cut into blocks.  Its
     arguments are those of a :func:`_march` sink after ``stats``."""
     stats[:, start:start + len(block)] = mean_stderr(block, axis=-1)
+
+
+def sink_floats(record_floats, n_records):
+    """Floats of the record block that :func:`_march` hands its sink, for
+    ``n_records`` records of ``record_floats`` floats, and of the one copy
+    of it that :func:`stream_statistics` makes (the deviations of
+    :func:`mean_stderr`): two blocks.  :func:`join_statistics` holds as
+    much for its joined block of the same records."""
+    return 2 * min(n_records, _block_rows(8 * record_floats)) * record_floats
 
 
 def join_statistics(pieces):

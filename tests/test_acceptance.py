@@ -28,7 +28,7 @@ from mzcg.kernel import (
     memory_integral_closed_form,
 )
 from mzcg.models import MEMORY_CORRECTED, NAIVE_MEMORY, EffectiveModel, drift
-from mzcg.sde import IntegratorConfig, NoiseStream, NumericalBlowupError, simulate_scalar
+from mzcg.sde import IntegratorConfig, NoiseStream, simulate_scalar
 
 from test_geometry import random_full_rank_selector
 
@@ -195,12 +195,7 @@ def test_criterion_5_mean_trajectory_separation(mean_trajectory_run):
     h0 = math.pi / p.omega
     cfg = IntegratorConfig(dt=float(meta["dt"]), t_final=1000 * float(meta["dt"]),
                            record_stride=1)
-    try:
-        traj = simulate_scalar(EffectiveModel(NAIVE_MEMORY, p), p, h0, cfg,
-                               NoiseStream(1, 0), thermostat=False)
-        naive = traj.states
-    except NumericalBlowupError as err:
-        naive = err.trajectory.states
+    naive, _ = simulate_scalar(EffectiveModel(NAIVE_MEMORY, p), h0, cfg)
     mags = np.abs(naive)
     part_c = (mags[1] > mags[0] and np.all(mags >= mags[0])
               and mags.max() >= 100.0 * mags[0])

@@ -13,7 +13,6 @@ from mzcg.benchmark import (
     effective_potential_grad,
     grad_potential,
     orthogonal_drift,
-    orthogonal_drift_xy,
     orthogonal_flow_point,
     orthogonal_invariant,
     potential,
@@ -310,7 +309,8 @@ class TestBoundOrthogonalDrift:
                 x += shift
                 y -= shift
                 assert drift() is None
-                assert same_bits_or_nan(out, orthogonal_drift_xy(P, x, y)).all()
+                want = np.moveaxis(orthogonal_drift(P, x, y), -1, 0)
+                assert same_bits_or_nan(out, want).all()
                 assert same_bits_or_nan(out, thirteen_call_drift(P, x, y)[0]).all()
 
 
@@ -337,7 +337,7 @@ class TestOrthogonalFlow:
             # The scaled slope, of v = y / tau in s = lam t, is dy/dt / (lam tau).
             assert bind_orthogonal_flow(p, y / p.tau, inv, slope)() is None
             x, _ = orthogonal_flow_point(p, x0, y, inv)
-            dy = orthogonal_drift_xy(p, x, y)[1]
+            dy = np.moveaxis(orthogonal_drift(p, x, y), -1, 0)[1]
             # sin(omega x) carries the rounding of omega x.
             scale = p.lam * (p.tau * (1.0 + abs(p.omega * x0)) + np.abs(y))
             assert np.all(np.abs(p.lam * p.tau * slope - dy)

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -74,3 +75,19 @@ def test_float_columns_read_back_bit_for_bit(columns):
         finite = ~np.isnan(col)
         assert np.array_equal(got[finite].view(np.uint64), col[finite].view(np.uint64))
         assert np.isnan(data[len(col):, j]).all()
+
+
+def test_writer_holds_no_more_than_its_count(tmp_path):
+    # A body of two blocks and a part, in seven columns, as an ensemble
+    # file has: the peak, with the file's buffers, stays within the
+    # writer's count of its block of rows.
+    rows = 2 * csvio.BLOCK_ROWS + 5
+    columns = [np.linspace(j, j + 1.0, rows) for j in range(7)]
+    header = [f"c{j}" for j in range(7)]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "t.csv", COMMENTS, header, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= csvio.block_bytes(len(columns)) + (16 << 10)

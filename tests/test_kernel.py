@@ -10,7 +10,6 @@ from mzcg.benchmark import (
     BenchmarkParams,
     conditional_y_sample,
     orthogonal_drift,
-    orthogonal_drift_xy,
     orthogonal_invariant,
 )
 from mzcg.geometry import build_cg_map
@@ -28,7 +27,7 @@ from mzcg.kernel import (
     memory_integral_closed_form,
     orthogonal_trajectory,
 )
-from mzcg.sde import IntegratorConfig, NoiseStream
+from mzcg.sde import IntegratorConfig, NoiseStream, NumericalBlowupError
 
 P = BenchmarkParams(mu=2.0, lam=20.0, tau=2.0, omega=10.0, beta=1.0)
 P_SMALL = BenchmarkParams(mu=2.0, lam=20.0, tau=0.2, omega=4.0, beta=1.0)
@@ -107,9 +106,9 @@ class TestOrthogonalTrajectory:
         x0 = 0.42
         y0 = P.tau * np.sin(P.omega * x0)
         cfg = IntegratorConfig(dt=1e-5, t_final=1e-3, record_stride=10)
-        traj = orthogonal_trajectory(P, x0, y0, cfg)
-        assert np.all(traj.states[:, 0] == x0)
-        assert np.all(traj.states[:, 1] == y0)
+        _, states = orthogonal_trajectory(P, x0, y0, cfg)
+        assert np.all(states[:, 0] == x0)
+        assert np.all(states[:, 1] == y0)
 
     def test_linear_regime_velocity_formula(self):
         # Tiny initial displacement: the resolved velocity follows
@@ -117,11 +116,25 @@ class TestOrthogonalTrajectory:
         v0 = 1e-4
         rate = kernel_decay_rate(P, X0_VALLEY)
         cfg = IntegratorConfig(dt=1e-4 / P.lam, t_final=3.0 / rate, record_stride=10)
-        traj = orthogonal_trajectory(P, X0_VALLEY, P.tau * np.sin(P.omega * X0_VALLEY) + v0, cfg)
-        xdot = orthogonal_drift(P, traj.states[:, 0], traj.states[:, 1])[:, 0]
+        times, states = orthogonal_trajectory(
+            P, X0_VALLEY, P.tau * np.sin(P.omega * X0_VALLEY) + v0, cfg)
+        xdot = orthogonal_drift(P, states[:, 0], states[:, 1])[:, 0]
         c = np.cos(P.omega * X0_VALLEY)
-        predicted = P.lam * P.tau * P.omega * v0 * c * np.exp(-rate * traj.times)
+        predicted = P.lam * P.tau * P.omega * v0 * c * np.exp(-rate * times)
         assert np.max(np.abs(xdot - predicted) / np.abs(predicted)) < 0.01
+
+    @pytest.mark.parametrize("omega, x0", [(P.omega, X0_CREST), (0.0, 0.3)])
+    def test_y_that_leaves_range_alone_is_a_blowup(self, omega, x0):
+        # At a crest, or at omega = 0, x is held at x0, so a step that
+        # takes y straight to nan leaves x finite: each coordinate is tested.
+        p = BenchmarkParams(mu=2.0, lam=20.0, tau=2.0, omega=omega, beta=1.0)
+        cfg = IntegratorConfig(dt=1e307, t_final=3e307)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBlowupError) as err:
+            orthogonal_trajectory(p, x0, 1.0, cfg)
+        assert err.value.step == 1
+        times, states = err.value.recorded
+        assert times.tolist() == [0.0]
+        assert states.tolist() == [[x0, 1.0]]
 
     def test_rk4_fourth_order_convergence(self):
         x0, y0 = 0.3, P.tau * np.sin(P.omega * 0.3) + 0.05
@@ -130,7 +143,7 @@ class TestOrthogonalTrajectory:
         def endpoint(dt):
             cfg = IntegratorConfig(dt=dt, t_final=horizon,
                                    record_stride=max(1, int(round(horizon / dt))))
-            return orthogonal_trajectory(P, x0, y0, cfg).states[-1]
+            return orthogonal_trajectory(P, x0, y0, cfg)[1][-1]
 
         base = horizon / 64.0
         ref = endpoint(base / 8.0)
@@ -147,10 +160,12 @@ def allocating_rk4_march(p, x, y, span, dt):
     n_sub = max(1, math.ceil(span / dt - 1e-12))
     h = span / n_sub
     for _ in range(n_sub):
-        k1x, k1y = orthogonal_drift_xy(p, x, y)
-        k2x, k2y = orthogonal_drift_xy(p, x + (0.5 * h) * k1x, y + (0.5 * h) * k1y)
-        k3x, k3y = orthogonal_drift_xy(p, x + (0.5 * h) * k2x, y + (0.5 * h) * k2y)
-        k4x, k4y = orthogonal_drift_xy(p, x + h * k3x, y + h * k3y)
+        k1x, k1y = np.moveaxis(orthogonal_drift(p, x, y), -1, 0)
+        k2x, k2y = np.moveaxis(
+            orthogonal_drift(p, x + (0.5 * h) * k1x, y + (0.5 * h) * k1y), -1, 0)
+        k3x, k3y = np.moveaxis(
+            orthogonal_drift(p, x + (0.5 * h) * k2x, y + (0.5 * h) * k2y), -1, 0)
+        k4x, k4y = np.moveaxis(orthogonal_drift(p, x + h * k3x, y + h * k3y), -1, 0)
         x = x + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
         y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
     return x, y
@@ -279,7 +294,7 @@ class TestFlowMarch:
         efolds = 1.0 if x0 == NEAR_CREST[0] else 5.0
         n_rec = math.ceil(efolds / kernel_decay_rate(P, x0) / (stride * dt))
         cfg = IntegratorConfig(dt=dt, t_final=n_rec * stride * dt, record_stride=stride)
-        got = orthogonal_trajectory(P, x0, y0, cfg).states
+        _, got = orthogonal_trajectory(P, x0, y0, cfg)
         x, y = np.array([x0]), np.array([y0])
         want = [(x0, y0)]
         for step in range(1, cfg.n_steps + 1):
@@ -316,9 +331,9 @@ class TestFlowMarch:
         y0 = P.tau * np.sin(P.omega * x0) + 0.5
         dt, stride = 1e-4 / P.lam, 200
         cfg = IntegratorConfig(dt=dt, t_final=10 * stride * dt, record_stride=stride)
-        got = orthogonal_trajectory(P, x0, y0, cfg)
-        want, _ = extended_precision_march(P, x0, np.array([y0]), got.times, dt)
-        assert np.all(np.abs(got.x - want[:, 0, 0].astype(float)) < 1e-13)
+        times, got = orthogonal_trajectory(P, x0, y0, cfg)
+        want, _ = extended_precision_march(P, x0, np.array([y0]), times, dt)
+        assert np.all(np.abs(got[:, 0] - want[:, 0, 0].astype(float)) < 1e-13)
 
 
 class TestKernelLayerView:

@@ -24,6 +24,7 @@ from mzcg.kernel import _sample_orthogonal_drifts, memory_integral_closed_form
 from mzcg.models import (
     MEMORY_CORRECTED,
     MEMORY_FREE,
+    MODEL_KINDS,
     NAIVE_MEMORY,
     EffectiveModel,
     UnsupportedModelError,
@@ -35,7 +36,6 @@ from mzcg.sde import (
     IntegratorConfig,
     NoiseStream,
     NumericalBlowupError,
-    Trajectory,
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
@@ -43,7 +43,6 @@ from mzcg.sde import (
     map_stream_blocks,
     mean_stderr,
     next_pairs,
-    simulate_full,
     simulate_scalar,
 )
 
@@ -243,6 +242,67 @@ class TestNoiseChunk:
         assert [s.position for s in streams] == [n_steps] * n
 
 
+def traced_peak(run):
+    """The peak of what ``run()`` allocates, under tracemalloc, to which numpy
+    reports its buffers."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryCounts:
+    """Each count of the memory check against the peak of the code that
+    allocates what it counts, the times of its records besides.  SLACK
+    covers Python objects, such as the streams' positions and the arrays'
+    headers."""
+
+    SLACK = 64 << 10
+    KINDS = (MEMORY_CORRECTED, MEMORY_FREE)
+
+    @pytest.mark.parametrize("n, steps", [(200, 4096), (2000, 64), (20000, 8)])
+    def test_crn_march_with_a_sink(self, n, steps):
+        # Three betas and both models, as ensemble runs them in one block:
+        # the march, its record block and the reduction's copy of it.
+        cfg = IntegratorConfig(dt=1e-4, t_final=steps * 1e-4, record_stride=1)
+        betas = (1.0, 10.0, 100.0)
+        model_list = [EffectiveModel(kind, P) for kind in self.KINDS]
+        streams = [NoiseStream(1, i) for i in range(n)]
+        _, sink = experiments._record_sink(cfg, (3, len(betas)))
+        peak = traced_peak(lambda: integrate_crn_batch(
+            P, model_list, (0.1, 0.2), 0.1, cfg, streams, betas, sink=sink))
+        count = (sde.march_floats(self.KINDS, len(betas), n, steps)
+                 + sde.sink_floats(3 * len(betas) * n, cfg.n_records) + cfg.n_records)
+        assert peak <= 8 * count + self.SLACK
+
+    @pytest.mark.parametrize("n, steps", [(200, 4096), (20000, 8)])
+    def test_full_batch(self, n, steps):
+        # Thermostatted, as stationary runs it: the march and every record.
+        cfg = IntegratorConfig(dt=1e-4, t_final=steps * 1e-4, record_stride=64)
+        xy0 = np.tile([0.1, 0.2], (n, 1))
+        streams = [NoiseStream(1, i) for i in range(n)]
+        peak = traced_peak(lambda: integrate_full_batch(P, xy0, cfg, streams))
+        count = sde.march_floats((), 1, n, steps) + (2 * n + 1) * cfg.n_records
+        assert peak <= 8 * count + self.SLACK
+
+    def test_flow_batch_with_a_sink(self):
+        # As mean-trajectory runs it in one block: the unthermostatted
+        # march, its record block and the reduction's copy, and each
+        # model's values.
+        n = 2000
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, record_stride=1)
+        x0s = np.tile([0.1, 0.2], (n, 1))
+        model_list = [EffectiveModel(kind, P) for kind in MODEL_KINDS]
+        _, sink = experiments._record_sink(cfg, (1,))
+        peak = traced_peak(
+            lambda: integrate_flow_batch(P, model_list, x0s, 0.1, cfg, sink=sink))
+        count = (sde.march_floats((), 1, n) + sde.sink_floats(n, cfg.n_records)
+                 + (len(model_list) + 1) * cfg.n_records)
+        assert peak <= 8 * count + self.SLACK
+
+
 class TestNextPairs:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -350,21 +410,11 @@ class TestIntegratorConfig:
         assert cfg.n_records == len(cfg.record_steps())
 
 
-class TestTrajectory:
-    def test_rejects_nonincreasing_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), np.zeros(2))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0]), np.zeros(3))
-
-
 class TestSimulateFull:
     def test_origin_is_fixed_point(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.5)
-        traj = simulate_full(P, np.zeros(2), cfg, NoiseStream(1, 0), thermostat=False)
-        assert np.all(traj.states == 0.0)
+        _, rec = integrate_full_batch(P, np.zeros((1, 2)), cfg, thermostat=False)
+        assert np.all(rec[0] == 0.0)
 
     def test_full_step_is_minus_gradient_times_dt(self):
         # The in-place step of sde._march against the potential's gradient.
@@ -379,9 +429,9 @@ class TestSimulateFull:
     def test_deterministic_exponential_decay(self):
         # tau=0 on-manifold start: x(t) = x0 exp(-mu t) exactly.
         cfg = IntegratorConfig(dt=1e-5, t_final=1.0, record_stride=1000)
-        traj = simulate_full(P_OU, np.array([1.0, 0.0]), cfg, NoiseStream(1, 0), thermostat=False)
-        exact = np.exp(-P_OU.mu * traj.times)
-        assert np.max(np.abs(traj.x - exact) / exact) < 1e-3
+        times, rec = integrate_full_batch(P_OU, np.array([[1.0, 0.0]]), cfg, thermostat=False)
+        exact = np.exp(-P_OU.mu * times)
+        assert np.max(np.abs(rec[0][:, 0] - exact) / exact) < 1e-3
 
     def test_ou_variance_growth(self):
         # Var(x_t) = (1/(beta mu)) (1 - exp(-2 mu t)) for the tau=0 process.
@@ -399,8 +449,8 @@ class TestSimulateFull:
         err = {}
         for dt in (2e-3, 1e-3):
             cfg = IntegratorConfig(dt=dt, t_final=1.0, record_stride=int(1.0 / dt))
-            traj = simulate_full(P_OU, np.array([1.0, 0.0]), cfg, NoiseStream(1, 0), thermostat=False)
-            err[dt] = abs(traj.x[-1] - np.exp(-P_OU.mu))
+            _, rec = integrate_full_batch(P_OU, np.array([[1.0, 0.0]]), cfg, thermostat=False)
+            err[dt] = abs(rec[0, -1, 0] - np.exp(-P_OU.mu))
         ratio = err[2e-3] / err[1e-3]
         assert 1.7 < ratio < 2.3
 
@@ -408,22 +458,18 @@ class TestSimulateFull:
         bad = BenchmarkParams(mu=1e9, lam=5e9, tau=1.0, omega=1.0, beta=1.0)
         cfg = IntegratorConfig(dt=1.0, t_final=50.0, record_stride=1)
         with pytest.raises(NumericalBlowupError) as info:
-            simulate_full(bad, np.array([1.0, 1.0]), cfg, NoiseStream(1, 0), thermostat=False)
+            integrate_full_batch(bad, np.array([[1.0, 1.0]]), cfg, thermostat=False)
         assert info.value.step >= 1
-        assert isinstance(info.value.trajectory, Trajectory)
-        assert len(info.value.trajectory.times) >= 1
+        times, _ = info.value.recorded
+        assert len(times) >= 1
 
     def test_blowup_error_keeps_its_fields_when_pickled(self):
         # Worker processes send a blowup back to the parent pickled.
         times = np.array([0.0, 0.5])
-        err = NumericalBlowupError(
-            7, stream_id=3, trajectory=Trajectory(times, np.array([1.0, 2.0])),
-            recorded=(times, np.ones((2, 2))), beta=10.0,
-        )
+        err = NumericalBlowupError(7, stream_id=3, recorded=(times, np.ones((2, 2))), beta=10.0)
         back = pickle.loads(pickle.dumps(err))
         assert (back.step, back.stream_id, back.beta) == (7, 3, 10.0)
         assert str(back) == str(err)
-        assert np.array_equal(back.trajectory.states, err.trajectory.states)
         assert np.array_equal(back.recorded[0], times)
         assert np.array_equal(back.recorded[1], np.ones((2, 2)))
 
@@ -560,23 +606,23 @@ class TestSimulateScalar:
     def test_memory_free_exponential(self):
         model = EffectiveModel(MEMORY_FREE, P)
         cfg = IntegratorConfig(dt=1e-5, t_final=1.0, record_stride=1000)
-        traj = simulate_scalar(model, P, 1.0, cfg, NoiseStream(1, 0), thermostat=False)
-        exact = np.exp(-P.mu * traj.times)
-        assert np.max(np.abs(traj.states - exact) / exact) < 1e-3
+        values, _ = simulate_scalar(model, 1.0, cfg)
+        exact = np.exp(-P.mu * cfg.record_steps() * cfg.dt)
+        assert np.max(np.abs(values - exact) / exact) < 1e-3
 
     def test_zero_is_fixed_point_for_all_models(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
         for kind in ("memory-corrected", "memory-free", "naive-memory"):
-            traj = simulate_scalar(EffectiveModel(kind, P), P, 0.0, cfg,
-                                   NoiseStream(1, 0), thermostat=False)
-            assert np.all(traj.states == 0.0)
+            values, _ = simulate_scalar(EffectiveModel(kind, P), 0.0, cfg)
+            assert np.all(values == 0.0)
 
     def test_naive_memory_cannot_be_thermostatted(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
         from mzcg.models import UnsupportedModelError
 
         with pytest.raises(UnsupportedModelError):
-            simulate_scalar(EffectiveModel(NAIVE_MEMORY, P), P, 0.1, cfg, NoiseStream(1, 0))
+            integrate_scalar_batch(EffectiveModel(NAIVE_MEMORY, P), P, np.array([0.1]), cfg,
+                                   [NoiseStream(1, 0)])
 
     def test_crn_batch_refuses_naive_memory_before_any_step(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.1)
@@ -604,10 +650,11 @@ class TestSimulateScalar:
         times, full_x, model_recs = integrate_crn_batch(
             P, [model], (x0, y0), x0, cfg, [NoiseStream(2, 5)]
         )
-        full_alone = simulate_full(P, np.array([x0, y0]), cfg, NoiseStream(2, 5))
-        scalar_alone = simulate_scalar(model, P, x0, cfg, NoiseStream(2, 5))
-        assert np.array_equal(full_x[0], full_alone.x)
-        assert np.array_equal(model_recs[0][0], scalar_alone.states)
+        _, full_alone = integrate_full_batch(P, np.array([[x0, y0]]), cfg, [NoiseStream(2, 5)])
+        _, scalar_alone = integrate_scalar_batch(model, P, np.array([x0]), cfg,
+                                                 [NoiseStream(2, 5)])
+        assert np.array_equal(full_x[0], full_alone[0][:, 0])
+        assert np.array_equal(model_recs[0][0], scalar_alone[0])
 
     def test_crn_batch_matches_separate_integrations_bitwise_memory_corrected(self):
         # memory-corrected is the model with a noise-induced drift, so both
@@ -618,10 +665,11 @@ class TestSimulateScalar:
         times, full_x, model_recs = integrate_crn_batch(
             P, [model], (x0, y0), x0, cfg, [NoiseStream(2, 5)]
         )
-        full_alone = simulate_full(P, np.array([x0, y0]), cfg, NoiseStream(2, 5))
-        scalar_alone = simulate_scalar(model, P, x0, cfg, NoiseStream(2, 5))
-        assert np.array_equal(full_x[0], full_alone.x)
-        assert np.array_equal(model_recs[0][0], scalar_alone.states)
+        _, full_alone = integrate_full_batch(P, np.array([[x0, y0]]), cfg, [NoiseStream(2, 5)])
+        _, scalar_alone = integrate_scalar_batch(model, P, np.array([x0]), cfg,
+                                                 [NoiseStream(2, 5)])
+        assert np.array_equal(full_x[0], full_alone[0][:, 0])
+        assert np.array_equal(model_recs[0][0], scalar_alone[0])
 
     def test_crn_several_betas_match_single_beta_calls_bitwise(self):
         # One call over beta = 1, 10, 100 shares each stream's noise across
@@ -1218,7 +1266,7 @@ def engine_model_flow(model, h0, cfg):
     one before the float flow replaced it: a one-element array, h + drift(h)
     dt per step, and the engine's blowup rule (a sum of squares not below
     BLOWUP_SQUARED, then the exact test).  Returns the values recorded
-    before the blowup and its step, or None, as ``sde._flow`` does."""
+    before the blowup and its step, or None, as ``sde.simulate_scalar`` does."""
     h = np.array([h0], dtype=float)
     rec_steps = cfg.record_steps()
     values = [h[0]]
@@ -1235,22 +1283,16 @@ def engine_model_flow(model, h0, cfg):
 class TestFlowBatch:
     """The unthermostatted full system beside the reduced models as float
     flows, as ``mean-trajectory`` runs it; the flows, and
-    ``simulate_scalar`` with the thermostat off, against the engine's
-    per-step form (:func:`engine_model_flow`) bit for bit."""
+    ``simulate_scalar`` alone, against the engine's per-step form
+    (:func:`engine_model_flow`) bit for bit."""
 
     def assert_engine_bits(self, model, h0, cfg, values, step):
         want, want_step = engine_model_flow(model, h0, cfg)
         assert step == want_step
         assert values.tobytes() == want.tobytes()
-        try:
-            alone = simulate_scalar(model, P, h0, cfg, NoiseStream(1, 7), thermostat=False)
-        except NumericalBlowupError as err:
-            assert (err.step, err.stream_id, err.beta) == (want_step, 7, None)
-            alone = err.trajectory
-        else:
-            assert want_step is None
-        assert alone.states.tobytes() == want.tobytes()
-        assert alone.times.tobytes() == (cfg.record_steps()[:len(want)] * cfg.dt).tobytes()
+        alone, alone_step = simulate_scalar(model, h0, cfg)
+        assert alone_step == want_step
+        assert alone.tobytes() == want.tobytes()
 
     CFG = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=3)
     X0 = 2.0
@@ -1497,9 +1539,9 @@ def _part_widest(engine):
 class TestDeterminism:
     def test_repeat_runs_are_bit_identical(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.5, record_stride=10)
-        a = simulate_full(P, np.array([0.5, 1.0]), cfg, NoiseStream(4, 2))
-        b = simulate_full(P, np.array([0.5, 1.0]), cfg, NoiseStream(4, 2))
-        assert np.array_equal(a.states, b.states)
+        _, a = integrate_full_batch(P, np.array([[0.5, 1.0]]), cfg, [NoiseStream(4, 2)])
+        _, b = integrate_full_batch(P, np.array([[0.5, 1.0]]), cfg, [NoiseStream(4, 2)])
+        assert np.array_equal(a[0], b[0])
 
     def test_thread_count_does_not_change_results(self):
         cfg = IntegratorConfig(dt=1e-3, t_final=0.2, record_stride=10)
