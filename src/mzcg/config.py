@@ -31,9 +31,10 @@ import numpy as np
 
 from .benchmark import BenchmarkParams
 from .csvio import block_bytes
-from .kernel import FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, kernel_decay_rate
+from .kernel import (FIT_FLOOR_RATIO, FIT_WINDOW_EFOLDS, conditioning_points, estimate_floats,
+                     kernel_decay_rate)
 from .models import MEMORY_CORRECTED, MEMORY_FREE, MODEL_KINDS
-from .sde import NORMAL_BOUND, IntegratorConfig, march_floats, sink_floats
+from .sde import NORMAL_BOUND, IntegratorConfig, march_floats, sink_floats, stream_blocks
 
 EXPERIMENTS = (
     "landscape",
@@ -382,32 +383,39 @@ def _check_kernel_resolution(cfg):
 
 def _array_bytes(experiment, cfg, blocks=None):
     """Bytes of the float64 arrays the runner fills (the recorded series, the
-    kernels' per-lag samples, the landscape's grid, the stationary
-    histogram's edges, counts, centres and two densities, and the engine's
-    arrays, :func:`~mzcg.sde.march_floats`), and what shrinks the largest
-    part of them.
+    kernels' estimates, :func:`~mzcg.kernel.estimate_floats`, the
+    landscape's grid, the stationary samples and histogram, and the
+    engine's arrays, :func:`~mzcg.sde.march_floats`), and what shrinks the
+    largest part of them.
 
-    ``ensemble`` and ``mean-trajectory`` in several stream blocks hold every
-    record of every stream, in the workers and as the parent's pieces.  In
-    one block (``blocks`` 1) they reduce a record block at a time and hold,
-    per record, the statistics, each model flow's values, the times and two
-    floats of temporaries (the record steps the times are made from, or the
-    reduction's), and besides them the engine's arrays, the record block
-    and its reduction's copy (:func:`~mzcg.sde.sink_floats`), and the CSV
-    writer's block of rows (:func:`~mzcg.csvio.block_bytes`).  ``blocks``
-    None, a worker count not known, takes the several-block bound."""
+    ``ensemble`` and ``mean-trajectory`` hold, per record, the statistics,
+    each model flow's values, the times and two floats of temporaries (the
+    record steps the times are made from, or the reduction's), and besides
+    them the engine's arrays, the record block and its reduction's copy
+    (:func:`~mzcg.sde.sink_floats`), and the CSV writer's block of rows
+    (:func:`~mzcg.csvio.block_bytes`), as do the kernels.  One block of
+    every stream (``blocks`` 1) reduces its records a record block at a
+    time; several blocks hold every record once, in the array they share.
+    ``blocks`` None, a worker count not known, takes the several-block
+    bound.  ``stationary`` holds its shared samples and one phase's
+    records."""
     if experiment == "landscape":
         return 3 * cfg["grid_points"] ** 2 * 8, "fewer grid_points"
     if experiment in ("kernel", "kernel-matrix"):
-        return 2 * cfg["n_lags"] * cfg["n_samples"] * 8, "fewer n_samples or n_lags"
+        # The writer's block at the matrix's 6 columns, the wider.
+        floats = estimate_floats(cfg["n_lags"], cfg["n_samples"], experiment == "kernel-matrix")
+        return 8 * floats + block_bytes(6), "fewer n_samples or n_lags"
     n = cfg["n_samples"]
     if experiment == "stationary":
         phases = [IntegratorConfig(cfg[dt], cfg[t], cfg[stride])
                   for t, dt, stride in (("t_main", "dt_main", "stride_main"),
                                         ("t_resid", "dt_resid", "stride_resid"))]
+        # The shared x samples and residuals, one float per stream and
+        # record, and beside them one phase's record-major x and y, its
+        # times and two temporaries.
+        records = [phase.n_records for phase in phases]
         parts = {
-            "a larger stride_main or stride_resid":
-                2 * n * sum(phase.n_records for phase in phases),
+            "a larger stride_main or stride_resid": n * sum(records) + (2 * n + 3) * max(records),
             "fewer bins": 5 * (cfg["bins"] + 1),
             # One phase runs at a time.
             "fewer n_samples": max(march_floats((), 1, n, phase.n_steps) for phase in phases),
@@ -419,21 +427,20 @@ def _array_bytes(experiment, cfg, blocks=None):
             # x, y and the two models' planes at every beta, thermostatted;
             # full, approx and nomem recorded at every beta, and the mean
             # and stderr of each.
-            record = series = 3 * betas * n
-            stats = 2 * 3 * betas
+            record, stats = 3 * betas * n, 2 * 3 * betas
             engine = march_floats((MEMORY_CORRECTED, MEMORY_FREE), betas, n, icfg.n_steps)
             columns = 7
         else:
             # The full system's x and y, unthermostatted: no noise.  Its x
             # is recorded, and each model flow's value.
             models = len(cfg["models"])
-            record, series, stats = n, n + models, 2 + models
+            record, stats = n, 2 + models
             engine = march_floats((), 1, n)
             columns = 3 + models
-        if blocks == 1:
-            # Per record, the statistics, the times and two temporaries.
-            series = stats + 3
-            engine += sink_floats(record, icfg.n_records) + block_bytes(columns) // 8
+        # Per record, the statistics, the times and two temporaries, and in
+        # several blocks every record, in the shared array.
+        series = stats + 3 + (record if blocks != 1 else 0)
+        engine += sink_floats(record, icfg.n_records) + block_bytes(columns) // 8
         parts = {"a larger record_stride": series * icfg.n_records, "fewer n_samples": engine}
     return 8 * sum(parts.values()), max(parts, key=parts.get)
 
@@ -479,8 +486,8 @@ def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=Fa
             threads=None):
     """Resolve the full configuration for ``experiment``; every key concrete.
     ``threads``, the worker count the run will use, sets its stream blocks
-    for the memory check: min(threads, n_samples), as
-    :func:`~mzcg.sde.map_stream_blocks` cuts them.  None bounds the run in
+    for the memory check, as :func:`~mzcg.sde.map_stream_blocks` cuts them
+    (:func:`~mzcg.sde.stream_blocks`).  None bounds the run in
     several blocks, whatever count it runs with."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -504,7 +511,7 @@ def resolve(experiment, config_path=None, set_pairs=(), seed=None, desk_scale=Fa
         cfg["master_seed"] = int(seed)
     _check_keys(keys, cfg)
     _check_rules(experiment, cfg)
-    blocks = None if threads is None else min(threads, cfg.get("n_samples", threads))
+    blocks = None if threads is None else stream_blocks(threads, cfg.get("n_samples", threads))
     _finalize(experiment, keys, cfg, blocks)
     cfg["experiment"] = experiment
     return cfg

@@ -3,15 +3,17 @@
 ``simulate_<name>(cfg, threads)`` integrates and returns what its reduction
 needs; a blowup of the full system (or of a kernel sample) raises
 :class:`NumericalBlowupError`.  For ``ensemble`` and ``mean-trajectory`` that
-is the stream statistics of the records, never the records themselves: one
+is the stream statistics of the records (:func:`_record_statistics`): one
 stream block of every stream reduces them a record block at a time as the
 engine records them, so it holds one record block and the statistics, while
-several blocks each return every record of their streams and the parent
-reduces those pieces a joined record block at a time
-(:func:`~mzcg.sde.join_statistics`).  ``reduce_<name>(cfg, raw)`` returns the
-output files, each as ``(label, comments, header, columns)``: label None
-names the output path itself, any other label is joined onto its stem.  The
-comments echo the resolved configuration, then flags and summary statistics.
+several blocks copy their records into their own streams of one shared
+array, which the parent then reduces a record block at a time.  A worker
+sends back its times and model runs, never a record; ``stationary``'s
+workers write their samples into shared arrays too.  ``reduce_<name>(cfg,
+raw)`` returns the output files, each as ``(label, comments, header,
+columns)``: label None names the output path itself, any other label is
+joined onto its stem.  The comments echo the resolved configuration, then
+flags and summary statistics.
 
 :func:`run` is the driver behind every entry of ``RUNNERS``.  It writes
 every file, a full-system blowup's too: a metadata-only file of the
@@ -50,10 +52,11 @@ from .sde import (
     integrate_crn_batch,
     integrate_flow_batch,
     integrate_full_batch,
-    join_statistics,
     map_stream_blocks,
     next_pairs,
     raise_earliest_blowup,
+    shared_array,
+    stream_blocks,
     stream_statistics,
 )
 
@@ -195,22 +198,30 @@ def reduce_kernel_matrix(cfg, estimates):
     return files
 
 
-def _stream_statistics(blocks):
-    """The times and the stream statistics of ``map_stream_blocks``' blocks,
-    each ``(times, records, ...)``: the one block of every stream has reduced
-    its records already, while several blocks' records, one (record, ...,
-    stream) array per component, are reduced here (:func:`join_statistics`)."""
-    times, stats = blocks[0][:2]
-    if len(blocks) > 1:
-        stats = join_statistics([block[1] for block in blocks])
-    return times, stats
-
-
-def _record_sink(icfg, components):
-    """A fresh statistics array, shaped (2, record) + ``components``, and the
-    engine sink that fills it from stream-complete record blocks."""
+def _record_statistics(worker, icfg, components, n, threads):
+    """Run ``worker(a, b, sink)`` on the stream blocks of
+    :func:`map_stream_blocks`, each block's engine handing ``sink`` its
+    records laid out (record,) + ``components`` + (stream,), and return the
+    stream statistics of every record (see :func:`stream_statistics`) with
+    the blocks' results.  One block of every stream reduces each record
+    block as the engine fills it; several blocks copy theirs into their own
+    streams of one shared array of every record, which is then reduced a
+    record block at a time."""
     stats = np.empty((2, icfg.n_records) + components)
-    return stats, partial(stream_statistics, stats)
+    reduce = partial(stream_statistics, stats)
+    if stream_blocks(threads, n) == 1:
+        return stats, map_stream_blocks(lambda a, b: worker(a, b, reduce), n, threads=threads)
+    records = shared_array((icfg.n_records,) + components + (n,))
+
+    def block(a, b):
+        def sink(start, recs):
+            records[start:start + len(recs), ..., a:b] = recs
+
+        return worker(a, b, sink)
+
+    results = map_stream_blocks(block, n, threads=threads)
+    reduce(0, records)
+    return stats, results
 
 
 def simulate_mean_trajectory(cfg, threads):
@@ -221,8 +232,10 @@ def simulate_mean_trajectory(cfg, threads):
     scalar recurrences beside its engine call (see
     :func:`integrate_flow_batch`).  A model that blows up is truncated and
     flagged while the others go on; a blowup of the full system raises,
-    naming its stream.  Returns the times, the full ensemble's statistics
-    (see :func:`stream_statistics`; one component, x) and the model runs."""
+    naming its stream.  Returns the full ensemble's statistics (see
+    :func:`stream_statistics`; one component, x) and the package of the
+    block of row 0, whose records went to the statistics: the times, None
+    and the model runs."""
     p = params_from_config(cfg)
     x0 = cfg["x0"]
     seed = cfg["master_seed"]
@@ -230,26 +243,21 @@ def simulate_mean_trajectory(cfg, threads):
     icfg = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"])
     scalar_models = [EffectiveModel(kind, p) for kind in cfg["models"]]
 
-    def worker(a, b):
+    def worker(a, b, sink):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
         y0 = conditional_y_sample(p, x0, streams)
         x0s = np.stack([np.full(b - a, x0), y0], axis=-1)
         models = scalar_models if a == 0 else []
-        if b - a < n:
-            times, full_x, runs = integrate_flow_batch(p, models, x0s, x0, icfg, streams)
-            return times, [full_x.T], runs
-        stats, sink = _record_sink(icfg, (1,))
-        times, _, runs = integrate_flow_batch(p, models, x0s, x0, icfg, streams, sink)
-        return times, stats, runs
+        return integrate_flow_batch(p, models, x0s, x0, icfg, streams, sink)
 
-    blocks = map_stream_blocks(worker, n, threads=threads)
-    return *_stream_statistics(blocks), blocks[0][2]
+    stats, blocks = _record_statistics(worker, icfg, (1,), n, threads)
+    return (stats, *blocks[0])
 
 
 def reduce_mean_trajectory(cfg, raw):
     """The full ensemble's mean and stderr, and each model's column and
     time to half, flagging the models that blew up."""
-    times, stats, runs = raw
+    stats, times, _, runs = raw
     full_mean, full_stderr = stats[:, :, 0]
     header = ["t", "full_mean", "full_stderr"]
     columns = [times, full_mean, full_stderr]
@@ -280,16 +288,14 @@ def simulate_ensemble(cfg, threads):
     y0 = p.tau * math.sin(p.omega * x0)
     scalar_models = [EffectiveModel(MEMORY_CORRECTED, p), EffectiveModel(MEMORY_FREE, p)]
 
-    def worker(a, b):
+    def worker(a, b, sink):
         streams = [NoiseStream(seed, i) for i in range(a, b)]
-        args = (p, scalar_models, (x0, y0), x0, icfg, streams, cfg["beta_list"])
-        if b - a < n:
-            times, full_x, model_recs = integrate_crn_batch(*args)
-            return times, [np.moveaxis(r, -1, 0) for r in (full_x, *model_recs)]
-        stats, sink = _record_sink(icfg, (1 + len(scalar_models), len(cfg["beta_list"])))
-        return integrate_crn_batch(*args, sink=sink)[0], stats
+        return integrate_crn_batch(p, scalar_models, (x0, y0), x0, icfg, streams,
+                                   cfg["beta_list"], sink=sink)[0]
 
-    return _stream_statistics(map_stream_blocks(worker, n, threads=threads))
+    # full, approx and nomem at each beta.
+    stats, blocks = _record_statistics(worker, icfg, (3, len(cfg["beta_list"])), n, threads)
+    return blocks[0], stats
 
 
 def reduce_ensemble(cfg, raw):
@@ -329,8 +335,8 @@ def simulate_stationary(cfg, threads):
     are integrated forward.  A long coarse-step phase collects
     resolved-coordinate samples (its soft mode is insensitive to the step),
     and a short fine-step phase collects the stiff valley residual, whose
-    variance an explicit integrator inflates at coarse steps.  Returns each
-    block's (x samples, residuals)."""
+    variance an explicit integrator inflates at coarse steps.  Returns the x
+    samples and the residuals, one row per stream."""
     p = params_from_config(cfg)
     seed = cfg["master_seed"]
     n = cfg["n_samples"]
@@ -346,38 +352,41 @@ def simulate_stationary(cfg, threads):
 
     main_cfg = IntegratorConfig(cfg["dt_main"], cfg["t_main"], cfg["stride_main"])
     resid_cfg = IntegratorConfig(cfg["dt_resid"], cfg["t_resid"], cfg["stride_resid"])
+    # Stream-major, the order the reduction pools the samples in.
+    xs = shared_array((n, main_cfg.n_records))
+    residuals = shared_array((n, resid_cfg.n_records))
 
     def integrate(icfg, ids):
         streams = [NoiseStream(seed, i) for i in ids]
-        _, rec = integrate_full_batch(p, equilibrium_start(streams), icfg, streams,
-                                      thermostat=True)
-        # Stream-major, the order the reduction pools the samples in: from
-        # the record-major view, the residuals would come out column-major
-        # and pooling them would copy them again.
-        return np.ascontiguousarray(rec)
+        return integrate_full_batch(p, equilibrium_start(streams), icfg, streams,
+                                    thermostat=True)[1]
 
     def worker(a, b):
         # Both phases of a block in one worker, so a run forks one pool.
-        x = integrate(main_cfg, range(a, b))[:, :, 0]
+        xs[a:b] = integrate(main_cfg, range(a, b))[:, :, 0]
         try:
             rec = integrate(resid_cfg, range(n + a, n + b))
         except NumericalBlowupError as err:
-            # Raised below, once every main phase is back: those come first.
-            return x, err
-        return x, rec[:, :, 1] - p.tau * np.sin(p.omega * rec[:, :, 0])
+            # Raised below, once every main phase is back: those come
+            # first.  In a list, so that the map does not take it for one.
+            err.recorded = None
+            return [err]
+        # y - tau sin(omega x), in place.
+        r = residuals[a:b]
+        np.sin(np.multiply(p.omega, rec[:, :, 0], r), r)
+        np.subtract(rec[:, :, 1], np.multiply(p.tau, r, r), r)
+        return []
 
-    blocks = map_stream_blocks(worker, n, threads=threads)
-    raise_earliest_blowup(r for _, r in blocks)
-    return blocks
+    raise_earliest_blowup(sum(map_stream_blocks(worker, n, threads=threads), []))
+    return xs, residuals
 
 
-def reduce_stationary(cfg, blocks):
+def reduce_stationary(cfg, raw):
     """The pooled x histogram against the Gibbs marginal, with the sample
     variances of x and of the valley residual against their targets."""
     p = params_from_config(cfg)
     sd_x = math.sqrt(1.0 / (p.beta * p.mu))
-    x_samples = np.concatenate([x for x, _ in blocks], axis=0).ravel()
-    residuals = np.concatenate([r for _, r in blocks], axis=0).ravel()
+    x_samples, residuals = (samples.ravel() for samples in raw)
 
     half = cfg["hist_halfwidth"] * sd_x
     edges = np.linspace(-half, half, cfg["bins"] + 1)

@@ -177,6 +177,25 @@ def orthogonal_trajectory(p: BenchmarkParams, x0, y0, cfg: IntegratorConfig):
     return times, recorded
 
 
+def estimate_floats(n_lags, n_samples, matrix=False):
+    """Floats that :func:`empirical_kernel`, or with ``matrix``
+    :func:`empirical_kernel_matrix` at both of its conditioning points,
+    holds at once.  Per lag and sample: the drifts of every block, 2
+    floats, and their joined copy in :func:`_sample_orthogonal_drifts`;
+    then, beside the joined drifts, one product of lag-s and lag-0 values
+    and its deviations in :func:`~mzcg.sde.mean_stderr`, and the matrix's
+    projected drifts, 2 floats.  Per lag: the value and standard error of
+    each entry, the matrix's 4 at both points, and 12 floats of the lag
+    grid, each lag's gap and mean_stderr's means, variances and roots.  Per
+    sample, 48 floats: its NoiseStream, 25 floats' worth of Python objects,
+    and about 14 planes of the march (y, v, the four slopes, the stage
+    input, the invariant and x) and of orthogonal_flow_point's temporaries,
+    39 measured with tracemalloc at 20,000 samples, with a margin for
+    numpy's elision of temporaries."""
+    per_lag = 6 * n_samples + 16 if matrix else 4 * n_samples + 2
+    return (per_lag + 12) * n_lags + 48 * n_samples
+
+
 def _sample_orthogonal_drifts(p, x0, lags, n_samples, stream, cfg, threads):
     """Fluctuation-drift vectors along sampled orthogonal characteristics.
 

@@ -51,9 +51,10 @@ state at its step.  The batch front ends return record-last views of them.
 Given a sink, the engine instead keeps one record block of about
 RECORD_BLOCK_BYTES and hands it to the sink each time it fills, so a run of
 every stream can reduce its stream statistics as it goes
-(:func:`stream_statistics`) and never holds every record; records split into
-stream blocks are reduced the same way, a joined record block at a time
-(:func:`join_statistics`).
+(:func:`stream_statistics`) and never holds every record, and a stream
+block can copy its records into its own streams of an output array that
+every block shares (:func:`shared_array`), which the same reduction then
+takes a record block at a time.
 
 An unthermostatted reduced model has one path, ``simulate_scalar``: a
 recurrence in Python floats on its drift bound once
@@ -67,18 +68,21 @@ Each array that the memory check of :mod:`mzcg.config` counts is counted
 beside the code that allocates it: the march's by :func:`march_floats`, the
 record block and its reduction's copy by :func:`sink_floats`.
 
-``map_stream_blocks`` splits an ensemble into one stream block per worker and
-runs them in forked processes: the per-step loop holds the interpreter lock,
-so threads would not overlap.
+``map_stream_blocks`` splits an ensemble into :func:`stream_blocks` stream
+blocks and runs them in forked processes: the per-step loop holds the
+interpreter lock, so threads would not overlap.  A worker sends back only
+what pickles small; what it writes into a :func:`shared_array` made before
+the map, the parent sees.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 from numpy.random import Philox
@@ -116,9 +120,10 @@ NOISE_CHUNK_FLOOR = 512
 # stay in the L2 cache (see ROADMAP for the measurements).
 NOISE_GROUP_BYTES = 1 << 20
 
-# Bytes of the record block that _march hands to its sink, and of the joined
-# block that join_statistics reduces: small enough that the block and its
-# reduction's temporaries stay in the L2 cache, as NOISE_GROUP_BYTES does.
+# Bytes of the record block that _march hands to its sink, and of the
+# records that stream_statistics reduces at once: small enough that the
+# block and its reduction's temporaries stay in the L2 cache, as
+# NOISE_GROUP_BYTES does.
 RECORD_BLOCK_BYTES = 1 << 20
 
 # The one Philox generator of the process, which every NoiseStream seeks to
@@ -835,45 +840,35 @@ def mean_stderr(samples, axis=0, factor=1.0):
 
 
 def stream_statistics(stats, start, block):
-    """Reduce a stream-complete record ``block``, laid out (record,
+    """Reduce stream-complete records ``block``, laid out (record,
     component, ..., stream), into rows ``start`` on of ``stats``, shaped
     (2, record, component, ...): each row's mean over the streams, then its
-    standard error.  One :func:`mean_stderr` call sums every row along its
-    contiguous stream axis, pairwise, so a row's bits do not depend on the
-    block around it, nor on how the records were cut into blocks.  Its
-    arguments are those of a :func:`_march` sink after ``stats``."""
-    stats[:, start:start + len(block)] = mean_stderr(block, axis=-1)
+    standard error.  One :func:`mean_stderr` call per record block of about
+    RECORD_BLOCK_BYTES sums every row along its contiguous stream axis,
+    pairwise, so a row's bits do not depend on the block around it, nor on
+    how the records were cut into blocks.  Its arguments are those of a
+    :func:`_march` sink after ``stats``, whose record block is one."""
+    rows = _block_rows(block[0].nbytes)
+    out = stats[:, start:start + len(block)]
+    for a in range(0, len(block), rows):
+        out[:, a:a + rows] = mean_stderr(block[a:a + rows], axis=-1)
 
 
 def sink_floats(record_floats, n_records):
     """Floats of the record block that :func:`_march` hands its sink, for
     ``n_records`` records of ``record_floats`` floats, and of the one copy
     of it that :func:`stream_statistics` makes (the deviations of
-    :func:`mean_stderr`): two blocks.  :func:`join_statistics` holds as
-    much for its joined block of the same records."""
+    :func:`mean_stderr`): two blocks.  Reducing a :func:`shared_array` of
+    every record, :func:`stream_statistics` holds one such copy at a
+    time."""
     return 2 * min(n_records, _block_rows(8 * record_floats)) * record_floats
 
 
-def join_statistics(pieces):
-    """The stream statistics, as :func:`stream_statistics` lays them out,
-    of records split into stream blocks: ``pieces[j]`` holds stream block
-    j's components in order, each laid out (record, ..., stream).  The
-    pieces are joined a record block of about RECORD_BLOCK_BYTES at a time
-    into one stream-complete block, whatever layout they arrive in, so no
-    joined copy of every record is made."""
-    first = pieces[0][0]
-    bounds = list(accumulate([0] + [comps[0].shape[-1] for comps in pieces]))
-    shape = (len(pieces[0]),) + first.shape[1:-1] + (bounds[-1],)
-    n_rec = len(first)
-    block = np.empty((min(n_rec, _block_rows(8 * math.prod(shape))),) + shape)
-    stats = np.empty((2, n_rec) + shape[:-1])
-    for start in range(0, n_rec, len(block)):
-        part = block[:n_rec - start]
-        for comps, a, b in zip(pieces, bounds, bounds[1:]):
-            for c, comp in enumerate(comps):
-                part[:, c, ..., a:b] = comp[start:start + len(part)]
-        stream_statistics(stats, start, part)
-    return stats
+def shared_array(shape):
+    """A float64 array of ``shape``, zero-filled, in an anonymous shared
+    mapping: what the forked workers of :func:`map_stream_blocks` write
+    into it, the parent sees.  It is unmapped with its last view."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)))
 
 
 def raise_earliest_blowup(results):
@@ -884,28 +879,40 @@ def raise_earliest_blowup(results):
 
 
 def _run_block(a, b):
-    """The running map's worker on streams [a, b), or the blowup it raised."""
+    """The running map's worker on streams [a, b), or the blowup it raised,
+    without its ``recorded`` prefix."""
     try:
         return _block_worker(a, b)
     except NumericalBlowupError as err:
+        err.recorded = None
         return err
 
 
+def stream_blocks(threads, n_items):
+    """The stream blocks that :func:`map_stream_blocks` cuts ``n_items``
+    into for ``threads`` workers: one per worker, each of at least one
+    item."""
+    return min(threads, n_items)
+
+
 def map_stream_blocks(worker, n_items, threads=1):
-    """Run ``worker(start, stop)`` over ``min(threads, n_items)`` near-equal
+    """Run ``worker(start, stop)`` over :func:`stream_blocks` near-equal
     contiguous index blocks and return the results in block order.
 
     A row's bits do not depend on its batch, so one worker takes every item
     in one batch and the results are the same for any count.  Several blocks
     run in forked processes (serially without ``fork``), so ``worker`` may be
-    a closure but its side effects stay in the child.  Blowups go through
-    :func:`raise_earliest_blowup` once every block has run; other errors
-    come from the first block that raised one.  A fork copies only the
-    calling thread, so a pooled call must not race other threads holding
-    locks; the package starts none.
+    a closure; what it writes into a :func:`shared_array` made before this
+    call reaches the parent, and its other side effects stay in the child.
+    Blowups go through :func:`raise_earliest_blowup` once every block has
+    run, each without its ``recorded`` prefix: a block's records stay in
+    its process or in the shared output it wrote.  Other errors come from
+    the first block that raised one.  A fork
+    copies only the calling thread, so a pooled call must not race other
+    threads holding locks; the package starts none.
     """
     global _block_worker
-    k = min(threads, n_items)
+    k = stream_blocks(threads, n_items)
     bounds = [n_items * j // k for j in range(k + 1)]
     _block_worker = worker
     try:

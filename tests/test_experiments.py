@@ -139,14 +139,15 @@ class TestConfigResolution:
 
     def test_memory_check_bounds_one_block_by_what_it_holds(self, monkeypatch):
         # A full-scale ensemble that records each of its 32 million steps:
-        # several stream blocks hold every record, 1,152 GB, while one holds
-        # the statistics, 5.4 GB, which a machine of 8 GB holds.  Without a
-        # worker count the check takes the several-block bound.
+        # several stream blocks hold every record, 1,152 GB, beside the
+        # statistics, while one holds the statistics alone, 5.4 GB, which a
+        # machine of 8 GB holds.  Without a worker count the check takes
+        # the several-block bound.
         sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 10**9 // 4096}
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
         resolve("ensemble", set_pairs=["record_stride=1"], threads=1)
         for threads in (2, None):
-            with pytest.raises(ConfigError, match="needs 1,152.0 GB"):
+            with pytest.raises(ConfigError, match="needs 1,157.4 GB"):
                 resolve("ensemble", set_pairs=["record_stride=1"], threads=threads)
         with pytest.raises(ConfigError, match="needs 10.8 GB .* use a larger record_stride$"):
             resolve("ensemble", set_pairs=["record_stride=1", "t_final=640"], threads=1)
@@ -158,6 +159,20 @@ class TestConfigResolution:
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
         resolve("ensemble", set_pairs=["n_samples=200000", "record_stride=4096", "dt=1e-4",
                                        "t_final=0.4096", "beta_list=1"])
+
+    def test_memory_check_counts_the_kernel_matrix_estimate(self, monkeypatch):
+        # 20,000 samples at 60 lags peak at 57.7 MB (tracemalloc), well
+        # above one copy of the drifts, 19.2 MB, which a machine of 40 MB
+        # would hold.
+        pairs = ["n_samples=20000", "n_lags=60", "lag_efolds=0.5"]
+        for pages, refused in ((40 * 10**6 // 4096, True), (80 * 10**6 // 4096, False)):
+            sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+            monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+            if refused:
+                with pytest.raises(ConfigError, match="use fewer n_samples or n_lags$"):
+                    resolve("kernel-matrix", set_pairs=pairs)
+            else:
+                resolve("kernel-matrix", set_pairs=pairs)
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -367,19 +382,12 @@ STREAMS_301 = {
 }
 
 
-def _in_blocks(width, layout):
+def _in_blocks(width):
     """A ``map_stream_blocks`` that runs the worker serially on blocks of
-    ``width`` streams, each result's arrays put in ``layout`` and sent
-    through pickle, as worker results are."""
-    def arrange(x):
-        if isinstance(x, np.ndarray):
-            return layout(x)
-        if isinstance(x, (list, tuple)):
-            return type(x)(map(arrange, x))
-        return x
-
+    ``width`` streams, each result sent through pickle, as worker results
+    are."""
     def in_blocks(worker, n_items, threads=1):
-        return [pickle.loads(pickle.dumps(arrange(worker(a, min(a + width, n_items)))))
+        return [pickle.loads(pickle.dumps(worker(a, min(a + width, n_items))))
                 for a in range(0, n_items, width)]
 
     return in_blocks
@@ -399,10 +407,10 @@ def _files_at(experiment, cfg, threads, out_dir):
 
 class TestStreamStatistics:
     """The stream statistics sum along a contiguous stream axis, so their
-    bits depend neither on how the streams are split into blocks, nor on the
-    layout in which the blocks arrive, nor on how the records are cut into
-    record blocks: one block of every stream reduces its records as the
-    engine records them, several are joined a record block at a time."""
+    bits depend neither on how the streams are split into blocks nor on how
+    the records are cut into record blocks: one block of every stream
+    reduces its records as the engine records them, several copy theirs
+    into one shared array that is reduced a record block at a time."""
 
     @pytest.mark.parametrize("experiment", sorted(STREAMS_301))
     def test_blocks_of_any_width_and_layout_reduce_alike(self, experiment, monkeypatch):
@@ -410,13 +418,43 @@ class TestStreamStatistics:
         simulate, reduce = RUNNERS[experiment].args
         # One block, as --threads 1 gives it: reduced by the engine's sink.
         want = _file_bytes(reduce(cfg, simulate(cfg, 1)))
-        # A stream-first layout would make a sum along the streams add them
-        # one after another.
-        for layout in (np.asarray, np.asfortranarray):
-            for width in (1, 7, 8, 9, 127, 128, 129, 257):
-                monkeypatch.setattr(mzcg.experiments, "map_stream_blocks",
-                                    _in_blocks(width, layout))
-                assert _file_bytes(reduce(cfg, simulate(cfg, 1))) == want, (layout, width)
+        # Two workers ask for several blocks; the map cuts them to width.
+        for width in (1, 7, 8, 9, 127, 128, 129, 257):
+            monkeypatch.setattr(mzcg.experiments, "map_stream_blocks", _in_blocks(width))
+            assert _file_bytes(reduce(cfg, simulate(cfg, 2))) == want, width
+
+    @pytest.mark.parametrize("experiment", sorted(STREAMS_301))
+    def test_several_blocks_send_back_no_record(self, experiment, monkeypatch):
+        # Each worker's result, and a blowup's error, pickles to less than
+        # one block of 150 streams' records taken: the records stay in the
+        # shared array.
+        sizes = []
+
+        def measured(worker, n_items, threads=1):
+            results = []
+            for a in range(0, n_items, 150):
+                try:
+                    results.append(worker(a, min(a + 150, n_items)))
+                except NumericalBlowupError as err:
+                    results.append(err)
+            sizes.append(max(len(pickle.dumps(r)) for r in results))
+            sde.raise_earliest_blowup(results)
+            return results
+
+        monkeypatch.setattr(mzcg.experiments, "map_stream_blocks", measured)
+        simulate, _ = RUNNERS[experiment].args
+        cfg = resolve(experiment, set_pairs=STREAMS_301[experiment])
+        components = 3 * len(cfg["beta_list"]) if experiment == "ensemble" else 1
+        simulate(cfg, 2)
+        n_records = IntegratorConfig(cfg["dt"], cfg["t_final"], cfg["record_stride"]).n_records
+        assert sizes[0] < 8 * n_records * components * 150
+        cfg = resolve(experiment, set_pairs=["n_samples=300", "dt=0.2", "t_final=20",
+                                             "record_stride=1"])
+        components = 3 * len(cfg["beta_list"]) if experiment == "ensemble" else 1
+        with pytest.raises(NumericalBlowupError) as info:
+            simulate(cfg, 2)
+        # Records 0 to step - 1 were taken before the blowup.
+        assert sizes[1] < 8 * info.value.step * components * 150
 
     @pytest.mark.parametrize("experiment, block_records", [
         *(pytest.param(name, None, id=name) for name in sorted(STREAMS_301)),

@@ -7,6 +7,7 @@ import pickle
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -270,7 +271,7 @@ class TestMemoryCounts:
         betas = (1.0, 10.0, 100.0)
         model_list = [EffectiveModel(kind, P) for kind in self.KINDS]
         streams = [NoiseStream(1, i) for i in range(n)]
-        _, sink = experiments._record_sink(cfg, (3, len(betas)))
+        sink = partial(sde.stream_statistics, np.empty((2, cfg.n_records, 3, len(betas))))
         peak = traced_peak(lambda: integrate_crn_batch(
             P, model_list, (0.1, 0.2), 0.1, cfg, streams, betas, sink=sink))
         count = (sde.march_floats(self.KINDS, len(betas), n, steps)
@@ -295,12 +296,27 @@ class TestMemoryCounts:
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, record_stride=1)
         x0s = np.tile([0.1, 0.2], (n, 1))
         model_list = [EffectiveModel(kind, P) for kind in MODEL_KINDS]
-        _, sink = experiments._record_sink(cfg, (1,))
+        sink = partial(sde.stream_statistics, np.empty((2, cfg.n_records, 1)))
         peak = traced_peak(
             lambda: integrate_flow_batch(P, model_list, x0s, 0.1, cfg, sink=sink))
         count = (sde.march_floats((), 1, n) + sde.sink_floats(n, cfg.n_records)
                  + (len(model_list) + 1) * cfg.n_records)
         assert peak <= 8 * count + self.SLACK
+
+
+class TestKernelMemoryCount:
+    """The kernel estimates against their count (see TestMemoryCounts), at
+    the sizes where samples, lags and both dominate."""
+
+    @pytest.mark.parametrize("experiment", ["kernel", "kernel-matrix"])
+    @pytest.mark.parametrize("n, n_lags", [(20000, 60), (20000, 3), (2, 20000)])
+    def test_estimate_holds_no_more_than_its_count(self, experiment, n, n_lags):
+        cfg = resolve(experiment, set_pairs=[f"n_samples={n}", f"n_lags={n_lags}",
+                                             "lag_efolds=0.5"])
+        simulate, _ = experiments.RUNNERS[experiment].args
+        peak = traced_peak(lambda: simulate(cfg, 1))
+        count = kernel.estimate_floats(n_lags, n, experiment == "kernel-matrix")
+        assert peak <= 8 * count + TestMemoryCounts.SLACK
 
 
 class TestNextPairs:
@@ -357,7 +373,7 @@ class TestNextPairs:
 
         def integrate(p_, x0s, icfg, streams, thermostat):
             starts.append((x0s, [s.stream_id for s in streams]))
-            return None, np.zeros((len(streams), 2, 2))
+            return None, np.zeros((len(streams), icfg.n_records, 2))
 
         with mock.patch.object(NoiseStream, "pairs", autospec=True,
                                side_effect=NoiseStream.pairs) as pairs:
@@ -1444,23 +1460,6 @@ class TestEnsembleMean:
                 mean, stderr = mean_stderr(records[:, c, k], axis=-1)
                 assert stats[0, 2:, c, k].tobytes() == mean.tobytes()
                 assert stats[1, 2:, c, k].tobytes() == stderr.tobytes()
-
-    @pytest.mark.parametrize("block_records", [1, 3, 4, 64])
-    def test_join_statistics_of_pieces_in_any_layout(self, block_records):
-        # Stream blocks of 7, 1 and 12 streams, components in any layout,
-        # joined a record block at a time: the statistics of the whole.
-        records = np.random.default_rng(7).normal(size=(10, 3, 2, 20))
-        want = np.empty((2, 10, 3, 2))
-        sde.stream_statistics(want, 0, records)
-        pieces = [[layout(records[:, c, :, a:b]) for c in range(3)]
-                  for layout, (a, b) in zip((np.asarray, np.asfortranarray, np.asarray),
-                                            ((0, 7), (7, 8), (8, 20)))]
-        with mock.patch.object(sde, "RECORD_BLOCK_BYTES", block_records * records[0].nbytes):
-            got = sde.join_statistics(pieces)
-        assert got.tobytes() == want.tobytes()
-        # One component without a beta axis, as mean-trajectory has it.
-        got = sde.join_statistics([[records[:, 0, 0, :9]], [records[:, 0, 0, 9:]]])
-        assert got.tobytes() == want[:, :, :1, 0].tobytes()
 
 
 # The engines of the partition sweep; each returns its outputs stream axis first.

@@ -31,7 +31,10 @@ from pathlib import Path
 # (name, arguments): small runs that cover every experiment and its blowup
 # path, each at the default seed, 1.  mean-trajectory-slow-blowup (dt = 0.12)
 # leaves range at step 67 after a slow approach, over which the engine tests
-# 27 steps and its growth bound clears the other 40.
+# 27 steps and its growth bound clears the other 40.  ensemble-records (288
+# MB of records) and stationary-records (45 MB of samples beside 82 MB of
+# records) are large enough that the memory of the records shows in the
+# peak resident set, which cannot resolve a difference of 1-2 MiB.
 RUNS = [
     ("landscape", ["landscape", "--set", "grid_points=41"]),
     ("kernel", ["kernel", "--set", "n_samples=200", "--set", "n_lags=24"]),
@@ -45,6 +48,11 @@ RUNS = [
                   "--set", "n_samples=300", "--set", "beta_list=1,10"]),
     ("stationary", ["stationary", "--set", "n_samples=16", "--set", "t_main=0.3",
                     "--set", "t_resid=0.05"]),
+    ("ensemble-records", ["ensemble", "--desk-scale", "--set", "t_final=2",
+                          "--set", "record_stride=1", "--set", "n_samples=200"]),
+    ("stationary-records", ["stationary", "--set", "n_samples=256", "--set", "t_main=3",
+                            "--set", "stride_main=1", "--set", "t_resid=0.02",
+                            "--set", "stride_resid=1"]),
     ("ensemble-blowup", ["ensemble", "--set", "n_samples=4", "--set", "dt=0.2",
                          "--set", "t_final=20"]),
     ("stationary-blowup", ["stationary", "--set", "dt_main=0.2", "--set", "n_samples=4"]),
