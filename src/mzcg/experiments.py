@@ -369,7 +369,6 @@ def simulate_stationary(cfg, threads):
         except NumericalBlowupError as err:
             # Raised below, once every main phase is back: those come
             # first.  In a list, so that the map does not take it for one.
-            err.recorded = None
             return [err]
         # y - tau sin(omega x), in place.
         r = residuals[a:b]

@@ -166,7 +166,9 @@ class NumericalBlowupError(RuntimeError):
     Carries the failing ``step`` index and, when known, the ``stream_id`` and
     inverse temperature ``beta`` of the offending trajectory.  The function
     that raises it stashes the prefix recorded before the failure in
-    ``recorded``, shaped like its return value.
+    ``recorded``, shaped like its return value.  The error pickles without
+    it: a worker process sends back where it failed, and its records stay
+    in the process or in the shared output that it wrote.
     """
 
     def __init__(self, step, stream_id=None, recorded=None, beta=None):
@@ -177,8 +179,7 @@ class NumericalBlowupError(RuntimeError):
         super().__init__(f"state exceeded {BLOWUP_LIMIT:g} at step {step}{self.where}")
 
     def __reduce__(self):
-        # Keep every field when a worker process sends the error back.
-        return type(self), (self.step, self.stream_id, self.recorded, self.beta)
+        return type(self), (self.step, self.stream_id, None, self.beta)
 
     @property
     def where(self) -> str:
@@ -879,12 +880,10 @@ def raise_earliest_blowup(results):
 
 
 def _run_block(a, b):
-    """The running map's worker on streams [a, b), or the blowup it raised,
-    without its ``recorded`` prefix."""
+    """The running map's worker on streams [a, b), or the blowup it raised."""
     try:
         return _block_worker(a, b)
     except NumericalBlowupError as err:
-        err.recorded = None
         return err
 
 
@@ -905,9 +904,8 @@ def map_stream_blocks(worker, n_items, threads=1):
     a closure; what it writes into a :func:`shared_array` made before this
     call reaches the parent, and its other side effects stay in the child.
     Blowups go through :func:`raise_earliest_blowup` once every block has
-    run, each without its ``recorded`` prefix: a block's records stay in
-    its process or in the shared output it wrote.  Other errors come from
-    the first block that raised one.  A fork
+    run; one sent back from a forked block pickles without its ``recorded``
+    prefix.  Other errors come from the first block that raised one.  A fork
     copies only the calling thread, so a pooled call must not race other
     threads holding locks; the package starts none.
     """
